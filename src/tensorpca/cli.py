@@ -187,6 +187,10 @@ def _run_one_detection(config: RunConfig, params: ModelParams, spiked: bool, tri
     return row
 
 
+# failures that turn one trial into an error row instead of ending the sweep
+_TRIAL_ERRORS = (CapacityError, ConvergenceError, InvalidParameterError, MemoryError)
+
+
 def cmd_detect(config: RunConfig) -> dict:
     """Detection sweep over the (N, n_bos, lambda) grid.
 
@@ -204,7 +208,7 @@ def cmd_detect(config: RunConfig) -> dict:
         )
         tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(params.seed, "instance", 0))
         h = HamiltonianOperator(tensor.tensor, build_basis(params.N, params.n_bos))
-        mmwrite(config.dump_operator, h.sparse_matrix())
+        mmwrite(config.dump_operator, h.sparse_matrix().tocsr())
 
     rows = []
     for N in config.N_list:
@@ -217,7 +221,7 @@ def cmd_detect(config: RunConfig) -> dict:
                     for spiked in (True, False):
                         try:
                             row = _run_one_detection(config, params, spiked, trial)
-                        except (CapacityError, ConvergenceError, InvalidParameterError) as exc:
+                        except _TRIAL_ERRORS as exc:
                             row = {
                                 "error": type(exc).__name__,
                                 "message": str(exc),
@@ -393,7 +397,7 @@ def cmd_recover(config: RunConfig) -> dict:
                 detected = outcome.statistic >= thr
                 state = outcome.projected.normalized() if detected else None
                 t_plus = outcome.pair.t_plus
-        except (CapacityError, ConvergenceError, InvalidParameterError) as exc:
+        except _TRIAL_ERRORS as exc:
             rows.append({"trial": trial, "error": type(exc).__name__, "message": str(exc)})
             continue
         if not detected:

@@ -13,6 +13,10 @@ distinct mode sequences with that content; a symmetric full-space vector
 with per-sequence amplitude c_n therefore has occupation amplitude
 sqrt(|S_n|) * c_n.  Oracles for that isometry and a brute-force
 permutation symmetrizer live at the bottom of the module.
+
+lowering_map caches, per basis, the sparse maps that remove one boson
+(a_mu, used by the density matrix) or a pair (a_rho a_sigma, the factor
+the operator H(T) is applied through).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from ._util import (
@@ -135,6 +140,59 @@ def build_basis(n_modes: int, n_bos: int, max_dim: int = MAX_BASIS_DIM) -> Occup
         basis = OccupationBasis(n_modes, n_bos, max_dim=max_dim)
         _BASIS_CACHE[key] = basis
     return basis
+
+
+_LOWERING_CACHE: dict[tuple[int, int, int], sp.csr_matrix] = {}
+
+
+def lowering_map(basis: OccupationBasis, bosons: int) -> sp.csr_matrix:
+    """Memoized stack of the maps that remove one or two bosons from basis.
+
+    bosons=1: an (N*D1, D) CSR whose row block mu is a_mu onto the
+    (n_bos-1)-boson basis of dimension D1.  bosons=2: a (P*D2, D) CSR whose
+    row block p is a_rho a_sigma onto the (n_bos-2)-boson basis, for the
+    P = N(N+1)/2 mode pairs (rho, sigma) in np.triu_indices(N) order; it is
+    composed from the bosons=1 maps.  Every lowered state has exactly one
+    source, so each row holds one entry and the transpose raises bosons
+    back.  With fewer than `bosons` bosons the map has no rows.  Keyed by
+    (N, n_bos) like build_basis.
+    """
+    if bosons not in (1, 2):
+        raise InvalidParameterError(f"lowering maps remove 1 or 2 bosons, not {bosons}")
+    n_modes, n_bos = basis.n_modes, basis.n_bos
+    key = (n_modes, n_bos, bosons)
+    lowering = _LOWERING_CACHE.get(key)
+    if lowering is not None:
+        return lowering
+    if n_bos < bosons:
+        sources = np.zeros(0, dtype=np.int64)
+        coefs = np.zeros(0)
+    elif bosons == 1:
+        # row (mu, r) reads the state with one more boson in mu than state r below
+        occ = build_basis(n_modes, n_bos - 1).states.astype(np.int64)
+        source_blocks, coef_blocks = [], []
+        for mu in range(n_modes):
+            occ[:, mu] += 1
+            source_blocks.append(basis.rank_array(occ))
+            coef_blocks.append(np.sqrt(occ[:, mu]))
+            occ[:, mu] -= 1
+        sources = np.concatenate(source_blocks)
+        coefs = np.concatenate(coef_blocks)
+    else:
+        first = lowering_map(basis, 1)  # a_sigma: n_bos -> n_bos - 1
+        second = lowering_map(build_basis(n_modes, n_bos - 1), 1)  # a_rho: -> n_bos - 2
+        rho, sigma = np.triu_indices(n_modes)
+        mid = second.indices.reshape(n_modes, -1)[rho]
+        sources = first.indices.reshape(n_modes, -1)[sigma[:, None], mid].ravel()
+        coefs = (
+            second.data.reshape(n_modes, -1)[rho]
+            * first.data.reshape(n_modes, -1)[sigma[:, None], mid]
+        ).ravel()
+    lowering = sp.csr_matrix(
+        (coefs, sources, np.arange(sources.size + 1)), shape=(sources.size, basis.dim)
+    )
+    _LOWERING_CACHE[key] = lowering
+    return lowering
 
 
 class StateVector:

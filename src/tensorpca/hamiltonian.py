@@ -11,10 +11,19 @@ symmetric T after relabeling; the dense first-quantized oracle below keeps
 the literal (1/2)(... + h.c.) form so the collapse is verified, not
 assumed.)
 
-The matvec enumerates annihilation pairs rho <= sigma and creation pairs
-mu <= nu with multiplicity weights, reading the canonical tensor entries
-through a dense lookup view.  An optional sparse row cache turns repeated
-products into a CSR multiply.
+The operator is applied in factored form, as the sigma-vector step of
+full configuration interaction (Knowles & Handy, Chem. Phys. Lett. 111:315,
+1984; Olsen et al., J. Chem. Phys. 89:2185, 1988):
+
+    H(T) = A^T (W (x) I) A,
+
+where A stacks the pair lowering maps a_rho a_sigma (rho <= sigma) from
+the n_bos-boson to the (n_bos-2)-boson basis, and W is the P x P matrix of
+tensor entries over creation and annihilation pairs, P = N(N+1)/2, with
+multiplicity weights.  A depends only on the basis and is cached by
+fock.lowering_map; a matvec is one sparse gather, one P x P GEMM and one
+sparse scatter.  Dense and sparse matrices are assembled from the same
+factors.
 """
 
 from __future__ import annotations
@@ -29,57 +38,42 @@ from ._util import (
     InvalidParameterError,
     falling_factorial,
 )
-from .fock import OccupationBasis, StateVector, full_space_sequences
+from .fock import OccupationBasis, StateVector, full_space_sequences, lowering_map
 from .symtensor import SymmetricTensor4
 
 
-def _mode_pairs(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pairs a <= b with the count of their ordered arrangements."""
-    pa, pb = np.triu_indices(n_modes)
-    mult = np.where(pa == pb, 1.0, 2.0)
-    return pa, pb, mult
-
-
 class HamiltonianOperator:
-    """Matrix-free H(T) over a fixed occupation basis.
+    """Matrix-free H(T) = A^T (W (x) I) A over a fixed occupation basis.
+
+    A = lowering_map(basis, 2) stacks the pair maps a_rho a_sigma and is
+    shared by every operator on the basis; only the P x P pair-weight
+    matrix W depends on the tensor.
 
     Args:
         tensor: real symmetric order-4 tensor (complex tensors are
             rejected; the operator is only ever built from real inputs).
         basis: occupation basis the operator acts on.
-        cache_rows: build a CSR matrix on first application and reuse it.
-            Trades O(D N^4) memory for fast repeated matvecs (Lanczos).
     """
 
-    def __init__(self, tensor: SymmetricTensor4, basis: OccupationBasis, cache_rows: bool = True):
+    def __init__(self, tensor: SymmetricTensor4, basis: OccupationBasis):
         if tensor.is_complex:
             raise InvalidParameterError("H(T) is only defined for real tensors here")
         if tensor.n_modes != basis.n_modes:
             raise InvalidParameterError("tensor and basis mode counts differ")
         self.tensor = tensor
         self.basis = basis
-        self.cache_rows = cache_rows
         self.matvec_count = 0
-        self._sparse = None
-        pa, pb, mult = _mode_pairs(basis.n_modes)
-        self._pa, self._pb = pa, pb
+        self._lowering = lowering_map(basis, 2)
+        self._raising = self._lowering.T
+        pa, pb = np.triu_indices(basis.n_modes)
+        mult = np.where(pa == pb, 1.0, 2.0)
         dense = tensor.to_dense()
-        # W[c, a] = mult_c * mult_a * T[mu_c, nu_c, rho_a, sigma_a]
+        # W[c, a] = mult_c * mult_a * T[mu_c, nu_c, rho_a, sigma_a]: the pair
+        # sums run over mu <= nu and rho <= sigma, each off-diagonal pair
+        # standing for its two orderings
         self._weights = (mult[:, None] * mult[None, :]) * dense[
             pa[:, None], pb[:, None], pa[None, :], pb[None, :]
         ]
-        # colex-rank increments for adding one boson to modes mu and nu,
-        # tabulated for every creation pair (used by the chunked assembly)
-        if basis.n_modes > 1:
-            j = np.arange(1, basis.n_modes)
-            self._add_hi = (pa[:, None] <= j[None, :]).astype(np.int64) + (
-                pb[:, None] <= j[None, :]
-            ).astype(np.int64)
-            self._add_lo = (pa[:, None] <= j[None, :] - 1).astype(np.int64) + (
-                pb[:, None] <= j[None, :] - 1
-            ).astype(np.int64)
-        else:
-            self._add_hi = self._add_lo = np.zeros((pa.size, 0), dtype=np.int64)
 
     @property
     def dim(self) -> int:
@@ -96,106 +90,25 @@ class HamiltonianOperator:
         if x.shape != (self.dim,):
             raise InvalidParameterError(f"vector of shape {x.shape}, expected ({self.dim},)")
         self.matvec_count += 1
-        if self.cache_rows:
-            return self.sparse_matrix().dot(x)
-        return self._matvec_loop(x)
+        pairs = (self._lowering @ x).reshape(self._weights.shape[0], -1)
+        return self._raising @ (self._weights @ pairs).ravel()
 
-    def sparse_matrix(self) -> sp.csr_matrix:
-        if self._sparse is None:
-            rows, cols, vals = self._triplets()
-            self._sparse = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.dim, self.dim), dtype=np.float64
-            )
-        return self._sparse
+    def sparse_matrix(self) -> sp.coo_matrix:
+        """The operator assembled from its factors, in coordinate format.
 
-    def _pair_terms(self, a: int):
-        """Sources, coefficients and target ranks for annihilation pair a."""
-        basis = self.basis
-        occ = basis.states
-        rho, sigma = int(self._pa[a]), int(self._pb[a])
-        if rho == sigma:
-            valid = occ[:, rho] >= 2
-        else:
-            valid = (occ[:, rho] >= 1) & (occ[:, sigma] >= 1)
-        src = np.nonzero(valid)[0]
-        if src.size == 0:
-            return None
-        n_rho = occ[src, rho].astype(np.float64)
-        n_sigma = occ[src, sigma].astype(np.float64)
-        acoef = np.sqrt(n_sigma * (n_rho - (1.0 if rho == sigma else 0.0)))
-        occ2 = occ[src].astype(np.int64)
-        occ2[:, rho] -= 1
-        occ2[:, sigma] -= 1
-        pre2 = np.cumsum(occ2, axis=1)
-        return src, acoef, occ2, pre2
-
-    def _creation_chunks(self, occ2: np.ndarray, pre2: np.ndarray):
-        """Yield (pair_block, ccoef (V,B), ranks (V,B)) covering all creation
-        pairs in memory-bounded blocks."""
-        n_pairs = self._pa.size
-        v = occ2.shape[0]
-        n1 = max(self.basis.n_modes - 1, 1)
-        block = max(1, min(n_pairs, int(2_000_000 / max(v * n1, 1)) or 1))
-        table = self.basis._binom
-        j = np.arange(1, self.basis.n_modes)
-        for lo_idx in range(0, n_pairs, block):
-            pairs = np.arange(lo_idx, min(lo_idx + block, n_pairs))
-            mu, nu = self._pa[pairs], self._pb[pairs]
-            occ_mu = occ2[:, mu]
-            occ_nu = occ2[:, nu]
-            # (n_mu+1)(n_nu+1), with the extra (n_mu+1) for a doubled mode
-            ccoef = np.sqrt(
-                (occ_mu + 1.0) * (occ_nu + 1.0) + (mu == nu) * (occ_mu + 1.0)
-            )
-            if self.basis.n_modes == 1:
-                ranks = np.zeros((v, pairs.size), dtype=np.int64)
-            else:
-                hi = table[j + pre2[:, None, 1:] + self._add_hi[None, pairs, :], j]
-                lo = table[j + pre2[:, None, :-1] + self._add_lo[None, pairs, :], j]
-                ranks = np.sum(hi - lo, axis=2)
-            yield pairs, ccoef, ranks
-
-    def _matvec_loop(self, x: np.ndarray) -> np.ndarray:
-        complex_in = np.iscomplexobj(x)
-        y = np.zeros(self.dim, dtype=np.complex128 if complex_in else np.float64)
-        n_pairs = self._pa.size
-        for a in range(n_pairs):
-            terms = self._pair_terms(a)
-            if terms is None:
-                continue
-            src, acoef, occ2, pre2 = terms
-            xs = x[src] * acoef
-            for pairs, ccoef, ranks in self._creation_chunks(occ2, pre2):
-                contrib = (ccoef * xs[:, None]) * self._weights[pairs, a][None, :]
-                flat_ranks = ranks.ravel()
-                flat = contrib.ravel()
-                if complex_in:
-                    y += np.bincount(flat_ranks, weights=flat.real, minlength=self.dim)
-                    y += 1j * np.bincount(flat_ranks, weights=flat.imag, minlength=self.dim)
-                else:
-                    y += np.bincount(flat_ranks, weights=flat, minlength=self.dim)
-        return y
-
-    def _triplets(self):
-        rows, cols, vals = [], [], []
-        n_pairs = self._pa.size
-        for a in range(n_pairs):
-            terms = self._pair_terms(a)
-            if terms is None:
-                continue
-            src, acoef, occ2, pre2 = terms
-            for pairs, ccoef, ranks in self._creation_chunks(occ2, pre2):
-                weights = (ccoef * acoef[:, None]) * self._weights[pairs, a][None, :]
-                rows.append(ranks.ravel())
-                cols.append(np.broadcast_to(src[:, None], ranks.shape).ravel())
-                vals.append(weights.ravel())
-        if not rows:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-            )
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        For each lowered state and each pair of pair-blocks (p, q), entry
+        (s_p, s_q) gets c_p W[p, q] c_q, where row block p of A reads source
+        s_p with coefficient c_p; repeated coordinates add up on conversion.
+        """
+        n_pairs = self._weights.shape[0]
+        sources = self._lowering.indices.reshape(n_pairs, -1)
+        coefs = self._lowering.data.reshape(n_pairs, -1)
+        vals = coefs[:, None, :] * self._weights[:, :, None] * coefs[None, :, :]
+        rows = np.broadcast_to(sources[:, None, :], vals.shape)
+        cols = np.broadcast_to(sources[None, :, :], vals.shape)
+        return sp.coo_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(self.dim, self.dim)
+        )
 
     # -- dense ----------------------------------------------------------
     def materialize_dense(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
@@ -208,12 +121,7 @@ class HamiltonianOperator:
         if self.dim > dense_limit:
             raise CapacityError(f"dense limit {dense_limit} < dimension {self.dim}")
         self.matvec_count += self.dim  # one application per column, however assembled
-        if self.cache_rows:
-            dense = self.sparse_matrix().toarray()
-        else:
-            dense = np.column_stack(
-                [self._matvec_loop(col) for col in np.eye(self.dim)]
-            )
+        dense = self.sparse_matrix().toarray()
         scale = max(1.0, float(np.abs(dense).max()))
         asym = float(np.abs(dense - dense.T).max())
         if asym > 1e-12 * scale:
@@ -232,18 +140,6 @@ class HamiltonianOperator:
                 raise RuntimeError(f"expectation has imaginary residue {val.imag:.3e}")
             return val.real
         return float(val)
-
-
-def apply(h: HamiltonianOperator, x: StateVector) -> StateVector:
-    return h.apply(x)
-
-
-def expectation(h: HamiltonianOperator, x: StateVector) -> float:
-    return h.expectation(x)
-
-
-def materialize_dense(h: HamiltonianOperator, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    return h.materialize_dense(dense_limit=dense_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import InvalidParameterError, derived_rng
-from .fock import StateVector
+from .fock import StateVector, lowering_map
 from .hamiltonian import HamiltonianOperator
 from .instance import SpikedTensor
 from .symtensor import SymmetricTensor4, rank_one
@@ -35,31 +35,9 @@ def spdm(x: StateVector, normalization: str = "per_boson") -> SingleParticleDens
     if abs(x.norm() - 1.0) > 1e-8:
         raise InvalidParameterError("density matrix needs a normalized state")
     basis = x.basis
-    n_modes = basis.n_modes
-    occ = basis.states.astype(np.int64)
-    amps = x.amps
-    complex_amps = np.iscomplexobj(amps)
-    rho = np.zeros((n_modes, n_modes), dtype=np.complex128 if complex_amps else np.float64)
-    weights = np.abs(amps) ** 2
-    for mu in range(n_modes):
-        rho[mu, mu] = np.sum(weights * occ[:, mu])
-    for nu in range(n_modes):
-        has = occ[:, nu] >= 1
-        src = np.nonzero(has)[0]
-        if src.size == 0:
-            continue
-        occ_src = occ[src]
-        for mu in range(n_modes):
-            if mu == nu:
-                continue
-            occ2 = occ_src.copy()
-            occ2[:, nu] -= 1
-            occ2[:, mu] += 1
-            targets = basis.rank_array(occ2)
-            coef = np.sqrt(occ_src[:, nu] * (occ_src[:, mu] + 1.0))
-            rho[mu, nu] = np.sum(np.conj(amps[targets]) * amps[src] * coef)
-    if not complex_amps:
-        rho = rho.real
+    # rho_{mu nu} = <a_mu x | a_nu x>, with row mu of z holding a_mu x
+    z = (lowering_map(basis, 1) @ x.amps).reshape(basis.n_modes, -1)
+    rho = z.conj() @ z.T
     if normalization == "per_boson":
         rho = rho / basis.n_bos
     return SingleParticleDensityMatrix(rho=rho, normalization=normalization)

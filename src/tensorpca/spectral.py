@@ -94,23 +94,30 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     complex_vec = np.iscomplexobj(v0)
     q = (v0 / start_norm).astype(np.complex128 if complex_vec else np.float64)
     max_iters = max(1, min(max_iters, dim))
-    basis_vecs = np.empty((dim, max_iters), dtype=q.dtype)
+    # Krylov vectors are contiguous rows; the block doubles when full, so
+    # memory follows the iterations actually run, not max_iters
+    basis_vecs = np.empty((min(max_iters, 8), dim), dtype=q.dtype)
     alphas: list[float] = []
     betas: list[float] = []
     invariant = False
     exit_beta = 0.0
     k = 0
     while k < max_iters:
-        basis_vecs[:, k] = q
+        if k == basis_vecs.shape[0]:
+            grown = np.empty((min(2 * k, max_iters), dim), dtype=q.dtype)
+            grown[:k] = basis_vecs
+            basis_vecs = grown
+        basis_vecs[k] = q
         w = matvec(q)
         alpha = float(np.real(np.vdot(q, w)))
         alphas.append(alpha)
         w = w - alpha * q
         if betas:
-            w = w - betas[-1] * basis_vecs[:, k - 1]
+            w = w - betas[-1] * basis_vecs[k - 1]
         # full reorthogonalization, twice for floating-point hygiene
+        active = basis_vecs[: k + 1]
         for _ in range(2):
-            w = w - basis_vecs[:, : k + 1] @ (basis_vecs[:, : k + 1].conj().T @ w)
+            w = w - np.conj(active @ np.conj(w)) @ active
         beta = float(np.linalg.norm(w))
         k += 1
         scale = max(max((abs(a) for a in alphas), default=0.0), max(betas, default=0.0), 1.0)
@@ -128,7 +135,7 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
         betas.append(beta)
         q = w / beta
     values, residuals, first_row, eigvecs = _ritz_from_tridiag(alphas, betas, exit_beta)
-    vectors = basis_vecs[:, :k] @ eigvecs
+    vectors = basis_vecs[:k].T @ eigvecs
     if invariant:
         residuals = np.zeros_like(residuals)
     return values, vectors, residuals, first_row * start_norm, k, invariant

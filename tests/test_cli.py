@@ -96,6 +96,26 @@ class TestDetect:
         data = json.loads(out.read_text())
         assert data["aggregates"]["errors"] == 2
 
+    def test_memory_error_becomes_an_error_row(self, tmp_path, monkeypatch):
+        import tensorpca.cli as cli
+
+        original = cli._run_one_detection
+
+        def spiked_runs_out_of_memory(config, params, spiked, trial):
+            if spiked:
+                raise MemoryError("simulated allocation failure")
+            return original(config, params, spiked, trial)
+
+        monkeypatch.setattr(cli, "_run_one_detection", spiked_runs_out_of_memory)
+        out = tmp_path / "oom.json"
+        assert run(["detect", "--method", "spectral", "--N", "3", "--nbos", "3",
+                    "--lambda", "0.4", "--trials", "2", "--seed", "5", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["aggregates"]["errors"] == 2
+        errors = [r for r in data["trials"] if "error" in r]
+        assert [r["error"] for r in errors] == ["MemoryError", "MemoryError"]
+        assert sum("error" not in r for r in data["trials"]) == 2
+
     def test_validation_exit_code(self):
         assert run(["detect", "--N", "0", "--nbos", "4", "--lambda", "0.5"]) == 2
 
@@ -168,6 +188,26 @@ class TestRecover:
     def test_snapshot_without_tensor_is_a_validation_error(self, tmp_path):
         assert run(["recover", "--state", tmp_path / "missing.json", "--out",
                     tmp_path / "r.json"]) == 2
+
+    def test_memory_error_becomes_an_error_row(self, tmp_path, monkeypatch):
+        import tensorpca.pipeline as pipeline
+
+        original = pipeline.projection_statistic
+        calls = []
+
+        def first_trial_runs_out_of_memory(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("simulated allocation failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "projection_statistic", first_trial_runs_out_of_memory)
+        out = tmp_path / "oom.json"
+        assert run(["recover", "--N", "4", "--nbos", "4", "--lambda", "3.0",
+                    "--trials", "2", "--seed", "6", "--out", out]) == 0
+        rows = json.loads(out.read_text())["trials"]
+        assert rows[0]["error"] == "MemoryError"
+        assert rows[1]["detected"]
 
     def test_spectral_route(self, tmp_path):
         out = tmp_path / "s.json"

@@ -22,6 +22,7 @@ from tensorpca.fock import (
     full_to_occupation,
     inner,
     load_state,
+    lowering_map,
     norm,
     occupation_to_full,
     save_state,
@@ -74,6 +75,29 @@ class TestBasis:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             build_basis(8, 8, max_dim=100)
+
+
+class TestLoweringMaps:
+    def test_single_map_lowers_each_mode(self):
+        basis, below = build_basis(3, 3), build_basis(3, 2)
+        lowering = lowering_map(basis, 1)
+        assert lowering.shape == (3 * below.dim, basis.dim)
+        x = rng(50).standard_normal(basis.dim)
+        lowered = (lowering @ x).reshape(3, below.dim)
+        for r in range(basis.dim):
+            occ = basis.unrank(r)
+            for mu in np.nonzero(occ)[0]:
+                occ2 = occ.copy()
+                occ2[mu] -= 1
+                expected = np.sqrt(occ[mu]) * x[r]
+                assert lowered[mu, below.rank(occ2)] == pytest.approx(expected, rel=1e-14)
+
+    def test_memoized_and_empty_below_the_boson_count(self):
+        assert lowering_map(build_basis(4, 3), 2) is lowering_map(build_basis(4, 3), 2)
+        assert lowering_map(build_basis(4, 1), 2).shape == (0, 4)
+        assert lowering_map(build_basis(4, 0), 1).shape == (0, 1)
+        with pytest.raises(InvalidParameterError):
+            lowering_map(build_basis(4, 3), 3)
 
 
 class TestStateVector:

@@ -50,11 +50,26 @@ class TestMatvec:
             )
             assert np.abs(dense - oracle).max() < 1e-10
 
-    def test_loop_and_cached_paths_agree(self):
-        t, h = random_operator(3, 4, 4)
-        h_loop = HamiltonianOperator(t, h.basis, cache_rows=False)
-        x = rng(5).standard_normal(h.dim)
-        assert np.allclose(h.matvec(x), h_loop.matvec(x), atol=1e-11)
+    def test_factored_matvec_matches_oracle(self):
+        # n_bos in {0, 1} has no pair to lower (H = 0); N = 1 has one pair
+        cases = [(3, 4, 4), (2, 5, 5), (4, 3, 6), (3, 0, 7), (3, 1, 8), (1, 4, 9)]
+        for n_modes, n_bos, seed in cases:
+            t, h = random_operator(n_modes, n_bos, seed)
+            oracle = restrict_to_symmetric(first_quantized_dense(t, n_modes, n_bos), h.basis)
+            g = rng(seed)
+            real = g.standard_normal(h.dim)
+            for x in (real, real + 1j * g.standard_normal(h.dim)):
+                expected = oracle @ x
+                scale = max(1.0, float(np.abs(expected).max()))
+                assert np.abs(h.matvec(x) - expected).max() <= 1e-12 * scale
+            if n_bos < 2:
+                assert not np.any(h.matvec(real))
+
+    def test_lowering_maps_are_shared_per_basis(self):
+        basis = build_basis(3, 4)
+        first = HamiltonianOperator(sample_gaussian_tensor(3, rng(1)), basis)
+        second = HamiltonianOperator(sample_gaussian_tensor(3, rng(2)), build_basis(3, 4))
+        assert second._lowering is first._lowering
 
     def test_number_conservation_is_structural(self):
         # the operator maps the fixed-boson basis to itself: every column of

@@ -23,7 +23,7 @@ from tensorpca import (
     spdm,
 )
 from tensorpca._util import derived_rng
-from tensorpca.fock import StateVector
+from tensorpca.fock import StateVector, occupation_to_full
 from tensorpca.recovery import DegenerateIterationError, SingleParticleDensityMatrix
 from tensorpca.symtensor import SymmetricTensor4
 
@@ -58,6 +58,19 @@ class TestDensityMatrix:
         assert np.linalg.eigvalsh(raw).min() > -1e-9
         per = spdm(x, normalization="per_boson").rho
         assert np.trace(per) == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_full_space_oracle(self):
+        # rho_{mu nu} = n_bos sum_rest conj(psi[mu, rest]) psi[nu, rest] for a
+        # symmetric full-space state psi
+        for n_modes, n_bos, seed in [(3, 2, 40), (2, 4, 41), (4, 3, 42), (3, 1, 43)]:
+            basis = build_basis(n_modes, n_bos)
+            g = rng(seed)
+            real = g.standard_normal(basis.dim)
+            for amps in (real, real + 1j * g.standard_normal(basis.dim)):
+                x = StateVector(basis, amps).normalized()
+                psi = occupation_to_full(x).amps.reshape(n_modes, -1)
+                oracle = n_bos * np.conj(psi) @ psi.T
+                assert np.abs(spdm(x, normalization="raw").rho - oracle).max() < 1e-12
 
     def test_rotation_equivariance(self):
         n_modes, n_bos = 3, 4

@@ -1,8 +1,11 @@
 """Lanczos, filtered projection, dense spectra, analytic thresholds, and
 the density-of-states estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tensorpca import (
     CapacityError,
@@ -53,6 +56,23 @@ class TestLanczos:
         dense_top = full_spectrum(h).eigenvalues[0]
         out = lanczos(h, derived_rng(3, "start").standard_normal(h.dim), tol=1e-10)
         assert out.ritz_values[0] == pytest.approx(dense_top, abs=1e-8 * max(1, abs(dense_top)))
+
+    def test_krylov_storage_follows_iterations_run(self):
+        # a default call may run up to D iterations; its Krylov storage must
+        # grow with the handful of iterations a well-separated top
+        # eigenvalue needs, not be reserved for all D up front
+        dim = 100_000
+        diag = np.linspace(0.0, 1.0, dim)
+        diag[0] = 10.0
+        op = sp.diags(diag, format="csr")
+        tracemalloc.start()
+        try:
+            lam, _ = leading_eigenvalue(op, tol=1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam == pytest.approx(10.0, rel=1e-10)
+        assert peak < 32 * dim * 8
 
     def test_start_expansion_recovers_start(self):
         a = np.diag([5.0, 2.0, -1.0, 0.5])
