@@ -342,7 +342,7 @@ def cmd_recover(config: RunConfig) -> dict:
     """
     from .fock import load_state
     from .instance import load_tensor
-    from .pipeline import projection_statistic, p_threshold
+    from .pipeline import _verdict, p_threshold, projection_statistic
 
     if config.state_file:
         if not config.tensor_file:
@@ -389,12 +389,11 @@ def cmd_recover(config: RunConfig) -> dict:
                 h = HamiltonianOperator(tensor.tensor, basis)
                 bounds = analytic_bounds(params)
                 lam1, vec = leading_eigenvalue(h, seed=trial_seed)
-                detected = lam1 >= bounds.e_cut
+                detected = _verdict(lam1, bounds.e_cut) == "spiked"
                 state = vec.normalized() if detected else None
             else:
                 outcome = projection_statistic(tensor, params, cfg, seed=trial_seed)
-                thr = p_threshold(params, cfg)
-                detected = outcome.statistic >= thr
+                detected = _verdict(outcome.statistic, p_threshold(params, cfg)) == "spiked"
                 state = outcome.projected.normalized() if detected else None
                 t_plus = outcome.pair.t_plus
         except _TRIAL_ERRORS as exc:

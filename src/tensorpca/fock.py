@@ -21,7 +21,6 @@ the operator H(T) is applied through).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial
 
@@ -35,6 +34,8 @@ from ._util import (
     CapacityError,
     InvalidParameterError,
     binom_table,
+    load_record,
+    save_record,
     symmetric_dimension,
 )
 from .symtensor import SymmetricTensor4, layout
@@ -456,56 +457,11 @@ _MAGIC = "tensorpca/state-v1"
 
 
 def save_state(path, state: StateVector, fmt: str = "json") -> None:
-    header = {
-        "format": _MAGIC,
-        "N": state.basis.n_modes,
-        "n_bos": state.basis.n_bos,
-        "ordering": "colex",
-        "complex": bool(np.iscomplexobj(state.amps)),
-    }
-    if fmt == "json":
-        if header["complex"]:
-            header["amps_re"] = state.amps.real.tolist()
-            header["amps_im"] = state.amps.imag.tolist()
-        else:
-            header["amps"] = state.amps.tolist()
-        with open(path, "w") as fh:
-            json.dump(header, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode())
-            fh.write(b"\n")
-            if header["complex"]:
-                interleaved = np.empty(2 * state.amps.size)
-                interleaved[0::2] = state.amps.real
-                interleaved[1::2] = state.amps.imag
-                fh.write(interleaved.astype("<f8").tobytes())
-            else:
-                fh.write(state.amps.astype("<f8").tobytes())
-    else:
-        raise InvalidParameterError(f"unknown state format {fmt!r}")
+    basis = state.basis
+    header = {"format": _MAGIC, "N": basis.n_modes, "n_bos": basis.n_bos, "ordering": "colex"}
+    save_record(path, header, "amps", state.amps, fmt)
 
 
 def load_state(path) -> StateVector:
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        rest = fh.read()
-    try:
-        header = json.loads(first)
-        payload = rest
-    except json.JSONDecodeError:
-        header = json.loads(first + rest)
-        payload = None
-    if header.get("format") != _MAGIC:
-        raise InvalidParameterError(f"{path} is not a state snapshot")
-    basis = build_basis(header["N"], header["n_bos"])
-    if payload is not None:
-        raw = np.frombuffer(payload, dtype="<f8")
-        amps = raw[0::2] + 1j * raw[1::2] if header["complex"] else raw
-    else:
-        if header["complex"]:
-            amps = np.asarray(header["amps_re"]) + 1j * np.asarray(header["amps_im"])
-        else:
-            amps = np.asarray(header["amps"], dtype=float)
-    return StateVector(basis, amps)
+    header, amps = load_record(path, _MAGIC, "amps", ("N", "n_bos"))
+    return StateVector(build_basis(header["N"], header["n_bos"]), amps)

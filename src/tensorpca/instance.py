@@ -13,13 +13,12 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
-from ._util import InvalidParameterError, derived_rng
+from ._util import InvalidParameterError, derived_rng, load_record, save_record
 from .symtensor import SymmetricTensor4, layout, rank_one
 
 VARIANCE_CONVENTIONS = ("average", "unit")
@@ -261,8 +260,8 @@ def lambda_effective(lambda_bar: float, zeta: float) -> tuple[float, float]:
 _MAGIC = "tensorpca/tensor-v1"
 
 
-def _tensor_header(spiked: SpikedTensor) -> dict:
-    return {
+def save_tensor(path, spiked: SpikedTensor, fmt: str = "json") -> None:
+    header = {
         "format": _MAGIC,
         "N": spiked.tensor.n_modes,
         "p": 4,
@@ -270,61 +269,14 @@ def _tensor_header(spiked: SpikedTensor) -> dict:
         "layout": "sorted-tuples",
         "lambda": spiked.lam,
         "provenance": spiked.provenance,
-        "complex": bool(spiked.tensor.is_complex),
     }
-
-
-def save_tensor(path, spiked: SpikedTensor, fmt: str = "json") -> None:
-    header = _tensor_header(spiked)
-    vals = spiked.tensor.values
-    if fmt == "json":
-        if header["complex"]:
-            header["entries_re"] = vals.real.tolist()
-            header["entries_im"] = vals.imag.tolist()
-        else:
-            header["entries"] = vals.tolist()
-        with open(path, "w") as fh:
-            json.dump(header, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode())
-            fh.write(b"\n")
-            if header["complex"]:
-                interleaved = np.empty(2 * vals.size)
-                interleaved[0::2] = vals.real
-                interleaved[1::2] = vals.imag
-                fh.write(interleaved.astype("<f8").tobytes())
-            else:
-                fh.write(vals.astype("<f8").tobytes())
-    else:
-        raise InvalidParameterError(f"unknown tensor format {fmt!r}")
+    save_record(path, header, "entries", spiked.tensor.values, fmt)
 
 
 def load_tensor(path) -> SpikedTensor:
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        rest = fh.read()
-    try:
-        header = json.loads(first)  # binary variant: one-line header
-        payload = rest
-    except json.JSONDecodeError:
-        header = json.loads(first + rest)  # json variant: whole file
-        payload = None
-    if header.get("format") != _MAGIC:
-        raise InvalidParameterError(f"{path} is not a tensor file")
-    n = header["N"]
-    if payload is not None:
-        raw = np.frombuffer(payload, dtype="<f8")
-        vals = raw[0::2] + 1j * raw[1::2] if header["complex"] else raw
-    else:
-        if header["complex"]:
-            vals = np.asarray(header["entries_re"]) + 1j * np.asarray(header["entries_im"])
-        else:
-            vals = np.asarray(header["entries"], dtype=float)
-    tensor = SymmetricTensor4(n, vals)
+    header, vals = load_record(path, _MAGIC, "entries", ("N", "lambda", "provenance"))
     return SpikedTensor(
-        tensor=tensor,
+        tensor=SymmetricTensor4(header["N"], vals),
         lam=header["lambda"],
         provenance=header["provenance"],
         ensemble=header.get("ensemble", "real"),

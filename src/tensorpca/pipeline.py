@@ -104,7 +104,10 @@ class DetectionReport:
 
 
 def _verdict(statistic: float, threshold: float) -> str:
-    return "spiked" if statistic >= threshold else "unspiked"
+    """The threshold rule of every detector.  A non-positive threshold means
+    the route carries no signal (lambda_bar = 0); reporting detection there
+    would flag pure noise."""
+    return "spiked" if threshold > 0.0 and statistic >= threshold else "unspiked"
 
 
 def _params_echo(params: ModelParams) -> dict:
@@ -211,7 +214,7 @@ def detect_spectral(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionOutcome:
     """The filtered input state and its success statistic."""
 
@@ -227,9 +230,8 @@ class ProjectionOutcome:
 
 
 def _make_pair(
-    t0: SpikedTensor, params: ModelParams, cfg: DetectionConfig, seed: int
+    t0: SpikedTensor, params: ModelParams, cfg: DetectionConfig, rng: np.random.Generator
 ) -> DecorrelatedPair:
-    rng = derived_rng(seed, "decorrelate")
     return decorrelate(
         t0,
         params.effective_zeta,
@@ -252,26 +254,23 @@ def _spectral_range(h: HamiltonianOperator, cfg: DetectionConfig, seed: int) -> 
     return 1.2 * (hi - lo)
 
 
-def _filtered_statistic(
-    tensor_minus,
-    h: HamiltonianOperator,
+def _project_step(
+    pair: DecorrelatedPair,
+    state: StateVector,
+    sym_weight: float,
     params: ModelParams,
     cfg: DetectionConfig,
     cutoff: float,
     seed: int,
-    n_bos: int | None = None,
 ) -> ProjectionOutcome:
-    """Embed the power input state, filter it above the cutoff, and fold in
-    the symmetric-projection weight when configured."""
-    n = params.n_bos if n_bos is None else n_bos
-    basis = build_basis(params.N, n)
-    state, pre_norm = embed_power_state(basis, tensor_minus, n // 4)
-    sym_weight = pre_norm / tensor_minus.norm() ** (n // 4)
+    """Filter a prepared state above the cutoff under H(t_plus) on its own
+    basis, and fold in its symmetric-projection weight when configured."""
+    h = HamiltonianOperator(pair.t_plus, state.basis)
     gap = cfg.cutoff_gap
     if gap is None:
         gap = _spectral_range(h, cfg, seed) / params.N
     gap = max(gap, 1e-9 * max(abs(cutoff), 1.0))
-    projected, weight, projector = project_above(
+    projected, weight, _ = project_above(
         h,
         state,
         cutoff - gap,
@@ -289,9 +288,24 @@ def _filtered_statistic(
         e_lower=float(cutoff - gap),
         projected=projected,
         input_state=state,
-        pair=None,  # filled by callers that own the pair
+        pair=pair,
         matvec_count=h.matvec_count,
     )
+
+
+def _filtered_statistic(
+    pair: DecorrelatedPair,
+    params: ModelParams,
+    cfg: DetectionConfig,
+    cutoff: float,
+    seed: int,
+    n_bos: int | None = None,
+) -> ProjectionOutcome:
+    """Embed the power input state of t_minus and filter it above the cutoff."""
+    n = params.n_bos if n_bos is None else n_bos
+    state, pre_norm = embed_power_state(build_basis(params.N, n), pair.t_minus, n // 4)
+    sym_weight = pre_norm / pair.t_minus.norm() ** (n // 4)
+    return _project_step(pair, state, sym_weight, params, cfg, cutoff, seed)
 
 
 def projection_statistic(
@@ -306,13 +320,51 @@ def projection_statistic(
     if seed is None:
         seed = params.seed
     if pair is None:
-        pair = _make_pair(t0, params, cfg, seed)
-    basis = build_basis(params.N, params.n_bos)
-    h = HamiltonianOperator(pair.t_plus, basis)
-    cutoff = projection_cutoff(params, cfg)
-    outcome = _filtered_statistic(pair.t_minus, h, params, cfg, cutoff, seed)
-    outcome.pair = pair
-    return outcome
+        pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
+    return _filtered_statistic(pair, params, cfg, projection_cutoff(params, cfg), seed)
+
+
+def _projection_report(
+    algorithm: str,
+    measure,
+    t0: SpikedTensor,
+    params: ModelParams,
+    cfg: DetectionConfig | None,
+    seed: int | None,
+    pair: DecorrelatedPair | None,
+) -> DetectionReport:
+    """The report of one projection detector.
+
+    measure(statistic, threshold, cfg, seed) turns the filtered statistic
+    into (verdict, projector applications, detector-specific report fields).
+    p_threshold returns 0 when the route carries no signal; the simulated
+    measurements are then never made.
+    """
+    t_start = time.perf_counter()
+    cfg = cfg or DetectionConfig()
+    if seed is None:
+        seed = params.seed
+    outcome = projection_statistic(t0, params, cfg, seed=seed, pair=pair)
+    thr = p_threshold(params, cfg)
+    verdict, applications, extra = measure(outcome.statistic, thr, cfg, seed)
+    return DetectionReport(
+        algorithm=algorithm,
+        verdict=verdict,
+        statistic=outcome.statistic,
+        threshold=thr,
+        cutoff_energy=outcome.cutoff,
+        seed=int(seed),
+        params=_params_echo(params),
+        config=_config_echo(cfg),
+        separation=outcome.statistic / thr if thr else None,
+        query_counts={"matvec": outcome.matvec_count, "projector_applications": applications},
+        wall_time=time.perf_counter() - t_start,
+        **extra,
+    )
+
+
+def _threshold_measure(statistic: float, thr: float, cfg: DetectionConfig, seed: int):
+    return _verdict(statistic, thr), 1, {"trials_used": 1}
 
 
 def detect_projection(
@@ -324,29 +376,7 @@ def detect_projection(
 ) -> DetectionReport:
     """Accelerated classical detection: filtered weight of the chosen
     input state against the success threshold."""
-    t_start = time.perf_counter()
-    cfg = cfg or DetectionConfig()
-    if seed is None:
-        seed = params.seed
-    outcome = projection_statistic(t0, params, cfg, seed=seed, pair=pair)
-    thr = p_threshold(params, cfg)
-    # a zero threshold means the route carries no signal (lambda_bar = 0);
-    # reporting detection there would flag pure noise
-    verdict = _verdict(outcome.statistic, thr) if thr > 0.0 else "unspiked"
-    return DetectionReport(
-        algorithm="projection",
-        verdict=verdict,
-        statistic=outcome.statistic,
-        threshold=thr,
-        cutoff_energy=outcome.cutoff,
-        seed=int(seed),
-        params=_params_echo(params),
-        config=_config_echo(cfg),
-        trials_used=1,
-        separation=(outcome.statistic / thr) if thr > 0 else None,
-        query_counts={"matvec": outcome.matvec_count, "projector_applications": 1},
-        wall_time=time.perf_counter() - t_start,
-    )
+    return _projection_report("projection", _threshold_measure, t0, params, cfg, seed, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +412,22 @@ def boosted_probability(p: float, rounds: int) -> float:
     return sin((2 * rounds + 1) * theta) ** 2
 
 
+def _repeated_measure(statistic: float, thr: float, cfg: DetectionConfig, seed: int):
+    budget = int(ceil(cfg.c_doubleprime / thr)) if thr else 0
+    rng = derived_rng(seed, "measurement")
+    success, trials = repeated_measurement(min(statistic, 1.0), budget, rng)
+    extra = dict(trials_used=trials, verdict_source="sampled")
+    return ("spiked" if success else "unspiked"), trials, extra
+
+
+def _amplified_measure(statistic: float, thr: float, cfg: DetectionConfig, seed: int):
+    rounds = amplification_rounds(thr) if thr else 0
+    boosted = boosted_probability(min(statistic, 1.0), rounds) if rounds else 0.0
+    success = derived_rng(seed, "measurement").random() < boosted
+    extra = dict(amplification_rounds=rounds, boosted_probability=boosted, verdict_source="sampled")
+    return ("spiked" if success else "unspiked"), rounds, extra
+
+
 def simulate_quantum_unamplified(
     t0: SpikedTensor,
     params: ModelParams,
@@ -390,47 +436,8 @@ def simulate_quantum_unamplified(
     pair: DecorrelatedPair | None = None,
 ) -> DetectionReport:
     """Repeated projective measurement with a c''/P_> retry budget."""
-    t_start = time.perf_counter()
-    cfg = cfg or DetectionConfig()
-    if seed is None:
-        seed = params.seed
-    outcome = projection_statistic(t0, params, cfg, seed=seed, pair=pair)
-    thr = p_threshold(params, cfg)
-    if thr <= 0.0:
-        return DetectionReport(
-            algorithm="quantum-unamplified",
-            verdict="unspiked",
-            statistic=outcome.statistic,
-            threshold=thr,
-            cutoff_energy=outcome.cutoff,
-            seed=int(seed),
-            params=_params_echo(params),
-            config=_config_echo(cfg),
-            trials_used=0,
-            verdict_source="sampled",
-            query_counts={"matvec": outcome.matvec_count, "projector_applications": 0},
-            wall_time=time.perf_counter() - t_start,
-        )
-    budget = int(ceil(cfg.c_doubleprime / thr))
-    rng = derived_rng(seed, "measurement")
-    success, trials = repeated_measurement(min(outcome.statistic, 1.0), budget, rng)
-    return DetectionReport(
-        algorithm="quantum-unamplified",
-        verdict="spiked" if success else "unspiked",
-        statistic=outcome.statistic,
-        threshold=thr,
-        cutoff_energy=outcome.cutoff,
-        seed=int(seed),
-        params=_params_echo(params),
-        config=_config_echo(cfg),
-        trials_used=trials,
-        verdict_source="sampled",
-        separation=(outcome.statistic / thr),
-        query_counts={
-            "matvec": outcome.matvec_count,
-            "projector_applications": trials,
-        },
-        wall_time=time.perf_counter() - t_start,
+    return _projection_report(
+        "quantum-unamplified", _repeated_measure, t0, params, cfg, seed, pair
     )
 
 
@@ -448,50 +455,8 @@ def simulate_quantum_amplified(
     statistic, and one Bernoulli draw decides the verdict.  Rounds are the
     query cost.
     """
-    t_start = time.perf_counter()
-    cfg = cfg or DetectionConfig()
-    if seed is None:
-        seed = params.seed
-    outcome = projection_statistic(t0, params, cfg, seed=seed, pair=pair)
-    thr = p_threshold(params, cfg)
-    if thr <= 0.0:
-        return DetectionReport(
-            algorithm="quantum-amplified",
-            verdict="unspiked",
-            statistic=outcome.statistic,
-            threshold=thr,
-            cutoff_energy=outcome.cutoff,
-            seed=int(seed),
-            params=_params_echo(params),
-            config=_config_echo(cfg),
-            amplification_rounds=0,
-            boosted_probability=0.0,
-            verdict_source="sampled",
-            query_counts={"matvec": outcome.matvec_count, "projector_applications": 0},
-            wall_time=time.perf_counter() - t_start,
-        )
-    rounds = amplification_rounds(thr)
-    boosted = boosted_probability(min(outcome.statistic, 1.0), rounds)
-    rng = derived_rng(seed, "measurement")
-    success = rng.random() < boosted
-    return DetectionReport(
-        algorithm="quantum-amplified",
-        verdict="spiked" if success else "unspiked",
-        statistic=outcome.statistic,
-        threshold=thr,
-        cutoff_energy=outcome.cutoff,
-        seed=int(seed),
-        params=_params_echo(params),
-        config=_config_echo(cfg),
-        amplification_rounds=rounds,
-        boosted_probability=float(boosted),
-        verdict_source="sampled",
-        separation=(outcome.statistic / thr),
-        query_counts={
-            "matvec": outcome.matvec_count,
-            "projector_applications": rounds,
-        },
-        wall_time=time.perf_counter() - t_start,
+    return _projection_report(
+        "quantum-amplified", _amplified_measure, t0, params, cfg, seed, pair
     )
 
 
@@ -595,64 +560,31 @@ def multistep_run(
         plan = multistep_plan(params, 0 if k is None else k, cfg)
     params.require_input_state()
     if pair is None:
-        pair = _make_pair(t0, params, cfg, seed)
+        pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
 
-    # leaf level: embed and project at the leaf cutoffs
+    # leaves embed the power input state, internal levels merge pairs of
+    # children; once a state is annihilated the success probabilities of
+    # the levels above are 0
     k_levels = plan.k
-    leaf_sizes = plan.level_sizes[k_levels]
-    states, probs = [], []
-    annihilated = False
-    for idx, size in enumerate(leaf_sizes):
-        basis = build_basis(params.N, size)
-        h = HamiltonianOperator(pair.t_plus, basis)
-        out = _filtered_statistic(
-            pair.t_minus, h, params, cfg, plan.cutoffs_per_level[k_levels][idx], seed, n_bos=size
-        )
-        probs.append(out.statistic)
-        if out.proj_weight <= 0.0:
-            annihilated = True
-            states.append(None)
-        else:
-            states.append(out.projected.normalized())
-    p_j = [probs]
-
-    # internal levels: merge pairs of children, symmetrize, project; once a
-    # level annihilates the state the remaining success probabilities are 0
-    level_states = states
-    for j in range(k_levels - 1, -1, -1):
-        new_states, new_probs = [], []
+    p_j, states, annihilated = [], [], False
+    for j in range(k_levels, -1, -1):
+        children, states, probs = states, [], []
         for idx, size in enumerate(plan.level_sizes[j]):
-            if annihilated:
-                new_states.append(None)
-                new_probs.append(0.0)
-                continue
-            left, right = level_states[2 * idx], level_states[2 * idx + 1]
-            merged, w_merge = symmetrized_product(left, right)
-            basis = merged.basis
-            h = HamiltonianOperator(pair.t_plus, basis)
-            gap = cfg.cutoff_gap
-            if gap is None:
-                gap = _spectral_range(h, cfg, seed) / params.N
             cutoff = plan.cutoffs_per_level[j][idx]
-            gap = max(gap, 1e-9 * max(abs(cutoff), 1.0))
-            projected, weight, _ = project_above(
-                h,
-                merged,
-                cutoff - gap,
-                cutoff,
-                tol=cfg.tol,
-                method=cfg.projector_method,
-                dense_limit=cfg.dense_limit,
-            )
-            p = weight * w_merge**2 if cfg.use_symmetrize else weight
-            new_probs.append(float(p))
-            if weight <= 0.0:
-                annihilated = True
-                new_states.append(None)
+            if j == k_levels:
+                out = _filtered_statistic(pair, params, cfg, cutoff, seed, n_bos=size)
+            elif annihilated:
+                states.append(None)
+                probs.append(0.0)
+                continue
             else:
-                new_states.append(projected.normalized())
-        level_states = new_states
-        p_j.insert(0, new_probs)
+                merged, w_merge = symmetrized_product(children[2 * idx], children[2 * idx + 1])
+                out = _project_step(pair, merged, w_merge, params, cfg, cutoff, seed)
+            probs.append(out.statistic)
+            alive = out.proj_weight > 0.0
+            annihilated = annihilated or not alive
+            states.append(out.projected.normalized() if alive else None)
+        p_j.insert(0, probs)
 
     # unconditioned unspiked probabilities at every level size
     q_j = []
@@ -665,19 +597,9 @@ def multistep_run(
                 variance_convention=cfg.variance_convention,
             )
             unsp = SpikedTensor(tensor=g, lam=0.0, provenance="unspiked")
-            pair_q = decorrelate(
-                unsp,
-                params.effective_zeta,
-                rng_q,
-                add_imaginary=cfg.add_imaginary,
-                variance_convention=cfg.variance_convention,
-            )
-            basis = build_basis(params.N, size)
-            h = HamiltonianOperator(pair_q.t_plus, basis)
-            out = _filtered_statistic(
-                pair_q.t_minus, h, params, cfg, plan.cutoffs_per_level[j][idx], seed, n_bos=size
-            )
-            qs.append(out.statistic)
+            pair_q = _make_pair(unsp, params, cfg, rng_q)
+            cutoff = plan.cutoffs_per_level[j][idx]
+            qs.append(_filtered_statistic(pair_q, params, cfg, cutoff, seed, n_bos=size).statistic)
         # one scalar per level: geometric mean over subsystems (equal for
         # equal-size halves, which is the tested configuration)
         q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))) if qs else 0.0)
@@ -694,7 +616,7 @@ def multistep_run(
     tiny = np.finfo(float).tiny
     threshold = base_threshold / max(survival_below, tiny)
     statistic = p_j[0][0]
-    verdict = _verdict(statistic, threshold) if base_threshold > 0.0 else "unspiked"
+    verdict = _verdict(statistic, threshold)
 
     cost = sqrt(1.0 / max(base_threshold, tiny))
     for j in range(1, k_levels + 1):

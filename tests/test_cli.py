@@ -163,6 +163,17 @@ class TestRecover:
             assert row.get("status") == "detection_failed"
             assert "corr_boosted" not in row
 
+    def test_zero_strength_never_detects(self, tmp_path):
+        # lambda = 0, the CLI default, gives a zero success threshold: as in
+        # detect, pure noise must not be reported as detected and boosted
+        out = tmp_path / "z.json"
+        with pytest.warns(UserWarning):
+            assert run(["recover", "--N", "4", "--nbos", "4", "--lambda", "0",
+                        "--trials", "2", "--seed", "3", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert [r.get("status") for r in data["trials"]] == ["detection_failed"] * 2
+        assert data["aggregates"]["detected"] == 0
+
     def test_snapshot_input_route(self, tmp_path):
         import numpy as np
 
@@ -184,6 +195,19 @@ class TestRecover:
         assert row["source"] == "snapshot"
         boosted = np.asarray(row["boosted"])
         assert abs(boosted @ v / (np.linalg.norm(boosted) * np.linalg.norm(v))) > 0.9
+
+    def test_truncated_snapshot_is_a_validation_error(self, tmp_path):
+        from tensorpca import ModelParams, build_basis, embed_power_state, sample_instance
+        from tensorpca.fock import save_state
+        from tensorpca.instance import save_tensor
+
+        tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+        state, _ = embed_power_state(build_basis(3, 4), tensor.tensor)
+        save_state(tmp_path / "s.bin", state, fmt="binary")
+        save_tensor(tmp_path / "t.bin", tensor, fmt="binary")
+        (tmp_path / "s.bin").write_bytes((tmp_path / "s.bin").read_bytes()[:-3])
+        assert run(["recover", "--state", tmp_path / "s.bin", "--tensor", tmp_path / "t.bin",
+                    "--out", tmp_path / "r.json"]) == 2
 
     def test_snapshot_without_tensor_is_a_validation_error(self, tmp_path):
         assert run(["recover", "--state", tmp_path / "missing.json", "--out",

@@ -1,6 +1,7 @@
 """Occupation basis, embeddings, and the full-space oracles they are
 validated against."""
 
+import json
 from math import comb
 
 import numpy as np
@@ -311,3 +312,66 @@ class TestSnapshots:
         save_state(tmp_path / "c.bin", x, fmt="binary")
         back = load_state(tmp_path / "c.bin")
         assert np.array_equal(back.amps, x.amps)
+
+    @staticmethod
+    def _state(is_complex):
+        basis = build_basis(2, 4)
+        g = rng(13)
+        amps = g.standard_normal(basis.dim)
+        if is_complex:
+            amps = amps + 1j * g.standard_normal(basis.dim)
+        return StateVector(basis, amps).normalized()
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_documented_layout(self, tmp_path, is_complex):
+        # FORMATS.md: binary is one header line without arrays, then 8 bytes
+        # per real amplitude or 16 per complex one (re, im interleaved); the
+        # JSON variant is the same header plus amps or amps_re/amps_im
+        x = self._state(is_complex)
+        save_state(tmp_path / "s.bin", x, fmt="binary")
+        line, payload = (tmp_path / "s.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert header == {"format": "tensorpca/state-v1", "N": 2, "n_bos": 4,
+                          "ordering": "colex", "complex": is_complex}
+        assert len(payload) == (16 if is_complex else 8) * x.basis.dim
+        raw = np.frombuffer(payload, dtype="<f8")
+        if is_complex:
+            assert np.array_equal(raw[0::2], x.amps.real)
+            assert np.array_equal(raw[1::2], x.amps.imag)
+            arrays = {"amps_re": x.amps.real.tolist(), "amps_im": x.amps.imag.tolist()}
+        else:
+            assert np.array_equal(raw, x.amps)
+            arrays = {"amps": x.amps.tolist()}
+        save_state(tmp_path / "s.json", x, fmt="json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert doc == {**header, **arrays}
+        # the same object written on one line is still the JSON variant
+        (tmp_path / "one-line.json").write_text(json.dumps(doc))
+        assert np.array_equal(load_state(tmp_path / "one-line.json").amps, x.amps)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_truncated_binary_is_a_validation_error(self, tmp_path, is_complex, cut):
+        # 3 bytes leave a partial float64; 8 leave one value short, which
+        # for a complex state is an odd number of float64 values
+        path = tmp_path / "s.bin"
+        save_state(path, self._state(is_complex), fmt="binary")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(InvalidParameterError):
+            load_state(path)
+
+    @pytest.mark.parametrize("key", ["n_bos", "complex", "amps"])
+    def test_missing_json_field_is_a_validation_error(self, tmp_path, key):
+        path = tmp_path / "s.json"
+        save_state(path, self._state(False), fmt="json")
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError):
+            load_state(path)
+
+    def test_foreign_file_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"\x00\xff not a header\n\x01\x02")
+        with pytest.raises(InvalidParameterError):
+            load_state(path)

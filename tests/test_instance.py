@@ -1,6 +1,8 @@
 """Instance generation: signal vectors, symmetrized noise, spikes, and the
 anti-correlated noise split."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,56 @@ class TestTensorFiles:
             )
             save_tensor(tmp_path / name, t, fmt="binary")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @staticmethod
+    def _tensor(is_complex):
+        if is_complex:
+            g = sample_gaussian_tensor(3, rng(24), ensemble="complex")
+            return SpikedTensor(tensor=g, lam=0.0, provenance="unspiked", ensemble="complex")
+        return make_spiked(0.25, sample_signal(3, rng(25)), sample_gaussian_tensor(3, rng(26)))
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_documented_layout(self, tmp_path, is_complex):
+        # FORMATS.md: binary is one header line without arrays, then 8 bytes
+        # per real entry or 16 per complex one (re, im interleaved); the
+        # JSON variant is the same header plus entries or entries_re/entries_im
+        t = self._tensor(is_complex)
+        vals = t.tensor.values
+        save_tensor(tmp_path / "t.bin", t, fmt="binary")
+        line, payload = (tmp_path / "t.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        assert header == {
+            "format": "tensorpca/tensor-v1", "N": 3, "p": 4, "ensemble": t.ensemble,
+            "layout": "sorted-tuples", "lambda": t.lam, "provenance": t.provenance,
+            "complex": is_complex,
+        }
+        assert len(payload) == (16 if is_complex else 8) * len(layout(3).tuples)
+        raw = np.frombuffer(payload, dtype="<f8")
+        if is_complex:
+            assert np.array_equal(raw[0::2], vals.real)
+            assert np.array_equal(raw[1::2], vals.imag)
+            arrays = {"entries_re": vals.real.tolist(), "entries_im": vals.imag.tolist()}
+        else:
+            assert np.array_equal(raw, vals)
+            arrays = {"entries": vals.tolist()}
+        save_tensor(tmp_path / "t.json", t, fmt="json")
+        assert json.loads((tmp_path / "t.json").read_text()) == {**header, **arrays}
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_truncated_binary_is_a_validation_error(self, tmp_path, is_complex, cut):
+        path = tmp_path / "t.bin"
+        save_tensor(path, self._tensor(is_complex), fmt="binary")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(InvalidParameterError):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("key", ["lambda", "entries_im"])
+    def test_missing_json_field_is_a_validation_error(self, tmp_path, key):
+        path = tmp_path / "t.json"
+        save_tensor(path, self._tensor(True), fmt="json")
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidParameterError):
+            load_tensor(path)

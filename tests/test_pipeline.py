@@ -107,6 +107,39 @@ class TestThresholds:
             ms = multistep_run(t0, params, cfg=DetectionConfig(), seed=19, k=0)
         assert ms.verdict == "unspiked"
 
+    @pytest.mark.parametrize(
+        "detector, fields",
+        [
+            (detect_projection, {
+                "verdict_source": "threshold", "trials_used": 1,
+                "amplification_rounds": None, "boosted_probability": None,
+                "projector_applications": 1,
+            }),
+            (simulate_quantum_unamplified, {
+                "verdict_source": "sampled", "trials_used": 0,
+                "amplification_rounds": None, "boosted_probability": None,
+                "projector_applications": 0,
+            }),
+            (simulate_quantum_amplified, {
+                "verdict_source": "sampled", "trials_used": None,
+                "amplification_rounds": 0, "boosted_probability": 0.0,
+                "projector_applications": 0,
+            }),
+        ],
+    )
+    def test_zero_threshold_report_fields(self, detector, fields):
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.0, seed=19)
+        t0, _ = sample_instance(params, spiked=False)
+        with pytest.warns(UserWarning):
+            rep = detector(t0, params, DetectionConfig(), seed=19)
+        # any statistic clears a zero threshold; the verdict must still be unspiked
+        assert rep.threshold == 0.0 and rep.statistic >= rep.threshold
+        assert rep.verdict == "unspiked"
+        assert rep.separation is None
+        got = {name: getattr(rep, name, None) for name in fields}
+        got["projector_applications"] = rep.query_counts["projector_applications"]
+        assert got == fields
+
     def test_per_boson_decay_exponent_approaches_minus_half(self):
         # fixed lambda_bar * N, growing N: log_N of the slack-free threshold
         # per boson tends to -1/2
