@@ -3,7 +3,7 @@ JSON/CSV report emission.
 
 Subcommands: gen, detect, dos, recover, exponents.  Reports embed their
 effective configuration and are byte-identical across reruns with the same
-seed; volatile fields (wall time) are logged to stderr, never serialized.
+seed; volatile fields (wall time) are never serialized.
 
 Exit codes: 0 success, 2 validation error, 3 capacity error,
 4 convergence error.
@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__, pipeline
 from ._util import (
     DENSE_LIMIT,
     CapacityError,
@@ -27,29 +28,31 @@ from ._util import (
     derived_rng,
     run_trials,
 )
-from .instance import ModelParams, sample_instance, save_tensor
+from .fock import build_basis, load_state
+from .hamiltonian import HamiltonianOperator
+from .instance import ModelParams, load_tensor, sample_instance, save_tensor
 from .pipeline import (
     DetectionConfig,
+    _spectral_threshold,
+    _verdict,
     cost_exponents,
     detect_projection,
     detect_spectral,
     multistep_run,
+    p_threshold,
     simulate_quantum_amplified,
     simulate_quantum_unamplified,
 )
 from .recovery import recovery_chain
-from .spectral import analytic_bounds, density_of_states, leading_eigenvalue
-from .hamiltonian import HamiltonianOperator
-from .fock import build_basis
-
-VERSION = "0.1.0"
+from .spectral import density_of_states, leading_eigenvalue
 
 METHODS = ("spectral", "projection", "q-unamp", "q-amp")
 
 
 @dataclass
 class RunConfig:
-    """Validated bundle of one subcommand invocation."""
+    """Validated bundle of one subcommand invocation.  Its defaults are the
+    CLI's defaults: the parser leaves every option it was not given unset."""
 
     subcommand: str
     N_list: list = field(default_factory=lambda: [6])
@@ -95,27 +98,6 @@ class RunConfig:
         )
 
 
-def _stable_report_row(rep) -> dict:
-    """Serializable detection fields, without volatile timing."""
-    d = asdict(rep) if not isinstance(rep, dict) else dict(rep)
-    d.pop("wall_time", None)
-    return d
-
-
-def _config_echo(config: RunConfig) -> dict:
-    """The experimental configuration, without the output location (so a
-    rerun into a different file stays byte-identical)."""
-    d = asdict(config)
-    d.pop("out", None)
-    return d
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
-        fh.write("\n")
-
-
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -123,17 +105,27 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     return str(obj)
 
 
-def _write_csv(path: str, header_comment: dict, columns: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(header_comment, sort_keys=True, default=_json_default) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _emit(config: RunConfig, columns=(), csv_rows=(), **fields) -> dict:
+    """Build the report envelope around `fields`, write it to `config.out`
+    and return it.  A CSV report is one header comment holding the
+    configuration, then `columns` and `csv_rows`."""
+    echo = asdict(config)
+    echo.pop("out")  # so a rerun into another file stays byte-identical
+    payload = {"subcommand": config.subcommand, "version": __version__, "config": echo, **fields}
+    if config.fmt == "csv":
+        with open(config.out, "w", newline="") as fh:
+            fh.write("# config: " + json.dumps(echo, sort_keys=True, default=_json_default) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(csv_rows)
+    else:
+        with open(config.out, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
+            fh.write("\n")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +136,8 @@ def _write_csv(path: str, header_comment: dict, columns: list, rows: list) -> No
 def cmd_gen(config: RunConfig) -> dict:
     """Write one instance tensor to the tensor file format."""
     params = config.model_params(config.N_list[0], config.nbos_list[0], config.lambda_list[0])
-    tensor, v = sample_instance(params, spiked=not config.unspiked)
-    save_tensor(config.out, tensor, fmt=config.fmt if config.fmt in ("json", "binary") else "json")
+    tensor, _ = sample_instance(params, spiked=not config.unspiked)
+    save_tensor(config.out, tensor, fmt=config.fmt)
     return {
         "subcommand": "gen",
         "out": config.out,
@@ -182,7 +174,8 @@ def _run_one_detection(config: RunConfig, params: ModelParams, spiked: bool, tri
         rep = simulate_quantum_amplified(tensor, params, cfg, seed=trial_seed)
     else:
         raise InvalidParameterError(f"unknown method {config.method!r}")
-    row = _stable_report_row(rep)
+    row = asdict(rep)
+    row.pop("wall_time")  # volatile, never serialized
     row["lambda"] = tensor.lam
     return row
 
@@ -236,41 +229,27 @@ def cmd_detect(config: RunConfig) -> dict:
 
                 for chunk in run_trials(one, config.trials, threads=config.threads):
                     rows.extend(chunk)
-    spiked_rows = [r for r in rows if r.get("lambda", 0.0) != 0.0 and "error" not in r]
-    unspiked_rows = [r for r in rows if r.get("lambda", 0.0) == 0.0 and "error" not in r]
-    aggregates = {
-        "tpr": _rate(spiked_rows, "spiked"),
-        "fpr": _rate(unspiked_rows, "spiked"),
-        "trials": config.trials,
-        "errors": sum(1 for r in rows if "error" in r),
-    }
-    payload = {
-        "subcommand": "detect",
-        "version": VERSION,
-        "config": _config_echo(config),
-        "trials": rows,
-        "aggregates": aggregates,
-    }
-    if config.fmt == "csv":
-        _write_csv(
-            config.out,
-            _config_echo(config),
-            ["seed", "lambda", "verdict", "statistic", "threshold"],
-            [
-                [r.get("seed"), r.get("lambda"), r.get("verdict"), r.get("statistic"), r.get("threshold")]
-                for r in rows
-                if "error" not in r
-            ],
-        )
-    else:
-        _write_json(config.out, payload)
-    return payload
+    ok = [r for r in rows if "error" not in r]
+    columns = ["seed", "lambda", "verdict", "statistic", "threshold"]
+    return _emit(
+        config,
+        columns,
+        [[r.get(c) for c in columns] for r in ok],
+        trials=rows,
+        aggregates={
+            "tpr": _rate([r for r in ok if r["lambda"] != 0.0]),
+            "fpr": _rate([r for r in ok if r["lambda"] == 0.0]),
+            "trials": config.trials,
+            "errors": len(rows) - len(ok),
+        },
+    )
 
 
-def _rate(rows: list, verdict: str) -> float | None:
+def _rate(rows: list) -> float | None:
+    """Share of rows with a spiked verdict."""
     if not rows:
         return None
-    return sum(1 for r in rows if r.get("verdict") == verdict) / len(rows)
+    return sum(1 for r in rows if r["verdict"] == "spiked") / len(rows)
 
 
 def cmd_dos(config: RunConfig) -> dict:
@@ -315,22 +294,52 @@ def cmd_dos(config: RunConfig) -> dict:
                         config.seed,
                     ]
                 )
-    payload = {
-        "subcommand": "dos",
-        "version": VERSION,
-        "config": _config_echo(config),
-        "tables": tables,
+    return _emit(
+        config,
+        ["x", "p_greater", "stderr", "g_hat", "N", "n_bos", "trials", "seed"],
+        csv_rows,
+        tables=tables,
+    )
+
+
+def _recover_one(config: RunConfig, trial: int) -> dict:
+    """One sampled trial of the recovery chain: detect, then recover and
+    boost only on a spiked verdict."""
+    params = config.model_params(config.N_list[0], config.nbos_list[0], config.lambda_list[0])
+    tensor, v = sample_instance(
+        params, spiked=not config.unspiked, rng=derived_rng(config.seed, "instance", trial)
+    )
+    trial_seed = config.seed * 1_000_003 + trial
+    cfg = config.detection_config()
+    boost_tensor = tensor
+    try:
+        if config.method == "spectral":
+            h = HamiltonianOperator(tensor.tensor, build_basis(params.N, params.n_bos))
+            threshold = _spectral_threshold(params)
+            statistic, state = leading_eigenvalue(h, seed=trial_seed)
+        else:
+            # looked up per trial, so a substituted projection_statistic applies
+            outcome = pipeline.projection_statistic(tensor, params, cfg, seed=trial_seed)
+            statistic, state = outcome.statistic, outcome.projected
+            threshold = p_threshold(params, cfg)
+            if config.boost_with == "tplus":
+                boost_tensor = outcome.pair.t_plus
+        detected = _verdict(statistic, threshold) == "spiked"
+        state = state.normalized() if detected else None
+    except _TRIAL_ERRORS as exc:
+        return {"trial": trial, "error": type(exc).__name__, "message": str(exc)}
+    if not detected:
+        return {"trial": trial, "detected": False, "status": "detection_failed"}
+    rep = recovery_chain(state, boost_tensor, v_reference=v, mode=config.mode, seed=trial_seed)
+    return {
+        "trial": trial,
+        "detected": True,
+        "corr_initial": rep.corr_initial,
+        "corr_boosted": rep.corr_boosted,
+        "iterations": rep.iterations_used,
+        "mode": rep.mode,
+        "seed": rep.seed,
     }
-    if config.fmt == "csv":
-        _write_csv(
-            config.out,
-            _config_echo(config),
-            ["x", "p_greater", "stderr", "g_hat", "N", "n_bos", "trials", "seed"],
-            csv_rows,
-        )
-    else:
-        _write_json(config.out, payload)
-    return payload
 
 
 def cmd_recover(config: RunConfig) -> dict:
@@ -340,10 +349,6 @@ def cmd_recover(config: RunConfig) -> dict:
     With --state (plus --tensor for the boosting stage) the chain starts
     from a saved post-projection snapshot instead of detecting afresh.
     """
-    from .fock import load_state
-    from .instance import load_tensor
-    from .pipeline import _verdict, p_threshold, projection_statistic
-
     if config.state_file:
         if not config.tensor_file:
             raise InvalidParameterError("--state also needs --tensor for the boosting stage")
@@ -351,91 +356,30 @@ def cmd_recover(config: RunConfig) -> dict:
         tensor = load_tensor(config.tensor_file)
         rep = recovery_chain(state, tensor, v_reference=None, mode=config.mode,
                              seed=config.seed)
-        payload = {
-            "subcommand": "recover",
-            "version": VERSION,
-            "config": _config_echo(config),
-            "trials": [
-                {
-                    "trial": 0,
-                    "detected": True,
-                    "source": "snapshot",
-                    "iterations": rep.iterations_used,
-                    "mode": rep.mode,
-                    "seed": rep.seed,
-                    "candidate": rep.candidate.tolist(),
-                    "boosted": rep.boosted.tolist(),
-                }
-            ],
-            "aggregates": {"detected": 1, "trials": 1, "mean_corr_boosted": None},
-        }
-        _write_json(config.out, payload)
-        return payload
-
-    rows = []
-    for trial in range(config.trials):
-        params = config.model_params(
-            config.N_list[0], config.nbos_list[0], config.lambda_list[0]
-        )
-        tensor, v = sample_instance(
-            params, spiked=not config.unspiked, rng=derived_rng(config.seed, "instance", trial)
-        )
-        trial_seed = config.seed * 1_000_003 + trial
-        cfg = config.detection_config()
-        t_plus = None
-        try:
-            if config.method == "spectral":
-                basis = build_basis(params.N, params.n_bos)
-                h = HamiltonianOperator(tensor.tensor, basis)
-                bounds = analytic_bounds(params)
-                lam1, vec = leading_eigenvalue(h, seed=trial_seed)
-                detected = _verdict(lam1, bounds.e_cut) == "spiked"
-                state = vec.normalized() if detected else None
-            else:
-                outcome = projection_statistic(tensor, params, cfg, seed=trial_seed)
-                detected = _verdict(outcome.statistic, p_threshold(params, cfg)) == "spiked"
-                state = outcome.projected.normalized() if detected else None
-                t_plus = outcome.pair.t_plus
-        except _TRIAL_ERRORS as exc:
-            rows.append({"trial": trial, "error": type(exc).__name__, "message": str(exc)})
-            continue
-        if not detected:
-            rows.append({"trial": trial, "detected": False, "status": "detection_failed"})
-            continue
-        if config.boost_with == "tplus" and t_plus is not None:
-            boost_tensor = t_plus
-        else:
-            boost_tensor = tensor
-        rep = recovery_chain(
-            state, boost_tensor, v_reference=v, mode=config.mode, seed=trial_seed
-        )
-        rows.append(
+        rows = [
             {
-                "trial": trial,
+                "trial": 0,
                 "detected": True,
-                "corr_initial": rep.corr_initial,
-                "corr_boosted": rep.corr_boosted,
+                "source": "snapshot",
                 "iterations": rep.iterations_used,
                 "mode": rep.mode,
                 "seed": rep.seed,
+                "candidate": rep.candidate.tolist(),
+                "boosted": rep.boosted.tolist(),
             }
-        )
-    recovered = [r for r in rows if r.get("detected")]
-    payload = {
-        "subcommand": "recover",
-        "version": VERSION,
-        "config": _config_echo(config),
-        "trials": rows,
-        "aggregates": {
-            "detected": len(recovered),
-            "trials": config.trials,
-            "mean_corr_boosted": (
-                float(np.mean([r["corr_boosted"] for r in recovered])) if recovered else None
-            ),
+        ]
+    else:
+        rows = [_recover_one(config, trial) for trial in range(config.trials)]
+    corrs = [r["corr_boosted"] for r in rows if "corr_boosted" in r]
+    return _emit(
+        config,
+        trials=rows,
+        aggregates={
+            "detected": sum(1 for r in rows if r.get("detected")),
+            "trials": len(rows),
+            "mean_corr_boosted": float(np.mean(corrs)) if corrs else None,
         },
-    }
-    _write_json(config.out, payload)
-    return payload
+    )
 
 
 def cmd_exponents(config: RunConfig) -> dict:
@@ -457,19 +401,13 @@ def cmd_exponents(config: RunConfig) -> dict:
             for key, val in counts.items():
                 agg[key] = agg.get(key, 0) + int(val)
     table = cost_exponents(params)
-    payload = {
-        "subcommand": "exponents",
-        "version": VERSION,
-        "config": _config_echo(config),
-        "nbos_eq": table.nbos_eq if np.isfinite(table.nbos_eq) else None,
-        "ratios": {k: str(v) for k, v in table.ratios.items()},
-        "exponents": {
-            k: (v if np.isfinite(v) else None) for k, v in table.exponents.items()
-        },
-        "measured": measured,
-    }
-    _write_json(config.out, payload)
-    return payload
+    return _emit(
+        config,
+        nbos_eq=table.nbos_eq if np.isfinite(table.nbos_eq) else None,
+        ratios={k: str(v) for k, v in table.ratios.items()},
+        exponents={k: (v if np.isfinite(v) else None) for k, v in table.exponents.items()},
+        measured=measured,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,98 +424,65 @@ def _float_list(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Every `dest` is a RunConfig field, and no option has
+    a default here: an option left out stays unset, so RunConfig states it."""
     parser = argparse.ArgumentParser(
         prog="tensorpca",
         description="Seeded experiments for spiked-tensor detection and recovery.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--N", type=_int_list, default=[6], help="mode counts (comma list)")
-        p.add_argument("--nbos", type=_int_list, default=[4], help="boson counts (comma list)")
-        p.add_argument("--p", type=int, default=4)
-        p.add_argument("--lambda", dest="lambda_list", type=_float_list, default=[0.0],
+    def subcommand(name: str, help: str, formats: tuple) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--N", dest="N_list", type=_int_list, help="mode counts (comma list)")
+        p.add_argument("--nbos", dest="nbos_list", type=_int_list,
+                       help="boson counts (comma list)")
+        p.add_argument("--p", type=int)
+        p.add_argument("--lambda", dest="lambda_list", type=_float_list,
                        help="claimed signal strengths (comma list)")
-        p.add_argument("--zeta", type=float, default=None, help="default: 1/ln N")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--out", type=str, default="report.json")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "binary"), default="json")
-        p.add_argument("--dense-limit", dest="dense_limit", type=int, default=DENSE_LIMIT)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--ensemble", choices=("real", "complex"), default="real")
+        p.add_argument("--zeta", type=float, help="default: 1/ln N")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--out", type=str)
+        p.add_argument("--format", dest="fmt", choices=formats)
+        p.add_argument("--dense-limit", type=int)
+        p.add_argument("--threads", type=int)
+        p.add_argument("--ensemble", choices=("real", "complex"))
+        return p
 
-    g = sub.add_parser("gen", help="write an instance tensor file")
-    common(g)
+    g = subcommand("gen", "write an instance tensor file", ("json", "binary"))
     g.add_argument("--unspiked", action="store_true")
 
-    d = sub.add_parser("detect", help="detection sweep with ROC aggregates")
-    common(d)
-    d.add_argument("--method", choices=METHODS, default="projection")
-    d.add_argument("--cprime", dest="c_prime", type=float, default=0.2)
-    d.add_argument("--slack", type=float, default=10.0)
-    d.add_argument("--cdoubleprime", dest="c_doubleprime", type=float, default=20.0)
-    d.add_argument("--tol", type=float, default=1e-8)
-    d.add_argument("--k", type=int, default=0, help="multistep depth (projection method)")
-    d.add_argument("--dump-operator", dest="dump_operator", default=None,
+    d = subcommand("detect", "detection sweep with ROC aggregates", ("json", "csv"))
+    d.add_argument("--method", choices=METHODS)
+    d.add_argument("--cprime", dest="c_prime", type=float)
+    d.add_argument("--slack", type=float)
+    d.add_argument("--cdoubleprime", dest="c_doubleprime", type=float)
+    d.add_argument("--tol", type=float)
+    d.add_argument("--k", type=int, help="multistep depth (projection method)")
+    d.add_argument("--dump-operator",
                    help="write the first instance operator as a matrix-market file")
 
-    o = sub.add_parser("dos", help="density-of-states tables")
-    common(o)
-    o.add_argument("--xgrid", dest="x_grid", type=_float_list,
-                   default=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    o = subcommand("dos", "density-of-states tables", ("json", "csv"))
+    o.add_argument("--xgrid", dest="x_grid", type=_float_list)
 
-    r = sub.add_parser("recover", help="detect/project/recover/boost chain")
-    common(r)
-    r.add_argument("--method", choices=("spectral", "projection"), default="projection")
-    r.add_argument("--cprime", dest="c_prime", type=float, default=0.2)
-    r.add_argument("--slack", type=float, default=10.0)
-    r.add_argument("--mode", choices=("eig", "randomized"), default="eig")
+    r = subcommand("recover", "detect/project/recover/boost chain", ("json",))
+    r.add_argument("--method", choices=("spectral", "projection"))
+    r.add_argument("--cprime", dest="c_prime", type=float)
+    r.add_argument("--slack", type=float)
+    r.add_argument("--mode", choices=("eig", "randomized"))
     r.add_argument("--unspiked", action="store_true")
-    r.add_argument("--boost-with", dest="boost_with", choices=("t0", "tplus"), default="t0")
-    r.add_argument("--state", dest="state_file", default=None,
+    r.add_argument("--boost-with", choices=("t0", "tplus"))
+    r.add_argument("--state", dest="state_file",
                    help="start from a saved state snapshot instead of detecting")
-    r.add_argument("--tensor", dest="tensor_file", default=None,
+    r.add_argument("--tensor", dest="tensor_file",
                    help="instance tensor file for the boosting stage (with --state)")
 
-    e = sub.add_parser("exponents", help="cost-exponent table")
-    common(e)
-    e.add_argument("--logs", type=lambda s: s.split(","), default=[],
+    e = subcommand("exponents", "cost-exponent table", ("json",))
+    e.add_argument("--logs", type=lambda s: s.split(","),
                    help="detection report JSONs to harvest query counts from")
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        N_list=args.N,
-        nbos_list=args.nbos,
-        p=args.p,
-        lambda_list=args.lambda_list,
-        zeta=args.zeta,
-        seed=args.seed,
-        trials=args.trials,
-        method=getattr(args, "method", "projection"),
-        c_prime=getattr(args, "c_prime", 0.2),
-        slack=getattr(args, "slack", 10.0),
-        c_doubleprime=getattr(args, "c_doubleprime", 20.0),
-        tol=getattr(args, "tol", 1e-8),
-        k=getattr(args, "k", 0),
-        out=args.out,
-        fmt=args.fmt,
-        dump_operator=getattr(args, "dump_operator", None),
-        dense_limit=args.dense_limit,
-        threads=args.threads,
-        ensemble=args.ensemble,
-        unspiked=getattr(args, "unspiked", False),
-        x_grid=getattr(args, "x_grid", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-        mode=getattr(args, "mode", "eig"),
-        boost_with=getattr(args, "boost_with", "t0"),
-        state_file=getattr(args, "state_file", None),
-        tensor_file=getattr(args, "tensor_file", None),
-        logs=getattr(args, "logs", []),
-    )
 
 
 _DISPATCH = {
@@ -595,7 +500,7 @@ def main(argv: list | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = config_from_args(args)
+    config = RunConfig(**vars(args))
     try:
         _DISPATCH[config.subcommand](config)
     except InvalidParameterError as exc:

@@ -314,13 +314,14 @@ def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) ->
         ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
     )
     contrib = x.amps[ia] * y.amps[ib] * np.exp(log_w)
-    if np.iscomplexobj(contrib):
-        amps = np.bincount(ranks, weights=contrib.real, minlength=out_basis.dim) + 1j * np.bincount(
-            ranks, weights=contrib.imag, minlength=out_basis.dim
-        )
-    else:
-        amps = np.bincount(ranks, weights=contrib, minlength=out_basis.dim)
-    return StateVector(out_basis, amps)
+    return StateVector(out_basis, _bincount(ranks, contrib, out_basis.dim))
+
+
+def _bincount(ranks: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
+    """Sum real or complex weights into `dim` bins by rank."""
+    if np.iscomplexobj(weights):
+        return np.bincount(ranks, weights.real, dim) + 1j * np.bincount(ranks, weights.imag, dim)
+    return np.bincount(ranks, weights, dim)
 
 
 def symmetrized_product(x: StateVector, y: StateVector) -> tuple[StateVector, float]:
@@ -414,6 +415,16 @@ def full_space_sequences(n_modes: int, n_bos: int) -> np.ndarray:
     return (flat[:, None] // powers) % n_modes
 
 
+def _full_space_ranks(basis: OccupationBasis) -> np.ndarray:
+    """Occupation rank of the content of every full-space sequence, in
+    flat-index order."""
+    seqs = full_space_sequences(basis.n_modes, basis.n_bos)
+    occs = np.zeros((seqs.shape[0], basis.n_modes), dtype=np.int64)
+    rows = np.repeat(np.arange(seqs.shape[0]), basis.n_bos)
+    np.add.at(occs, (rows, seqs.ravel()), 1)
+    return basis.rank_array(occs)
+
+
 def full_to_occupation(vec: FullSpaceVector, basis: OccupationBasis) -> StateVector:
     """Components of a full-space vector on the occupation basis.
 
@@ -423,28 +434,14 @@ def full_to_occupation(vec: FullSpaceVector, basis: OccupationBasis) -> StateVec
     """
     if basis.n_modes != vec.n_modes or basis.n_bos != vec.n_bos:
         raise InvalidParameterError("basis does not match the full-space vector")
-    seqs = full_space_sequences(vec.n_modes, vec.n_bos)
-    occs = np.zeros((seqs.shape[0], vec.n_modes), dtype=np.int64)
-    rows = np.repeat(np.arange(seqs.shape[0]), vec.n_bos)
-    np.add.at(occs, (rows, seqs.ravel()), 1)
-    ranks = basis.rank_array(occs)
-    if np.iscomplexobj(vec.amps):
-        sums = np.bincount(ranks, weights=vec.amps.real, minlength=basis.dim) + 1j * np.bincount(
-            ranks, weights=vec.amps.imag, minlength=basis.dim
-        )
-    else:
-        sums = np.bincount(ranks, weights=vec.amps, minlength=basis.dim)
+    sums = _bincount(_full_space_ranks(basis), vec.amps, basis.dim)
     return StateVector(basis, sums * np.exp(-0.5 * basis.log_seq_count))
 
 
 def occupation_to_full(state: StateVector) -> FullSpaceVector:
     """Isometric embedding of an occupation-basis state into the full space."""
     basis = state.basis
-    seqs = full_space_sequences(basis.n_modes, basis.n_bos)
-    occs = np.zeros((seqs.shape[0], basis.n_modes), dtype=np.int64)
-    rows = np.repeat(np.arange(seqs.shape[0]), basis.n_bos)
-    np.add.at(occs, (rows, seqs.ravel()), 1)
-    ranks = basis.rank_array(occs)
+    ranks = _full_space_ranks(basis)
     amps = state.amps[ranks] * np.exp(-0.5 * basis.log_seq_count[ranks])
     return FullSpaceVector(basis.n_modes, basis.n_bos, amps)
 

@@ -38,7 +38,7 @@ from ._util import (
     InvalidParameterError,
     falling_factorial,
 )
-from .fock import OccupationBasis, StateVector, full_space_sequences, lowering_map
+from .fock import OccupationBasis, StateVector, _full_space_ranks, lowering_map
 from .symtensor import SymmetricTensor4
 
 
@@ -256,13 +256,9 @@ def symmetric_isometry(basis: OccupationBasis) -> np.ndarray:
     """(N^n_bos, D) matrix with orthonormal columns spanning the symmetric
     subspace; column r holds the full-space expansion of occupation state r.
     """
-    seqs = full_space_sequences(basis.n_modes, basis.n_bos)
-    occs = np.zeros((seqs.shape[0], basis.n_modes), dtype=np.int64)
-    rows = np.repeat(np.arange(seqs.shape[0]), basis.n_bos)
-    np.add.at(occs, (rows, seqs.ravel()), 1)
-    ranks = basis.rank_array(occs)
-    v = np.zeros((seqs.shape[0], basis.dim))
-    v[np.arange(seqs.shape[0]), ranks] = np.exp(-0.5 * basis.log_seq_count[ranks])
+    ranks = _full_space_ranks(basis)
+    v = np.zeros((ranks.size, basis.dim))
+    v[np.arange(ranks.size), ranks] = np.exp(-0.5 * basis.log_seq_count[ranks])
     return v
 
 

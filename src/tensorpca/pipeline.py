@@ -180,6 +180,13 @@ def projection_nbos(params: ModelParams, minimum: int = 4) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _spectral_threshold(params: ModelParams) -> float:
+    """The midpoint cut e_cut of the analytic bounds.  At lambda_bar = 0 it
+    is 0, so _verdict reports unspiked: e_cut then falls to e_max/2, below
+    the noise edge, and would flag pure noise."""
+    return analytic_bounds(params).e_cut if params.lambda_bar > 0 else 0.0
+
+
 def detect_spectral(
     t0: SpikedTensor,
     params: ModelParams,
@@ -192,17 +199,17 @@ def detect_spectral(
         seed = params.seed
     basis = build_basis(params.N, params.n_bos)
     h = HamiltonianOperator(t0.tensor, basis)
-    bounds = analytic_bounds(params)
+    threshold = _spectral_threshold(params)
     lam1, _ = leading_eigenvalue(h, seed=seed)
     report = DetectionReport(
         algorithm="spectral",
-        verdict=_verdict(lam1, bounds.e_cut),
+        verdict=_verdict(lam1, threshold),
         statistic=float(lam1),
-        threshold=float(bounds.e_cut),
+        threshold=float(threshold),
         cutoff_energy=None,
         seed=int(seed),
         params=_params_echo(params),
-        separation=float(lam1 / bounds.e_cut) if bounds.e_cut else None,
+        separation=float(lam1 / threshold) if threshold else None,
         query_counts={"matvec": h.matvec_count},
         wall_time=time.perf_counter() - t_start,
     )
@@ -241,7 +248,7 @@ def _make_pair(
     )
 
 
-def _spectral_range(h: HamiltonianOperator, cfg: DetectionConfig, seed: int) -> float:
+def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     """Padded spectral-range estimate from a short seeded Krylov probe.
 
     Deliberately independent of the projector method, so the realized
@@ -268,7 +275,7 @@ def _project_step(
     h = HamiltonianOperator(pair.t_plus, state.basis)
     gap = cfg.cutoff_gap
     if gap is None:
-        gap = _spectral_range(h, cfg, seed) / params.N
+        gap = _spectral_range(h, seed) / params.N
     gap = max(gap, 1e-9 * max(abs(cutoff), 1.0))
     projected, weight, _ = project_above(
         h,

@@ -1,13 +1,15 @@
 """The experiment harness: subcommands, report formats, exit codes, and
 reproducibility."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tensorpca import load_tensor
-from tensorpca.cli import main
+from tensorpca.cli import RunConfig, build_parser, main
 
 
 def run(args):
@@ -39,6 +41,43 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_defaults_come_from_run_config(self, name):
+        args = build_parser().parse_args([name])
+        assert RunConfig(**vars(args)) == RunConfig(subcommand=name)
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_every_dest_is_a_config_field(self, name):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        dests = {a.dest for a in _subparsers()[name]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests <= fields
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--N", "3", "--nbos", "4", "--lambda", "0.3", "--format", "csv"],
+            ["detect", "--method", "spectral", "--N", "3", "--nbos", "3", "--lambda", "0.4",
+             "--format", "binary"],
+            ["dos", "--N", "4", "--nbos", "4", "--format", "binary"],
+            ["recover", "--N", "4", "--nbos", "4", "--lambda", "2.5", "--format", "csv"],
+            ["exponents", "--N", "6", "--nbos", "4", "--format", "csv"],
+        ],
+    )
+    def test_unwritable_format_is_a_validation_error(self, tmp_path, args):
+        # a subcommand offers only the formats it writes; it never falls
+        # back to JSON under a name that promises another format
+        out = tmp_path / "o.out"
+        assert run(args + ["--out", out]) == 2
+        assert not out.exists()
+
+
 class TestDetect:
     def test_strong_spike_trial_detected(self, tmp_path):
         out = tmp_path / "d.json"
@@ -48,6 +87,18 @@ class TestDetect:
         spiked_rows = [r for r in data["trials"] if r["lambda"] > 0]
         assert all(r["verdict"] == "spiked" for r in spiked_rows)
         assert data["aggregates"]["tpr"] == 1.0
+
+    def test_spectral_zero_strength_reports_unspiked(self, tmp_path):
+        # at lambda = 0 the analytic midpoint cut lies below the noise edge;
+        # the spectral detector must not flag pure noise there
+        out = tmp_path / "z.json"
+        assert run(["detect", "--method", "spectral", "--N", "4", "--nbos", "3",
+                    "--lambda", "0", "--trials", "2", "--seed", "31", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["trials"]) == 4
+        assert all(r["verdict"] == "unspiked" for r in data["trials"])
+        assert all(r["separation"] is None for r in data["trials"])
+        assert data["aggregates"]["fpr"] == 0.0
 
     def test_projection_method_and_csv(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -170,6 +221,14 @@ class TestRecover:
         with pytest.warns(UserWarning):
             assert run(["recover", "--N", "4", "--nbos", "4", "--lambda", "0",
                         "--trials", "2", "--seed", "3", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert [r.get("status") for r in data["trials"]] == ["detection_failed"] * 2
+        assert data["aggregates"]["detected"] == 0
+
+    def test_spectral_zero_strength_never_detects(self, tmp_path):
+        out = tmp_path / "z.json"
+        assert run(["recover", "--method", "spectral", "--N", "4", "--nbos", "3",
+                    "--lambda", "0", "--trials", "2", "--seed", "31", "--out", out]) == 0
         data = json.loads(out.read_text())
         assert [r.get("status") for r in data["trials"]] == ["detection_failed"] * 2
         assert data["aggregates"]["detected"] == 0
