@@ -147,9 +147,10 @@ def cmd_gen(config: RunConfig) -> dict:
     }
 
 
-def _run_one_detection(config: RunConfig, params: ModelParams, spiked: bool, trial: int):
+def _run_one_detection(
+    config: RunConfig, cfg: DetectionConfig, params: ModelParams, spiked: bool, trial: int
+):
     tensor, v = sample_instance(params, spiked=spiked, rng=derived_rng(params.seed, "instance", trial))
-    cfg = config.detection_config()
     trial_seed = params.seed * 1_000_003 + trial
     if config.method == "spectral":
         rep = detect_spectral(tensor, params, seed=trial_seed, dense_limit=config.dense_limit)
@@ -189,8 +190,10 @@ def cmd_detect(config: RunConfig) -> dict:
 
     Each trial draws a spiked and an unspiked instance so the aggregates
     carry both true- and false-positive rates.  Per-trial failures are
-    recorded as structured error rows and never abort the sweep.
+    recorded as structured error rows and never abort the sweep; an
+    invalid detection option fails the command before any trial runs.
     """
+    cfg = config.detection_config()
     if config.dump_operator:
         # debugging export: the operator of the first spiked instance on the
         # first grid point, in matrix-market format
@@ -213,7 +216,7 @@ def cmd_detect(config: RunConfig) -> dict:
                     out = []
                     for spiked in (True, False):
                         try:
-                            row = _run_one_detection(config, params, spiked, trial)
+                            row = _run_one_detection(config, cfg, params, spiked, trial)
                         except _TRIAL_ERRORS as exc:
                             row = {
                                 "error": type(exc).__name__,

@@ -21,9 +21,9 @@ where A stacks the pair lowering maps a_rho a_sigma (rho <= sigma) from
 the n_bos-boson to the (n_bos-2)-boson basis, and W is the P x P matrix of
 tensor entries over creation and annihilation pairs, P = N(N+1)/2, with
 multiplicity weights.  A depends only on the basis and is cached by
-fock.lowering_map; a matvec is one sparse gather, one P x P GEMM and one
-sparse scatter.  Dense and sparse matrices are assembled from the same
-factors.
+fock.lowering_map.  Each row of A has one entry, so a matvec is one
+gather, one P x P GEMM and one scatter.  Dense and sparse matrices are
+assembled from the same factors.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ._util import (
     InvalidParameterError,
     falling_factorial,
 )
-from .fock import OccupationBasis, StateVector, _full_space_ranks, lowering_map
+from .fock import OccupationBasis, StateVector, _bincount, _full_space_ranks, lowering_map
 from .symtensor import SymmetricTensor4
 
 
@@ -64,7 +64,6 @@ class HamiltonianOperator:
         self.basis = basis
         self.matvec_count = 0
         self._lowering = lowering_map(basis, 2)
-        self._raising = self._lowering.T
         pa, pb = np.triu_indices(basis.n_modes)
         mult = np.where(pa == pb, 1.0, 2.0)
         dense = tensor.to_dense()
@@ -90,8 +89,9 @@ class HamiltonianOperator:
         if x.shape != (self.dim,):
             raise InvalidParameterError(f"vector of shape {x.shape}, expected ({self.dim},)")
         self.matvec_count += 1
-        pairs = (self._lowering @ x).reshape(self._weights.shape[0], -1)
-        return self._raising @ (self._weights @ pairs).ravel()
+        sources, coefs = self._lowering.indices, self._lowering.data
+        pairs = (coefs * x[sources]).reshape(self._weights.shape[0], -1)
+        return _bincount(sources, coefs * (self._weights @ pairs).ravel(), self.dim)
 
     def sparse_matrix(self) -> sp.coo_matrix:
         """The operator assembled from its factors, in coordinate format.

@@ -84,8 +84,12 @@ class SpectrumSummary:
 def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     """Krylov tridiagonalization with full reorthogonalization.
 
-    stop_check(values_desc, residuals, first_row) -> bool decides early
-    termination; breakdown (invariant subspace) always terminates.
+    After step k, stop_check(tridiag, beta) -> bool decides early
+    termination.  tridiag is the k x k Lanczos tridiagonal so far, a view
+    into storage that later steps overwrite or regrow, and beta the norm of
+    the next Krylov residual, so the residual of the Ritz pair (theta, u)
+    of tridiag is beta * |u[k-1]|.  Breakdown (invariant subspace) always
+    terminates.
     """
     dim = v0.shape[0]
     start_norm = np.linalg.norm(v0)
@@ -94,64 +98,107 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     complex_vec = np.iscomplexobj(v0)
     q = (v0 / start_norm).astype(np.complex128 if complex_vec else np.float64)
     max_iters = max(1, min(max_iters, dim))
-    # Krylov vectors are contiguous rows; the block doubles when full, so
-    # memory follows the iterations actually run, not max_iters
-    basis_vecs = np.empty((min(max_iters, 8), dim), dtype=q.dtype)
-    alphas: list[float] = []
-    betas: list[float] = []
+    # Krylov vectors are contiguous rows and the tridiagonal a square block;
+    # both double when full, so memory follows the iterations actually run,
+    # not max_iters
+    size = min(max_iters, 8)
+    basis_vecs = np.empty((size, dim), dtype=q.dtype)
+    tridiag = np.zeros((size, size))
     invariant = False
-    exit_beta = 0.0
+    exit_beta = beta = 0.0
+    scale = 1.0  # running max of |alpha| and the beta of every completed step
     k = 0
     while k < max_iters:
-        if k == basis_vecs.shape[0]:
-            grown = np.empty((min(2 * k, max_iters), dim), dtype=q.dtype)
+        if k == size:
+            size = min(2 * k, max_iters)
+            grown = np.empty((size, dim), dtype=q.dtype)
             grown[:k] = basis_vecs
             basis_vecs = grown
+            grown = np.zeros((size, size))
+            grown[:k, :k] = tridiag
+            tridiag = grown
         basis_vecs[k] = q
         w = matvec(q)
         alpha = float(np.real(np.vdot(q, w)))
-        alphas.append(alpha)
+        tridiag[k, k] = alpha
         w = w - alpha * q
-        if betas:
-            w = w - betas[-1] * basis_vecs[k - 1]
+        if k:
+            tridiag[k, k - 1] = tridiag[k - 1, k] = beta
+            w = w - beta * basis_vecs[k - 1]
         # full reorthogonalization, twice for floating-point hygiene
         active = basis_vecs[: k + 1]
         for _ in range(2):
-            w = w - np.conj(active @ np.conj(w)) @ active
+            if complex_vec:
+                w = w - np.conj(active @ np.conj(w)) @ active
+            else:
+                w = w - (active @ w) @ active
         beta = float(np.linalg.norm(w))
         k += 1
-        scale = max(max((abs(a) for a in alphas), default=0.0), max(betas, default=0.0), 1.0)
+        scale = max(scale, abs(alpha))
         if beta <= 1e-13 * scale:
             invariant = True
             exit_beta = 0.0
             break
         exit_beta = beta
-        if stop_check is not None:
-            values, residuals, first_row, _ = _ritz_from_tridiag(alphas, betas, beta)
-            if stop_check(values, residuals, first_row):
-                break
+        if stop_check is not None and stop_check(tridiag[:k, :k], beta):
+            break
         if k >= max_iters:
             break
-        betas.append(beta)
+        scale = max(scale, beta)
         q = w / beta
-    values, residuals, first_row, eigvecs = _ritz_from_tridiag(alphas, betas, exit_beta)
+    values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], exit_beta)
     vectors = basis_vecs[:k].T @ eigvecs
     if invariant:
         residuals = np.zeros_like(residuals)
     return values, vectors, residuals, first_row * start_norm, k, invariant
 
 
-def _ritz_from_tridiag(alphas, betas, beta_last):
-    k = len(alphas)
-    t = np.diag(np.asarray(alphas, dtype=float))
-    if k > 1:
-        off = np.asarray(betas[: k - 1], dtype=float)
-        t += np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(t)
+def _ritz_from_tridiag(tridiag, beta_last):
+    """All Ritz pairs of a Lanczos tridiagonal, by descending value: values,
+    residuals, first eigenvector components and eigenvectors."""
+    vals, vecs = np.linalg.eigh(tridiag)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    residuals = np.abs(beta_last) * np.abs(vecs[k - 1, :])
+    residuals = np.abs(beta_last) * np.abs(vecs[-1, :])
     return vals, residuals, vecs[0, :].copy(), vecs
+
+
+def _top_residuals(tridiag, beta_last, num_wanted):
+    """Residuals of the num_wanted largest Ritz pairs of a Lanczos
+    tridiagonal, and the scale max(1, |Ritz values|), as a rule from the
+    Ritz values alone.
+
+    The residual of the Ritz pair (theta, u) is beta_last * |u[k-1]|
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13).  u is found up to
+    a factor by running the three-term recurrence of (T - theta) u = 0
+    upwards from u[k-1] = 1, which needs every off-diagonal to be nonzero,
+    as Lanczos betas are.  A tiny beta makes the components grow, so they
+    and their running square sum are rescaled before they can overflow.
+    The recurrence leaves row 0 of T unsolved.  Its residual, relative to
+    |u|, is large when u is negligible near the top of T, where the upward
+    recurrence amplifies rounding; then the full decomposition decides.
+    """
+    values = np.linalg.eigvalsh(tridiag)[::-1]
+    scale = max(1.0, abs(float(values[0])), abs(float(values[-1])))
+    diag = tridiag.diagonal().tolist()
+    off = tridiag.diagonal(1).tolist() + [0.0]
+    m = min(num_wanted, values.size)
+    residuals = []
+    for theta in values[:m].tolist():
+        last, lower, upper, norm_sq = 1.0, 1.0, 0.0, 1.0
+        for j in range(len(diag) - 1, 0, -1):
+            lower, upper = -((diag[j] - theta) * lower + off[j] * upper) / off[j - 1], lower
+            norm_sq += lower * lower
+            if abs(lower) > 1e100:
+                shrink = 1.0 / abs(lower)
+                last, lower, upper = last * shrink, lower * shrink, upper * shrink
+                norm_sq *= shrink * shrink
+        norm = norm_sq**0.5
+        if not abs((diag[0] - theta) * lower + off[0] * upper) <= 1e-12 * scale * norm:
+            values, full, _, _ = _ritz_from_tridiag(tridiag, beta_last)
+            return full[:m], max(1.0, float(np.abs(values).max()))
+        residuals.append(abs(beta_last) * last / norm)
+    return np.array(residuals), scale
 
 
 def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wanted: int = 1):
@@ -168,10 +215,9 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
     if max_iters is None:
         max_iters = dim
 
-    def stop(values, residuals, first_row):
-        m = min(num_wanted, values.size)
-        scale = max(1.0, float(np.abs(values).max()))
-        return bool(np.all(residuals[:m] <= tol * scale))
+    def stop(tridiag, beta):
+        residuals, scale = _top_residuals(tridiag, beta, num_wanted)
+        return all(r <= tol * scale for r in residuals)
 
     values, vectors, residuals, start_coeffs, iters, invariant = _lanczos_sweep(
         matvec, v0, max_iters, stop
@@ -296,7 +342,8 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
         max_iters = dim
     state = {"prev_weight": None, "stable": 0}
 
-    def stop(values, residuals, first_row):
+    def stop(tridiag, beta):
+        values, residuals, first_row, _ = _ritz_from_tridiag(tridiag, beta)
         keep = values >= mid
         weight = float(np.sum(np.abs(first_row[keep]) ** 2))
         prev = state["prev_weight"]
@@ -498,6 +545,8 @@ def _solve_nbos_eq(N: int, lambda_bar: float, ensemble: str, hi: float = 64.0) -
     hi_x = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi_x)
+        if not lo < mid < hi_x:
+            break  # lo and hi_x are adjacent floats: later steps change nothing
         if gap(mid) >= 0.0:
             hi_x = mid
         else:

@@ -152,10 +152,10 @@ class TestDetect:
 
         original = cli._run_one_detection
 
-        def spiked_runs_out_of_memory(config, params, spiked, trial):
+        def spiked_runs_out_of_memory(config, cfg, params, spiked, trial):
             if spiked:
                 raise MemoryError("simulated allocation failure")
-            return original(config, params, spiked, trial)
+            return original(config, cfg, params, spiked, trial)
 
         monkeypatch.setattr(cli, "_run_one_detection", spiked_runs_out_of_memory)
         out = tmp_path / "oom.json"
@@ -169,6 +169,15 @@ class TestDetect:
 
     def test_validation_exit_code(self):
         assert run(["detect", "--N", "0", "--nbos", "4", "--lambda", "0.5"]) == 2
+
+    @pytest.mark.parametrize("method", ["projection", "spectral"])
+    def test_invalid_detection_option_fails_before_the_sweep(self, tmp_path, method):
+        # one invalid option is one validation error, as under recover, not
+        # an error row per draw
+        out = tmp_path / "d.json"
+        assert run(["detect", "--method", method, "--N", "3", "--nbos", "4",
+                    "--lambda", "0.5", "--cprime", "1.5", "--out", out]) == 2
+        assert not out.exists()
 
     def test_capacity_exit_code(self, tmp_path):
         out = tmp_path / "c.json"

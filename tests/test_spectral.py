@@ -1,12 +1,17 @@
 """Lanczos, filtered projection, dense spectra, analytic thresholds, and
 the density-of-states estimator."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tensorpca
 from tensorpca import (
     CapacityError,
     ConvergenceError,
@@ -16,16 +21,26 @@ from tensorpca import (
     analytic_bounds,
     build_basis,
     density_of_states,
+    detect_spectral,
     full_spectrum,
     lanczos,
     leading_eigenvalue,
     make_spiked,
     project_above,
     sample_gaussian_tensor,
+    sample_instance,
     sample_signal,
 )
+from tensorpca import spectral
 from tensorpca._util import derived_rng
-from tensorpca.spectral import _e_max_at, _e_zero_at
+from tensorpca.spectral import (
+    _e_max_at,
+    _e_zero_at,
+    _lanczos_sweep,
+    _ritz_from_tridiag,
+    _solve_nbos_eq,
+    _top_residuals,
+)
 from tensorpca.symtensor import rank_one
 
 
@@ -87,6 +102,162 @@ class TestLanczos:
         out = lanczos(m, rng(6).standard_normal(40))
         gram = out.ritz_vectors.T @ out.ritz_vectors
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+
+
+def _tridiag(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def _recorded_tridiagonals(matvec, start, max_iters):
+    """Every (tridiagonal, beta) that a Lanczos sweep hands its stop check."""
+    seen = []
+
+    def record(tridiag, beta):
+        seen.append((tridiag.copy(), beta))
+        return False
+
+    _lanczos_sweep(matvec, start, max_iters, record)
+    return seen
+
+
+def _assert_matches_full_decomposition(tridiag, beta, num_wanted):
+    residuals, scale = _top_residuals(tridiag, beta, num_wanted)
+    values, full_residuals, _, _ = _ritz_from_tridiag(tridiag, beta)
+    full_scale = max(1.0, float(np.abs(values).max()))
+    assert abs(scale - full_scale) <= 1e-12 * full_scale
+    m = min(num_wanted, values.size)
+    assert residuals.shape == (m,)
+    assert np.all(np.abs(residuals - full_residuals[:m]) <= 1e-12 * full_scale)
+
+
+class TestStopCheck:
+    """The values-only residuals of the Lanczos stop check against the full
+    decomposition of the same tridiagonal."""
+
+    def test_random_tridiagonals(self):
+        r = rng(40)
+        for _ in range(60):
+            k = int(r.integers(1, 81))
+            size = 10.0 ** r.uniform(-2.0, 3.0)
+            tridiag = size * _tridiag(r.standard_normal(k), r.uniform(0.05, 1.0, k - 1))
+            _assert_matches_full_decomposition(
+                tridiag, size * r.uniform(0.0, 1.0), int(r.integers(1, 5))
+            )
+
+    @pytest.mark.parametrize("num_wanted", [1, 3])
+    def test_single_step(self, num_wanted):
+        _assert_matches_full_decomposition(np.array([[-3.5]]), 0.25, num_wanted)
+
+    @pytest.mark.parametrize("num_wanted", [1, 3])
+    def test_sixty_steps_on_h(self, num_wanted):
+        h = HamiltonianOperator(sample_gaussian_tensor(6, rng(41)), build_basis(6, 4))
+        seen = _recorded_tridiagonals(h.matvec, rng(42).standard_normal(h.dim), 60)
+        assert [t.shape[0] for t, _ in seen] == list(range(1, 61))
+        for tridiag, beta in seen:
+            _assert_matches_full_decomposition(tridiag, beta, num_wanted)
+
+    def test_clustered_top_ritz_values(self):
+        diag = np.concatenate([[10.0, 10.0 - 1e-4, 10.0 - 2e-4], 5.0 * rng(43).random(200)])
+        seen = _recorded_tridiagonals(lambda x: diag * x, rng(44).standard_normal(diag.size), 120)
+        for tridiag, beta in seen:
+            _assert_matches_full_decomposition(tridiag, beta, 3)
+
+    @pytest.mark.parametrize("num_wanted", [1, 4])
+    def test_tiny_betas_do_not_overflow(self, num_wanted, monkeypatch):
+        # the top Ritz vectors live in the upper block; below it every beta
+        # is 1e-12 of the scale, so the upward recurrence grows by about
+        # 1e12 a row and overflows unless rescaled
+        r = rng(45)
+        alphas = np.concatenate([8.0 + r.random(20), r.random(30)])
+        betas = np.concatenate([0.5 + r.random(19), np.full(30, 9e-12)])
+        tridiag = _tridiag(alphas, betas)
+        _assert_matches_full_decomposition(tridiag, 1.0, num_wanted)
+
+        def no_full_decomposition(*args):
+            raise AssertionError("the recurrence alone must resolve these residuals")
+
+        # an overflow would end in the full decomposition, correct but slow
+        monkeypatch.setattr(spectral, "_ritz_from_tridiag", no_full_decomposition)
+        _top_residuals(tridiag, 1.0, num_wanted)
+
+    def test_lanczos_stops_only_once_resolved(self):
+        # Lanczos from e_0 on a tridiagonal matrix reproduces it.  Its top
+        # eigenvector is negligible in the upper rows, where the upward
+        # recurrence alone gives residuals far too small for many steps
+        r = rng(46)
+        t = _tridiag(
+            np.concatenate([2.0 * r.random(20), 6.0 + 2.0 * r.random(40)]),
+            0.5 + 0.5 * r.random(59),
+        )
+        out = lanczos(t, np.eye(60)[0], tol=1e-10)
+        assert not out.invariant_subspace and out.iterations < 60
+        assert out.residuals[0] <= 1e-10 * max(1.0, float(np.abs(out.ritz_values).max()))
+        assert out.ritz_values[0] == pytest.approx(np.linalg.eigvalsh(t)[-1], rel=1e-12)
+
+
+class TestPinnedIterations:
+    """Counts and results recorded with a full Ritz decomposition at every
+    Lanczos step.  A stop-check change that moves a stopping step fails
+    here: counts are pinned exactly, floats to rtol 1e-12."""
+
+    @pytest.mark.parametrize(
+        "N, n_bos, lam, seed, matvecs, statistic",
+        [
+            (5, 4, 0.5, 3, 16, 149.6635423880869),
+            (6, 4, 0.0, 11, 32, 44.55038404013186),
+            (4, 6, 0.3, 7, 18, 169.03609357890758),
+        ],
+    )
+    def test_detect_spectral(self, N, n_bos, lam, seed, matvecs, statistic):
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=seed)
+        tensor, _ = sample_instance(params, spiked=lam > 0)
+        rep = detect_spectral(tensor, params, seed=seed)
+        assert rep.query_counts == {"matvec": matvecs}
+        assert rep.statistic == pytest.approx(statistic, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "N, n_bos, seed, num_wanted, iterations, top, last_wanted",
+        [
+            (5, 4, 1, 1, 26, 34.71905699766534, 34.71905699766534),
+            (6, 4, 2, 3, 47, 44.864678289393815, 34.02360586109823),
+            (4, 6, 3, 2, 34, 102.26947286327875, 101.4541525807765),
+        ],
+    )
+    def test_lanczos(self, N, n_bos, seed, num_wanted, iterations, top, last_wanted):
+        h = HamiltonianOperator(sample_gaussian_tensor(N, rng(seed)), build_basis(N, n_bos))
+        start = derived_rng(seed, "pin-start").standard_normal(h.dim)
+        out = lanczos(h, start, tol=1e-10, num_wanted=num_wanted)
+        assert out.iterations == iterations
+        assert out.ritz_values[0] == pytest.approx(top, rel=1e-12)
+        assert out.ritz_values[num_wanted - 1] == pytest.approx(last_wanted, rel=1e-12)
+
+    def test_lanczos_complex_start(self):
+        h = HamiltonianOperator(sample_gaussian_tensor(4, rng(6)), build_basis(4, 4))
+        r = derived_rng(6, "pin-start")
+        start = r.standard_normal(h.dim) + 1j * r.standard_normal(h.dim)
+        out = lanczos(h, start, tol=1e-10)
+        assert out.iterations == 25
+        assert out.ritz_values[0] == pytest.approx(35.80206781148019, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "N, seed, iterations, weight",
+        [(5, 4, 59, 0.2490655424930791), (6, 5, 90, 0.11740795944402037)],
+    )
+    def test_ritz_projector(self, N, seed, iterations, weight):
+        h = HamiltonianOperator(sample_gaussian_tensor(N, rng(seed)), build_basis(N, 4))
+        x = derived_rng(seed, "pin-state").standard_normal(h.dim)
+        _, norm_sq, proj = project_above(h, x / np.linalg.norm(x), 10.0, 16.0, method="ritz")
+        assert proj.degree_or_iters == iterations
+        assert norm_sq == pytest.approx(weight, rel=1e-12)
+
+
+def test_import_leaves_scipy_linalg_out():
+    # importing scipy.linalg adds about 5 MB of resident memory to every
+    # process that imports the package
+    src = str(Path(tensorpca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tensorpca; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestLeadingEigenvalue:
@@ -237,6 +408,33 @@ class TestAnalyticBounds:
         gap = _e_zero_at(b.nbos_eq, 6, 0.05) - _e_max_at(b.nbos_eq, 6, "real")
         assert abs(gap) < 1e-6 * max(1.0, _e_max_at(b.nbos_eq, 6, "real"))
         assert b.nbos_eq_int == int(np.ceil(b.nbos_eq))
+
+    def test_crossing_bisection_stops_at_its_fixed_point(self):
+        def two_hundred_steps(N, lam, ensemble):
+            def gap(n):
+                return _e_zero_at(n, N, lam) - _e_max_at(n, N, ensemble)
+
+            lo, hi_x = 2.0, 64.0
+            if gap(lo) >= 0.0:
+                return 2.0
+            if gap(hi_x) < 0.0:
+                return np.inf
+            for _ in range(200):
+                mid = 0.5 * (lo + hi_x)
+                if gap(mid) >= 0.0:
+                    hi_x = mid
+                else:
+                    lo = mid
+            return hi_x
+
+        roots = 0
+        for ensemble in ("real", "complex"):
+            for N in range(2, 18):
+                for lam in np.geomspace(0.01, 1.0, 52):
+                    root = _solve_nbos_eq(N, lam, ensemble)
+                    assert root == two_hundred_steps(N, lam, ensemble)
+                    roots += 2.0 < root < np.inf
+        assert roots > 500
 
     def test_no_signal_never_crosses(self):
         b = analytic_bounds(ModelParams(N=6, n_bos=4, lambda_bar=0.0))
