@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from math import comb
+from math import comb, log
 
 import numpy as np
 
@@ -22,12 +22,15 @@ class CapacityError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
 
-    Carries the best estimate produced so far in ``best``.
+    Carries the best estimate produced so far in ``best`` and, where the
+    solver states it, the work it spent in ``iterations`` (Krylov steps, or
+    the degree of a polynomial filter).
     """
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best=None, iterations=None):
         super().__init__(message)
         self.best = best
+        self.iterations = iterations
 
 
 # Default size limits.  All are overridable through function arguments;
@@ -71,6 +74,55 @@ def binom_table(max_n: int) -> np.ndarray:
         for b in range(1, a + 1):
             table[a, b] = table[a - 1, b - 1] + table[a - 1, b]
     return table
+
+
+# Rational and asymptotic coefficients of cephes lgam (Moshier, Cephes Math
+# Library), the routine behind scipy.special.gammaln
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x >= 1, operation for operation as cephes lgam, so
+    the result matches scipy.special.gammaln bit for bit."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return log(z)
+        x += p - 2.0
+        num, den = _LGAM_B[0], x + _LGAM_C[0]
+        for b, c in zip(_LGAM_B[1:], _LGAM_C[1:]):
+            num, den = num * x + b, den * x + c
+        return log(z) + x * num / den
+    q = (x - 0.5) * log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, equal bit for bit to scipy.special.gammaln(k + 1)."""
+    return np.array([_lgam(k + 1.0) for k in range(n + 1)])
 
 
 def falling_factorial(n: int, k: int) -> int:

@@ -197,7 +197,12 @@ def cmd_detect(config: RunConfig) -> dict:
     if config.dump_operator:
         # debugging export: the operator of the first spiked instance on the
         # first grid point, in matrix-market format
-        from scipy.io import mmwrite
+        try:
+            from scipy.io import mmwrite
+        except ImportError:
+            raise InvalidParameterError(
+                "--dump-operator needs scipy; install it with pip install 'tensorpca[scipy]'"
+            ) from None
 
         params = config.model_params(
             config.N_list[0], config.nbos_list[0], config.lambda_list[0]
@@ -464,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tol", type=float)
     d.add_argument("--k", type=int, help="multistep depth (projection method)")
     d.add_argument("--dump-operator",
-                   help="write the first instance operator as a matrix-market file")
+                   help="write the first instance operator as a matrix-market file "
+                        "(needs scipy)")
 
     o = subcommand("dos", "density-of-states tables", ("json", "csv"))
     o.add_argument("--xgrid", dest="x_grid", type=_float_list)

@@ -14,9 +14,9 @@ with per-sequence amplitude c_n therefore has occupation amplitude
 sqrt(|S_n|) * c_n.  Oracles for that isometry and a brute-force
 permutation symmetrizer live at the bottom of the module.
 
-lowering_map caches, per basis, the sparse maps that remove one boson
-(a_mu, used by the density matrix) or a pair (a_rho a_sigma, the factor
-the operator H(T) is applied through).
+lowering_map caches, per basis, the maps that remove one boson (a_mu,
+used by the density matrix) or a pair (a_rho a_sigma, the factor the
+operator H(T) is applied through).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln
 
 from ._util import (
     MAX_BASIS_DIM,
@@ -35,6 +33,7 @@ from ._util import (
     InvalidParameterError,
     binom_table,
     load_record,
+    log_factorials,
     save_record,
     symmetric_dimension,
 )
@@ -107,9 +106,8 @@ class OccupationBasis:
     def log_seq_count(self) -> np.ndarray:
         """log |S_n| per basis state, |S_n| = n_bos!/prod(n_mu!)."""
         if self._log_seq_count is None:
-            self._log_seq_count = gammaln(self.n_bos + 1) - np.sum(
-                gammaln(self.states + 1.0), axis=1
-            )
+            lf = log_factorials(self.n_bos)
+            self._log_seq_count = lf[self.n_bos] - np.sum(lf[self.states], axis=1)
         return self._log_seq_count
 
     def same_space(self, other: "OccupationBasis") -> bool:
@@ -120,14 +118,26 @@ class OccupationBasis:
 
 
 def _enumerate_colex(n_modes: int, n_bos: int) -> np.ndarray:
-    if n_modes == 1:
-        return np.array([[n_bos]], dtype=np.int32)
-    blocks = []
-    for m in range(n_bos + 1):
-        inner = _enumerate_colex(n_modes - 1, n_bos - m)
-        col = np.full((inner.shape[0], 1), m, dtype=np.int32)
-        blocks.append(np.hstack([inner, col]))
-    return np.vstack(blocks)
+    """All occupation vectors in colex order, as an int32 (D, N) array.
+
+    table[s] holds the states of s bosons in the first j modes: those of
+    j - 1 modes and s - m bosons with m appended as mode j, stacked by m.
+    Each table is built once from the one for j - 1 modes.
+    """
+    table = [np.array([[s]], dtype=np.int32) for s in range(n_bos + 1)]
+    for j in range(2, n_modes + 1):
+        grown = []
+        for s in range(n_bos + 1):
+            states = np.empty((symmetric_dimension(j, s), j), dtype=np.int32)
+            row = 0
+            for m in range(s + 1):
+                inner = table[s - m]
+                states[row : row + len(inner), :-1] = inner
+                states[row : row + len(inner), -1] = m
+                row += len(inner)
+            grown.append(states)
+        table = grown
+    return table[n_bos]
 
 
 _BASIS_CACHE: dict[tuple[int, int], OccupationBasis] = {}
@@ -143,20 +153,22 @@ def build_basis(n_modes: int, n_bos: int, max_dim: int = MAX_BASIS_DIM) -> Occup
     return basis
 
 
-_LOWERING_CACHE: dict[tuple[int, int, int], sp.csr_matrix] = {}
+_LOWERING_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def lowering_map(basis: OccupationBasis, bosons: int) -> sp.csr_matrix:
+def lowering_map(basis: OccupationBasis, bosons: int) -> tuple[np.ndarray, np.ndarray]:
     """Memoized stack of the maps that remove one or two bosons from basis.
 
-    bosons=1: an (N*D1, D) CSR whose row block mu is a_mu onto the
-    (n_bos-1)-boson basis of dimension D1.  bosons=2: a (P*D2, D) CSR whose
-    row block p is a_rho a_sigma onto the (n_bos-2)-boson basis, for the
-    P = N(N+1)/2 mode pairs (rho, sigma) in np.triu_indices(N) order; it is
-    composed from the bosons=1 maps.  Every lowered state has exactly one
-    source, so each row holds one entry and the transpose raises bosons
-    back.  With fewer than `bosons` bosons the map has no rows.  Keyed by
-    (N, n_bos) like build_basis.
+    Every lowered state has exactly one source, so the stack is a pair of
+    arrays (sources, coefs) with one entry per row: row i of the map reads
+    basis state sources[i] with coefficient coefs[i], so applying it to x
+    is the gather coefs * x[sources], and its transpose (a scatter onto
+    sources) raises bosons back.  bosons=1: N*D1 rows, row block mu is
+    a_mu onto the (n_bos-1)-boson basis of dimension D1.  bosons=2: P*D2
+    rows, row block p is a_rho a_sigma onto the (n_bos-2)-boson basis, for
+    the P = N(N+1)/2 mode pairs (rho, sigma) in np.triu_indices(N) order;
+    it is composed from the bosons=1 maps.  With fewer than `bosons` bosons
+    the map has no rows.  Keyed by (N, n_bos) like build_basis.
     """
     if bosons not in (1, 2):
         raise InvalidParameterError(f"lowering maps remove 1 or 2 bosons, not {bosons}")
@@ -183,15 +195,12 @@ def lowering_map(basis: OccupationBasis, bosons: int) -> sp.csr_matrix:
         first = lowering_map(basis, 1)  # a_sigma: n_bos -> n_bos - 1
         second = lowering_map(build_basis(n_modes, n_bos - 1), 1)  # a_rho: -> n_bos - 2
         rho, sigma = np.triu_indices(n_modes)
-        mid = second.indices.reshape(n_modes, -1)[rho]
-        sources = first.indices.reshape(n_modes, -1)[sigma[:, None], mid].ravel()
-        coefs = (
-            second.data.reshape(n_modes, -1)[rho]
-            * first.data.reshape(n_modes, -1)[sigma[:, None], mid]
-        ).ravel()
-    lowering = sp.csr_matrix(
-        (coefs, sources, np.arange(sources.size + 1)), shape=(sources.size, basis.dim)
-    )
+        first_sources, first_coefs = (a.reshape(n_modes, -1) for a in first)
+        second_sources, second_coefs = (a.reshape(n_modes, -1) for a in second)
+        mid = second_sources[rho]
+        sources = first_sources[sigma[:, None], mid].ravel()
+        coefs = (second_coefs[rho] * first_coefs[sigma[:, None], mid]).ravel()
+    lowering = (sources, coefs)
     _LOWERING_CACHE[key] = lowering
     return lowering
 

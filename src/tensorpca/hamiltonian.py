@@ -22,14 +22,13 @@ the n_bos-boson to the (n_bos-2)-boson basis, and W is the P x P matrix of
 tensor entries over creation and annihilation pairs, P = N(N+1)/2, with
 multiplicity weights.  A depends only on the basis and is cached by
 fock.lowering_map.  Each row of A has one entry, so a matvec is one
-gather, one P x P GEMM and one scatter.  Dense and sparse matrices are
-assembled from the same factors.
+gather, one P x P GEMM and one scatter.  The dense matrix (and, for
+export, a sparse one) is assembled from the same factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import (
     DENSE_LIMIT,
@@ -89,23 +88,30 @@ class HamiltonianOperator:
         if x.shape != (self.dim,):
             raise InvalidParameterError(f"vector of shape {x.shape}, expected ({self.dim},)")
         self.matvec_count += 1
-        sources, coefs = self._lowering.indices, self._lowering.data
+        sources, coefs = self._lowering
         pairs = (coefs * x[sources]).reshape(self._weights.shape[0], -1)
         return _bincount(sources, coefs * (self._weights @ pairs).ravel(), self.dim)
 
-    def sparse_matrix(self) -> sp.coo_matrix:
-        """The operator assembled from its factors, in coordinate format.
+    def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator's entries as (rows, cols, vals), each of shape
+        (P, P, D2) and read in C order; rows and cols are broadcast views.
 
         For each lowered state and each pair of pair-blocks (p, q), entry
         (s_p, s_q) gets c_p W[p, q] c_q, where row block p of A reads source
-        s_p with coefficient c_p; repeated coordinates add up on conversion.
+        s_p with coefficient c_p; repeated coordinates add up.
         """
         n_pairs = self._weights.shape[0]
-        sources = self._lowering.indices.reshape(n_pairs, -1)
-        coefs = self._lowering.data.reshape(n_pairs, -1)
+        sources, coefs = (a.reshape(n_pairs, -1) for a in self._lowering)
         vals = coefs[:, None, :] * self._weights[:, :, None] * coefs[None, :, :]
         rows = np.broadcast_to(sources[:, None, :], vals.shape)
         cols = np.broadcast_to(sources[None, :, :], vals.shape)
+        return rows, cols, vals
+
+    def sparse_matrix(self):
+        """The operator as a scipy.sparse COO matrix (needs scipy)."""
+        import scipy.sparse as sp
+
+        rows, cols, vals = self._triples()
         return sp.coo_matrix(
             (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(self.dim, self.dim)
         )
@@ -114,14 +120,19 @@ class HamiltonianOperator:
     def materialize_dense(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         """Dense matrix of the operator, symmetrized against roundoff.
 
-        The raw assembly is already symmetric to machine precision; the
-        cleanup (H + H^T)/2 is applied after checking the residue is below
-        1e-12 of the matrix scale.
+        The entries are summed cell by cell in assembly order, as a COO
+        to-dense conversion would.  The raw assembly is already symmetric to
+        machine precision; the cleanup (H + H^T)/2 is applied after checking
+        the residue is below 1e-12 of the matrix scale.
         """
         if self.dim > dense_limit:
             raise CapacityError(f"dense limit {dense_limit} < dimension {self.dim}")
         self.matvec_count += self.dim  # one application per column, however assembled
-        dense = self.sparse_matrix().toarray()
+        rows, cols, vals = self._triples()
+        cells = rows * self.dim
+        cells += cols
+        dense = np.bincount(cells.ravel(), vals.ravel(), self.dim**2).reshape(self.dim, self.dim)
+        del rows, cols, vals, cells  # free the triples before the D x D temporaries below
         scale = max(1.0, float(np.abs(dense).max()))
         asym = float(np.abs(dense - dense.T).max())
         if asym > 1e-12 * scale:

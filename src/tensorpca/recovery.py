@@ -36,7 +36,8 @@ def spdm(x: StateVector, normalization: str = "per_boson") -> SingleParticleDens
         raise InvalidParameterError("density matrix needs a normalized state")
     basis = x.basis
     # rho_{mu nu} = <a_mu x | a_nu x>, with row mu of z holding a_mu x
-    z = (lowering_map(basis, 1) @ x.amps).reshape(basis.n_modes, -1)
+    sources, coefs = lowering_map(basis, 1)
+    z = (coefs * x.amps[sources]).reshape(basis.n_modes, -1)
     rho = z.conj() @ z.T
     if normalization == "per_boson":
         rho = rho / basis.n_bos

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from math import ceil, inf, log
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import (
     DENSE_LIMIT,
@@ -25,16 +24,16 @@ from .instance import ModelParams, sample_gaussian_tensor
 
 
 def _as_operator(op):
-    """Uniform (matvec, dim, basis_or_None) view of the supported operator types."""
+    """Uniform (matvec, dim, basis_or_None) view of the supported operator
+    types: HamiltonianOperator, square numpy arrays, and square matrices with
+    the scipy.sparse interface (shape, dot, toarray)."""
     if isinstance(op, HamiltonianOperator):
         return op.matvec, op.dim, op.basis
-    if isinstance(op, np.ndarray):
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise InvalidParameterError(f"expected a square matrix, got shape {op.shape}")
-        return op.dot, op.shape[0], None
-    if sp.issparse(op):
-        return op.dot, op.shape[0], None
-    raise InvalidParameterError(f"unsupported operator type {type(op)!r}")
+    if not (isinstance(op, np.ndarray) or all(hasattr(op, a) for a in ("shape", "dot", "toarray"))):
+        raise InvalidParameterError(f"unsupported operator type {type(op)!r}")
+    if len(op.shape) != 2 or op.shape[0] != op.shape[1]:
+        raise InvalidParameterError(f"expected a square matrix, got shape {op.shape}")
+    return op.dot, op.shape[0], None
 
 
 def _as_vector(x):
@@ -208,6 +207,8 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
     tol * scale, on Krylov breakdown (exact invariant subspace, flagged,
     not an error), or at max_iters.
     """
+    if num_wanted < 1:
+        raise InvalidParameterError(f"num_wanted must be at least 1, got {num_wanted}")
     matvec, dim, basis = _as_operator(op)
     v0, vec_basis = _as_vector(start)
     if basis is None:
@@ -274,15 +275,10 @@ def full_spectrum(op, dense_limit: int = DENSE_LIMIT) -> SpectrumSummary:
 def _dense_matrix(op, dense_limit: int) -> np.ndarray:
     if isinstance(op, HamiltonianOperator):
         return op.materialize_dense(dense_limit=dense_limit)
-    if isinstance(op, np.ndarray):
-        if op.shape[0] > dense_limit:
-            raise CapacityError(f"dense limit {dense_limit} < dimension {op.shape[0]}")
-        return op
-    if sp.issparse(op):
-        if op.shape[0] > dense_limit:
-            raise CapacityError(f"dense limit {dense_limit} < dimension {op.shape[0]}")
-        return op.toarray()
-    raise InvalidParameterError(f"unsupported operator type {type(op)!r}")
+    _, dim, _ = _as_operator(op)
+    if dim > dense_limit:
+        raise CapacityError(f"dense limit {dense_limit} < dimension {dim}")
+    return op if isinstance(op, np.ndarray) else op.toarray()
 
 
 def project_above(
@@ -378,8 +374,10 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
             achieved += float(residuals[uncertain].max() / scale)
         if achieved > tol:
             raise ConvergenceError(
-                f"filtered projection unresolved near the cutoff (error {achieved:.3e})",
+                f"filtered projection unresolved near the cutoff (error {achieved:.3e}) "
+                f"after {iters} Krylov steps",
                 best=norm_sq,
+                iterations=iters,
             )
         achieved = max(achieved, 1e-14)
     proj = ApproxProjector(e_lower, e_upper, "ritz", iters, achieved_error=achieved)
@@ -442,6 +440,7 @@ def _project_chebyshev(op, matvec, dim, basis, vec, e_lower, e_upper, tol, degre
         raise ConvergenceError(
             f"chebyshev filter error {achieved:.3e} > tol {tol:.3e} at degree {degree}",
             best=achieved,
+            iterations=degree,
         )
 
     # Clenshaw-style three-term recurrence applied to the state

@@ -4,6 +4,7 @@ reproducibility."""
 import argparse
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestDetect:
         mat = mmread(dump).toarray()
         assert mat.shape == (10, 10)
         assert np.abs(mat - mat.T).max() < 1e-12
+
+    def test_operator_dump_without_scipy_names_the_extra(self, tmp_path, monkeypatch, capsys):
+        for name in ("scipy", "scipy.io", "scipy.sparse"):
+            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        dump = tmp_path / "op.mtx"
+        assert run(["detect", "--method", "spectral", "--N", "3", "--nbos", "3",
+                    "--lambda", "0.4", "--trials", "1", "--seed", "13",
+                    "--dump-operator", dump, "--out", tmp_path / "d.json"]) == 2
+        assert "tensorpca[scipy]" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_quantum_methods_run(self, tmp_path):
         for method in ("q-unamp", "q-amp"):

@@ -102,6 +102,20 @@ class TestMatvec:
                 scale = abs(x @ hy) + np.linalg.norm(hx) * np.linalg.norm(y) + 1.0
                 assert abs(lhs - rhs) <= 1e-9 * scale
 
+    @pytest.mark.parametrize(
+        "n_modes, n_bos", [(3, 4), (4, 3), (6, 4), (3, 8), (8, 4), (16, 4), (5, 6)]
+    )
+    def test_dense_assembly_matches_coo_to_dense_bit_for_bit(self, n_modes, n_bos):
+        # materialize_dense sums the same entries in the same order as a
+        # scipy COO to-dense conversion of sparse_matrix()
+        _, h = random_operator(n_modes, n_bos, n_modes * 10 + n_bos)
+        dense = h.materialize_dense()
+        coo = h.sparse_matrix().toarray()
+        expected = coo + coo.T
+        del coo
+        expected /= 2.0
+        assert np.array_equal(dense, expected)
+
 
 class TestFirstQuantizedOracle:
     def test_single_boson_gives_zero(self):

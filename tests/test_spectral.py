@@ -96,6 +96,28 @@ class TestLanczos:
         reconstructed = out.ritz_vectors @ out.start_coeffs
         assert np.allclose(reconstructed, x, atol=1e-10)
 
+    @pytest.mark.parametrize("num_wanted", [0, -1])
+    def test_num_wanted_below_one_rejected(self, num_wanted):
+        # an empty wanted set would stop the sweep after one step
+        with pytest.raises(InvalidParameterError):
+            lanczos(np.diag(np.linspace(0.0, 10.0, 50)), np.ones(50), num_wanted=num_wanted)
+
+    def test_operator_types(self):
+        # scipy matrices pass through the duck-typed (shape, dot, toarray) view
+        m = rng(7).standard_normal((30, 30))
+        m = (m + m.T) / 2
+        start = rng(8).standard_normal(30)
+        expected = lanczos(m, start).ritz_values
+        assert np.allclose(lanczos(sp.csr_matrix(m), start).ritz_values, expected, atol=1e-10)
+        assert np.array_equal(
+            full_spectrum(sp.csr_matrix(m)).eigenvalues, full_spectrum(m).eigenvalues
+        )
+        for op in (m.tolist(), object(), np.ones((3, 4)), sp.csr_matrix(np.ones((3, 4)))):
+            with pytest.raises(InvalidParameterError):
+                lanczos(op, np.ones(3))
+        with pytest.raises(CapacityError):
+            full_spectrum(sp.csr_matrix(m), dense_limit=29)
+
     def test_orthonormal_ritz_vectors(self):
         m = rng(5).standard_normal((40, 40))
         m = (m + m.T) / 2
@@ -251,13 +273,49 @@ class TestPinnedIterations:
         assert norm_sq == pytest.approx(weight, rel=1e-12)
 
 
-def test_import_leaves_scipy_linalg_out():
-    # importing scipy.linalg adds about 5 MB of resident memory to every
-    # process that imports the package
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(tensorpca.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, tensorpca; sys.exit('scipy.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True
+    )
+
+
+def test_import_leaves_scipy_out():
+    # importing scipy.sparse and scipy.special adds about 26 MB of resident
+    # memory to every process that imports the package
+    code = "import sys, tensorpca; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_runtime_without_scipy():
+    # with scipy unimportable, the detectors, the density matrix, the dense
+    # assembly and the power-state embedding still run
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import tensorpca as tp
+from tensorpca.recovery import spdm
+
+params = tp.ModelParams(N=4, n_bos=4, lambda_bar=1.0, seed=11)
+tensor, _ = tp.sample_instance(params, spiked=True, rng=tp.derived_rng(11, "blocked"))
+proj = tp.ModelParams(N=4, n_bos=tp.projection_nbos(params), lambda_bar=1.0, seed=11)
+for method in ("dense", "ritz"):
+    report = tp.detect_projection(tensor, proj, tp.DetectionConfig(projector_method=method), seed=3)
+    assert report.verdict == "spiked", report
+basis = tp.build_basis(4, 8)
+state, _ = tp.embed_power_state(basis, tensor.tensor)
+rho = spdm(state).rho
+assert abs(np.trace(rho) - 1.0) < 1e-12
+dense = tp.HamiltonianOperator(tensor.tensor, tp.build_basis(4, 4)).materialize_dense()
+assert dense.shape == (35, 35)
+"""
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 class TestLeadingEigenvalue:
@@ -339,6 +397,21 @@ class TestProjectAbove:
             project_above(
                 self.a, x, 4.0, 4.2, method="chebyshev", tol=1e-10, chebyshev_degree=8
             )
+
+    @pytest.mark.parametrize(
+        "method, options, iterations, stated",
+        [
+            ("chebyshev", {"chebyshev_degree": 8}, 8, "at degree 8"),
+            ("ritz", {"max_iters": 1}, 1, "after 1 Krylov steps"),
+        ],
+    )
+    def test_unreachable_tolerance_reports_its_iterations(self, method, options, iterations, stated):
+        x = rng(13).standard_normal(16)
+        x /= np.linalg.norm(x)
+        with pytest.raises(ConvergenceError) as exc:
+            project_above(self.a, x, 4.0, 4.2, method=method, tol=1e-10, **options)
+        assert exc.value.iterations == iterations
+        assert stated in str(exc.value)
 
     def test_window_validation(self):
         with pytest.raises(InvalidParameterError):
