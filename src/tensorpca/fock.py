@@ -291,16 +291,30 @@ def tensor_occupation_amplitudes(t: SymmetricTensor4) -> StateVector:
     The amplitude on the occupation with mode multiset {i,j,k,l} is
     sqrt(|S|) * T_{ijkl} with |S| the number of distinct orderings.
     """
-    n = t.n_modes
-    basis4 = build_basis(n, 4)
-    lay = layout(n)
-    occs = np.zeros((len(lay.tuples), n), dtype=np.int64)
-    rows = np.repeat(np.arange(len(lay.tuples)), 4)
-    np.add.at(occs, (rows, lay.tuples_array.ravel()), 1)
-    ranks = basis4.rank_array(occs)
+    basis4 = build_basis(t.n_modes, 4)
+    ranks, sqrt_orbits = _power_table(basis4)
     amps = np.zeros(basis4.dim, dtype=t.values.dtype)
-    amps[ranks] = np.sqrt(lay.orbit_sizes) * t.values
+    amps[ranks] = sqrt_orbits * t.values
     return StateVector(basis4, amps)
+
+
+_POWER_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _power_table(basis4: OccupationBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized (ranks, sqrt(orbit_sizes)) of the canonical tensor slots on
+    the 4-boson basis: slot i, the sorted tuple {i,j,k,l}, is the occupation
+    state of rank ranks[i].  Keyed by N, as lowering_map is by basis."""
+    n = basis4.n_modes
+    table = _POWER_TABLES.get(n)
+    if table is None:
+        lay = layout(n)
+        occs = np.zeros((lay.size, n), dtype=np.int64)
+        rows = np.repeat(np.arange(lay.size), 4)
+        np.add.at(occs, (rows, lay.tuples_array.ravel()), 1)
+        table = (basis4.rank_array(occs), np.sqrt(lay.orbit_sizes))
+        _POWER_TABLES[n] = table
+    return table
 
 
 def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) -> StateVector:

@@ -21,9 +21,12 @@ where A stacks the pair lowering maps a_rho a_sigma (rho <= sigma) from
 the n_bos-boson to the (n_bos-2)-boson basis, and W is the P x P matrix of
 tensor entries over creation and annihilation pairs, P = N(N+1)/2, with
 multiplicity weights.  A depends only on the basis and is cached by
-fock.lowering_map.  Each row of A has one entry, so a matvec is one
-gather, one P x P GEMM and one scatter.  The dense matrix (and, for
-export, a sparse one) is assembled from the same factors.
+fock.lowering_map.  W is gathered from the canonical tensor storage through
+a P x P table of storage slots that depends only on N and is built once per
+N (_pair_table), so no dense N^4 tensor is built per operator.  Each row of
+A has one entry, so a matvec is one gather, one P x P GEMM and one scatter.
+The dense matrix (and, for export, a sparse one) is assembled from the same
+factors.
 """
 
 from __future__ import annotations
@@ -38,7 +41,30 @@ from ._util import (
     falling_factorial,
 )
 from .fock import OccupationBasis, StateVector, _bincount, _full_space_ranks, lowering_map
-from .symtensor import SymmetricTensor4
+from .symtensor import SymmetricTensor4, layout
+
+
+_PAIR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _pair_table(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized (slots, mult) for the P x P pair-weight matrix W of H(T).
+
+    W[c, a] = mult_c * mult_a * T[mu_c, nu_c, rho_a, sigma_a]: the pair
+    sums run over mu <= nu and rho <= sigma in np.triu_indices order, each
+    off-diagonal pair standing for its two orderings.  slots[c, a] is the
+    canonical storage slot of that entry, read from the dense index (so the
+    dense view's size limit applies), and mult the product mult_c * mult_a;
+    W is then mult * values[slots].
+    """
+    table = _PAIR_TABLES.get(n_modes)
+    if table is None:
+        pa, pb = np.triu_indices(n_modes)
+        single = np.where(pa == pb, 1.0, 2.0)
+        slots = layout(n_modes).dense_index[pa[:, None], pb[:, None], pa[None, :], pb[None, :]]
+        table = (slots, single[:, None] * single[None, :])
+        _PAIR_TABLES[n_modes] = table
+    return table
 
 
 class HamiltonianOperator:
@@ -63,15 +89,8 @@ class HamiltonianOperator:
         self.basis = basis
         self.matvec_count = 0
         self._lowering = lowering_map(basis, 2)
-        pa, pb = np.triu_indices(basis.n_modes)
-        mult = np.where(pa == pb, 1.0, 2.0)
-        dense = tensor.to_dense()
-        # W[c, a] = mult_c * mult_a * T[mu_c, nu_c, rho_a, sigma_a]: the pair
-        # sums run over mu <= nu and rho <= sigma, each off-diagonal pair
-        # standing for its two orderings
-        self._weights = (mult[:, None] * mult[None, :]) * dense[
-            pa[:, None], pb[:, None], pa[None, :], pb[None, :]
-        ]
+        slots, mult = _pair_table(basis.n_modes)
+        self._weights = mult * tensor.values[slots]
 
     @property
     def dim(self) -> int:
@@ -132,12 +151,15 @@ class HamiltonianOperator:
         cells = rows * self.dim
         cells += cols
         dense = np.bincount(cells.ravel(), vals.ravel(), self.dim**2).reshape(self.dim, self.dim)
-        del rows, cols, vals, cells  # free the triples before the D x D temporaries below
-        scale = max(1.0, float(np.abs(dense).max()))
-        asym = float(np.abs(dense - dense.T).max())
+        del rows, cols, vals, cells  # free the triples before the D x D buffer below
+        scale = max(1.0, float(dense.max()), -float(dense.min()))
+        # one D x D buffer holds |H - H^T|, then (H + H^T)/2
+        out = np.subtract(dense, dense.T)
+        asym = float(np.abs(out, out=out).max())
         if asym > 1e-12 * scale:
             raise RuntimeError(f"assembled operator asymmetry {asym:.3e} exceeds tolerance")
-        return (dense + dense.T) / 2.0
+        np.add(dense, dense.T, out=out)
+        return np.divide(out, 2.0, out=out)
 
     def expectation(self, x: StateVector) -> float:
         """<x|H|x> for a normalized state (real up to a checked residue)."""

@@ -131,7 +131,7 @@ def sample_gaussian_tensor(
     if variance_convention not in VARIANCE_CONVENTIONS:
         raise InvalidParameterError(f"unknown variance convention {variance_convention!r}")
     lay = layout(N)
-    m = len(lay.tuples)
+    m = lay.size
     if ensemble == "real":
         vals = rng.standard_normal(m)
     elif ensemble == "complex":
@@ -153,7 +153,7 @@ def noise_power_per_entry(N: int, variance_convention: str = "average") -> float
     if variance_convention == "unit":
         return 1.0
     if variance_convention == "average":
-        return len(layout(N).tuples) / float(N) ** 4
+        return layout(N).size / float(N) ** 4
     raise InvalidParameterError(f"unknown variance convention {variance_convention!r}")
 
 

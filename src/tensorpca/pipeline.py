@@ -558,6 +558,12 @@ def multistep_run(
     the unconditioned success of a fresh unspiked draw at the same size.
     The final verdict compares the level-0 conditional statistic to the
     threshold adjusted for survival of the deeper levels.
+
+    Leaves of equal size and cutoff, and merges of identical children, run
+    the same computation (same pair, seed and basis), so each distinct
+    subsystem is computed once: k=1 at n_bos=8 takes 5 projection steps,
+    not 6.  A per-cascade query count should count a shared subsystem once.
+    The q_j draws are independent per subsystem and never shared.
     """
     t_start = time.perf_counter()
     cfg = cfg or DetectionConfig()
@@ -571,26 +577,36 @@ def multistep_run(
 
     # leaves embed the power input state, internal levels merge pairs of
     # children; once a state is annihilated the success probabilities of
-    # the levels above are 0
+    # the levels above are 0.  A subsystem is keyed by its leaf (size,
+    # cutoff) or by its children's keys and cutoff: equal keys mean the same
+    # computation, so each distinct key is run once
     k_levels = plan.k
-    p_j, states, annihilated = [], [], False
+    done = {}  # key -> (statistic, normalized projected state or None)
+    p_j, keys, annihilated = [], [], False
     for j in range(k_levels, -1, -1):
-        children, states, probs = states, [], []
+        children, keys, probs = keys, [], []
         for idx, size in enumerate(plan.level_sizes[j]):
             cutoff = plan.cutoffs_per_level[j][idx]
             if j == k_levels:
-                out = _filtered_statistic(pair, params, cfg, cutoff, seed, n_bos=size)
+                key = (size, cutoff)
             elif annihilated:
-                states.append(None)
+                keys.append(None)
                 probs.append(0.0)
                 continue
             else:
-                merged, w_merge = symmetrized_product(children[2 * idx], children[2 * idx + 1])
-                out = _project_step(pair, merged, w_merge, params, cfg, cutoff, seed)
-            probs.append(out.statistic)
-            alive = out.proj_weight > 0.0
-            annihilated = annihilated or not alive
-            states.append(out.projected.normalized() if alive else None)
+                key = (children[2 * idx], children[2 * idx + 1], cutoff)
+            if key not in done:
+                if j == k_levels:
+                    out = _filtered_statistic(pair, params, cfg, cutoff, seed, n_bos=size)
+                else:
+                    merged, w_merge = symmetrized_product(done[key[0]][1], done[key[1]][1])
+                    out = _project_step(pair, merged, w_merge, params, cfg, cutoff, seed)
+                alive = out.proj_weight > 0.0
+                done[key] = (out.statistic, out.projected.normalized() if alive else None)
+            statistic, state = done[key]
+            probs.append(statistic)
+            annihilated = annihilated or state is None
+            keys.append(key)
         p_j.insert(0, probs)
 
     # unconditioned unspiked probabilities at every level size

@@ -336,7 +336,7 @@ def project_above(
 def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters):
     if max_iters is None:
         max_iters = dim
-    state = {"prev_weight": None, "stable": 0}
+    state = {"prev_weight": None, "stable": 0, "stopped": False}
 
     def stop(tridiag, beta):
         values, residuals, first_row, _ = _ritz_from_tridiag(tridiag, beta)
@@ -353,7 +353,8 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
             state["stable"] += 1
         else:
             state["stable"] = 0
-        return bool(boundary_ok and state["stable"] >= 2)
+        state["stopped"] = bool(boundary_ok and state["stable"] >= 2)
+        return state["stopped"]
 
     values, vectors, residuals, start_coeffs, iters, invariant = _lanczos_sweep(
         matvec, vec, max_iters, stop
@@ -365,13 +366,23 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
     if invariant:
         achieved = 1e-14
     else:
-        # only weight whose Ritz interval straddles the cut is uncertain;
-        # pairs resolved to one side contribute their mass exactly
-        scale = max(1.0, float(np.abs(values).max()))
-        uncertain = (np.abs(values - mid) <= residuals) & (residuals > tol * scale)
-        achieved = float(np.sum(np.abs(start_coeffs[uncertain]) ** 2))
-        if np.any(uncertain):
-            achieved += float(residuals[uncertain].max() / scale)
+        if state["stopped"]:
+            # the weight is stable: only weight whose Ritz interval
+            # straddles the cut is uncertain
+            scale = max(1.0, float(np.abs(values).max()))
+            uncertain = (np.abs(values - mid) <= residuals) & (residuals > tol * scale)
+            achieved = float(np.sum(np.abs(start_coeffs[uncertain]) ** 2))
+            if np.any(uncertain):
+                achieved += float(residuals[uncertain].max() / scale)
+        else:
+            # cut by max_iters: a Ritz vector with residual r at distance
+            # delta from the cut leaks at most min(1, r/delta) of its mass
+            # across it (Davis & Kahan, SIAM J. Numer. Anal. 7:1, 1970), so
+            # the projected vector is off by at most E and its squared norm
+            # by E (2 sqrt(w) + E)
+            delta = np.maximum(np.abs(values - mid), np.finfo(float).tiny)
+            leak = float(np.sum(np.abs(start_coeffs) * np.minimum(1.0, residuals / delta)))
+            achieved = leak * (2.0 * np.sqrt(norm_sq) + leak)
         if achieved > tol:
             raise ConvergenceError(
                 f"filtered projection unresolved near the cutoff (error {achieved:.3e}) "

@@ -4,12 +4,18 @@ A symmetric tensor is stored as one value per sorted index 4-tuple
 (i <= j <= k <= l), enumerated in lexicographic order.  Permutation
 symmetry is therefore structural: every rearrangement of an index tuple
 reads the same storage slot.  Dense (N, N, N, N) views are available for
-small N as a debug/oracle device and as a fast lookup cache.
+N <= DENSE_TENSOR_LIMIT as a debug/oracle device and for the routines that
+contract the full tensor (boosting, rotations, the first-quantized oracle).
+The dense view is not on the path to H(T): the operator reads its P x P
+pair weights through a per-N slot table taken once from dense_index.  Every
+per-N table (sorted tuples, orbit sizes, dense index) is a numpy build done
+once per N.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -20,21 +26,43 @@ _ORDER = 4
 
 
 class _IndexLayout:
-    """Shared per-N index structures for canonical sorted-tuple storage."""
+    """Shared per-N index structures for canonical sorted-tuple storage.
+
+    tuples_array (M, 4) lists the sorted tuples in lexicographic order, the
+    order of itertools.combinations_with_replacement, and orbit_sizes the
+    number of distinct orderings of each.  Both are built with numpy in
+    O(M); the Python `tuples` list and `index` dict are built only when
+    element access asks for them.
+    """
 
     def __init__(self, n_modes: int):
         self.n_modes = n_modes
-        self.tuples = list(combinations_with_replacement(range(n_modes), _ORDER))
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-        orbit = np.empty(len(self.tuples), dtype=np.int64)
-        for i, t in enumerate(self.tuples):
-            denom = 1
-            for v in set(t):
-                denom *= factorial(t.count(v))
-            orbit[i] = factorial(_ORDER) // denom
-        self.orbit_sizes = orbit
-        self.tuples_array = np.array(self.tuples, dtype=np.int64)
+        # the sorted r-tuples starting at a are a followed by the sorted
+        # (r-1)-tuples whose entries are all >= a: a suffix of the table
+        tuples = np.arange(n_modes, dtype=np.int64)[:, None]
+        for _ in range(_ORDER - 1):
+            starts = np.searchsorted(tuples[:, 0], np.arange(n_modes))
+            lead = np.repeat(np.arange(n_modes, dtype=np.int64), len(tuples) - starts)
+            tuples = np.column_stack([lead, np.concatenate([tuples[s:] for s in starts])])
+        self.tuples_array = tuples
+        self.size = len(tuples)
+        # orbit size 4!/prod(c_v!): along the sorted tuple, multiplying the
+        # running length of each run of equal entries gives prod(c_v!)
+        run = np.ones(self.size, dtype=np.int64)
+        denom = np.ones(self.size, dtype=np.int64)
+        for c in range(1, _ORDER):
+            run = np.where(tuples[:, c] == tuples[:, c - 1], run + 1, 1)
+            denom *= run
+        self.orbit_sizes = factorial(_ORDER) // denom
         self._dense_index = None
+
+    @cached_property
+    def tuples(self) -> list[tuple[int, ...]]:
+        return [tuple(t) for t in self.tuples_array.tolist()]
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {t: i for i, t in enumerate(self.tuples)}
 
     @property
     def dense_index(self) -> np.ndarray:
@@ -45,18 +73,16 @@ class _IndexLayout:
                 raise InvalidParameterError(
                     f"dense order-4 view limited to N <= {DENSE_TENSOR_LIMIT}, got N={n}"
                 )
-            idx = np.empty((n, n, n, n), dtype=np.int64)
-            grid = np.indices((n, n, n, n)).reshape(4, -1)
-            key = np.sort(grid, axis=0)
-            # rank of a sorted tuple in combinations_with_replacement order,
-            # resolved through the dict to keep a single source of truth
-            flat = np.fromiter(
-                (self.index[tuple(key[:, c])] for c in range(key.shape[1])),
-                dtype=np.int64,
-                count=key.shape[1],
-            )
-            idx.ravel()[:] = flat
-            self._dense_index = idx
+            # scatter each slot to every ordering of its tuple; orderings
+            # that coincide (repeated indices) write the same slot.  The
+            # ordering perm of tuple t sits at flat position
+            # sum_c t[perm[c]] * n**(3 - c) = t @ strides[argsort(perm)].
+            flat = np.empty(n**_ORDER, dtype=np.int64)
+            strides = n ** np.arange(_ORDER - 1, -1, -1)
+            slots = np.arange(self.size)
+            for perm in permutations(range(_ORDER)):
+                flat[self.tuples_array @ strides[np.argsort(perm)]] = slots
+            self._dense_index = flat.reshape((n,) * _ORDER)
         return self._dense_index
 
 
@@ -85,9 +111,9 @@ class SymmetricTensor4:
     def __init__(self, n_modes: int, values: np.ndarray):
         lay = layout(n_modes)
         values = np.asarray(values)
-        if values.shape != (len(lay.tuples),):
+        if values.shape != (lay.size,):
             raise InvalidParameterError(
-                f"expected {len(lay.tuples)} canonical entries for N={n_modes}, "
+                f"expected {lay.size} canonical entries for N={n_modes}, "
                 f"got shape {values.shape}"
             )
         dtype = np.complex128 if np.iscomplexobj(values) else np.float64
@@ -97,7 +123,7 @@ class SymmetricTensor4:
     # -- constructors -------------------------------------------------
     @classmethod
     def zeros(cls, n_modes: int, complex_values: bool = False) -> "SymmetricTensor4":
-        m = len(layout(n_modes).tuples)
+        m = layout(n_modes).size
         dtype = np.complex128 if complex_values else np.float64
         return cls(n_modes, np.zeros(m, dtype=dtype))
 
@@ -116,7 +142,7 @@ class SymmetricTensor4:
         if symmetrize:
             dense = symmetrize_dense(dense)
         lay = layout(n)
-        vals = np.array([dense[t] for t in lay.tuples])
+        vals = dense[tuple(lay.tuples_array.T)]
         tensor = cls(n, vals)
         if not symmetrize:
             # cheap spot check that the caller really passed a symmetric array
@@ -178,8 +204,6 @@ class SymmetricTensor4:
 
 def symmetrize_dense(dense: np.ndarray) -> np.ndarray:
     """Average a dense order-4 array over all 24 index permutations."""
-    from itertools import permutations
-
     acc = np.zeros_like(np.asarray(dense, dtype=np.result_type(dense, np.float64)))
     for perm in permutations(range(4)):
         acc += np.transpose(dense, perm)

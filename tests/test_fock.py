@@ -2,6 +2,7 @@
 validated against."""
 
 import json
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -33,7 +34,7 @@ from tensorpca.fock import (
     symmetrize_full,
     tensor_occupation_amplitudes,
 )
-from tensorpca.symtensor import SymmetricTensor4, rank_one
+from tensorpca.symtensor import SymmetricTensor4, layout, rank_one
 
 
 def rng(seed=0):
@@ -188,6 +189,24 @@ class TestProductEmbedding:
 
 
 class TestPowerEmbedding:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 7, 16])
+    def test_cached_table_matches_per_call_ranking(self, n_modes):
+        # the slot -> occupation rank table is built once per N; rank every
+        # slot from its sorted tuple here, as each call once did
+        basis4 = build_basis(n_modes, 4)
+        for seed, ensemble in ((1, "real"), (2, "complex"), (3, "real")):
+            t = sample_gaussian_tensor(n_modes, rng(seed), ensemble=ensemble)
+            ranks = [
+                basis4.rank(np.bincount(tup, minlength=n_modes))
+                for tup in combinations_with_replacement(range(n_modes), 4)
+            ]
+            orbits = layout(n_modes).orbit_sizes
+            expected = np.zeros(basis4.dim, dtype=t.values.dtype)
+            expected[ranks] = np.sqrt(orbits) * t.values
+            got = tensor_occupation_amplitudes(t)
+            assert got.amps.dtype == expected.dtype
+            assert np.array_equal(got.amps, expected)
+
     def test_single_block_is_tensor_coefficients(self):
         t = sample_gaussian_tensor(3, rng(2))
         basis = build_basis(3, 4)

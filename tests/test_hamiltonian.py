@@ -1,6 +1,8 @@
 """The implicit operator against its dense oracles, plus the closed-form
 moments of the aligned-frame condensate state."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from tensorpca import (
     sample_gaussian_tensor,
     sample_signal,
 )
-from tensorpca._util import derived_rng, falling_factorial
+from tensorpca._util import DENSE_TENSOR_LIMIT, derived_rng, falling_factorial
 from tensorpca.fock import StateVector
 from tensorpca.hamiltonian import symmetric_isometry
 from tensorpca.symtensor import SymmetricTensor4, rank_one
@@ -115,6 +117,42 @@ class TestMatvec:
         del coo
         expected /= 2.0
         assert np.array_equal(dense, expected)
+
+    def test_dense_assembly_peak_memory(self):
+        # the asymmetry check and (H + H^T)/2 share one preallocated buffer,
+        # so the peak is the raw assembly plus the result
+        _, h = random_operator(12, 4, 124)
+        h.materialize_dense()  # warm the lowering maps outside the trace
+        tracemalloc.start()
+        try:
+            dense = h.materialize_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * dense.nbytes
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 6, 16, 24])
+    def test_pair_weights_match_dense_gather_bit_for_bit(self, n_modes):
+        # W read through the per-N slot table equals the gather from the
+        # dense N^4 tensor it replaced
+        t = sample_gaussian_tensor(n_modes, rng(n_modes))
+        h = HamiltonianOperator(t, build_basis(n_modes, 2))
+        pa, pb = np.triu_indices(n_modes)
+        mult = np.where(pa == pb, 1.0, 2.0)
+        dense = t.to_dense()
+        expected = (mult[:, None] * mult[None, :]) * dense[
+            pa[:, None], pb[:, None], pa[None, :], pb[None, :]
+        ]
+        assert h._weights.dtype == expected.dtype
+        assert np.array_equal(h._weights, expected)
+        again = HamiltonianOperator(t * 0.5, build_basis(n_modes, 3))
+        assert np.array_equal(again._weights, 0.5 * expected)
+
+    def test_pair_table_keeps_the_dense_limit(self):
+        n_modes = DENSE_TENSOR_LIMIT + 1
+        t = SymmetricTensor4.zeros(n_modes)
+        with pytest.raises(InvalidParameterError, match="dense order-4 view"):
+            HamiltonianOperator(t, build_basis(n_modes, 1))
 
 
 class TestFirstQuantizedOracle:

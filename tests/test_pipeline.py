@@ -31,6 +31,7 @@ from tensorpca import (
     simulate_quantum_amplified,
     simulate_quantum_unamplified,
 )
+from tensorpca import pipeline
 from tensorpca._util import derived_rng
 from tensorpca.hamiltonian import HamiltonianOperator
 from tensorpca.pipeline import repeated_measurement
@@ -407,6 +408,58 @@ class TestMultistep:
         assert np.mean(chains) <= 1.15 * np.mean(q0s)
         t0, _ = sample_instance(params, spiked=True, rng=derived_rng(66, "k2s", 0))
         assert multistep_run(t0, params, cfg=cfg, seed=0, k=2).verdict == "spiked"
+
+    @pytest.mark.parametrize(
+        "n_bos, k, spiked, steps, expected",
+        [
+            # (verdict, statistic, threshold, p_j, q_j, chain_product, cost_estimate)
+            (8, 1, False, 5, (
+                "spiked", 0.3206019606161393, 9.491012625759479e-07,
+                ((0.3206019606161393,), (0.713234562631077, 0.713234562631077)),
+                (0.4047972564087539, 0.4135608923000641), 0.1630913527232662,
+                2237.904822215297,
+            )),
+            (8, 1, True, 5, (
+                "spiked", 0.3473382761107564, 1.1599399234164054e-06,
+                ((0.3473382761107564,), (0.6451651616371794, 0.6451651616371794)),
+                (0.4047972564087539, 0.4135608923000641), 0.1445754191700536,
+                2237.904822215297,
+            )),
+            (16, 2, False, 10, (
+                "spiked", 0.29145280694361764, 8.851522989898731e-11,
+                ((0.29145280694361764,), (0.35786471596935093,) * 2, (0.6734024858354273,) * 4),
+                (0.07236874048880233, 0.1757730818132131, 0.7373504162342559),
+                0.007675467990149837, 1819321.8667112803,
+            )),
+            (16, 2, True, 10, (
+                "spiked", 0.3060675549457585, 7.850056943265081e-11,
+                ((0.3060675549457585,), (0.36845894908841764,) * 2, (0.6838736961040148,) * 4),
+                (0.07236874048880233, 0.1757730818132131, 0.7373504162342559),
+                0.009088644392116702, 1819321.8667112803,
+            )),
+        ],
+    )
+    def test_shared_subsystems_run_once(self, monkeypatch, n_bos, k, spiked, steps, expected):
+        # equal leaves and merges of identical children are one computation;
+        # the unspiked q_j draws are one step per subsystem.  k=1 takes
+        # 1 + 1 + (1 + 2) steps, k=2 takes 1 + 1 + 1 + (1 + 2 + 4).  The
+        # reports were recorded, with one BLAS thread as the test session
+        # pins, when every subsystem ran on its own.
+        calls = []
+        step = pipeline._project_step
+
+        def counting(*args):
+            calls.append(args[1].basis.n_bos)
+            return step(*args)
+
+        monkeypatch.setattr(pipeline, "_project_step", counting)
+        params = ModelParams(N=3, n_bos=n_bos, lambda_bar=0.03, seed=55)
+        t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(55, "pin", k))
+        ms = multistep_run(t0, params, cfg=DetectionConfig(), seed=7, k=k)
+        assert len(calls) == steps
+        got = (ms.verdict, ms.statistic, ms.threshold, ms.p_j, ms.q_j, ms.chain_product,
+               ms.cost_estimate)
+        assert got == expected
 
     def test_cost_estimate_formula(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=14)

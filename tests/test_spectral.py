@@ -413,6 +413,32 @@ class TestProjectAbove:
         assert exc.value.iterations == iterations
         assert stated in str(exc.value)
 
+    def test_ritz_cut_by_max_iters_bounds_its_error(self):
+        # two Krylov steps leave weight 0.647946985716417 against the exact
+        # 0.6479636514752178 (error 1.7e-5); a pair resolved to one side of
+        # the cut still holds misassigned mass, so the cut exit must raise
+        x = rng(13).standard_normal(16)
+        x /= np.linalg.norm(x)
+        exact = float(np.sum(x[:4] ** 2))
+        with pytest.raises(ConvergenceError) as exc:
+            project_above(self.a, x, 4.0, 4.2, method="ritz", tol=1e-10, max_iters=2)
+        assert exc.value.iterations == 2
+        assert abs(exc.value.best - exact) > 1e-6
+        _, w, proj = project_above(self.a, x, 4.0, 4.2, method="ritz", tol=1e-10, max_iters=None)
+        assert w == pytest.approx(exact, abs=1e-12)
+        assert proj.achieved_error <= 1e-10
+
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_ritz_cut_by_max_iters_reports_a_true_bound(self, seed):
+        # an accepted cut reports a bound on the distance to the exact
+        # weight, not the 1e-14 of a resolved sweep
+        x = rng(seed).standard_normal(16)
+        x /= np.linalg.norm(x)
+        exact = float(np.sum(x[:4] ** 2))
+        _, w, proj = project_above(self.a, x, 4.0, 4.2, method="ritz", tol=0.05, max_iters=2)
+        assert proj.degree_or_iters == 2
+        assert 1e-6 < abs(w - exact) <= proj.achieved_error <= 0.05
+
     def test_window_validation(self):
         with pytest.raises(InvalidParameterError):
             project_above(self.a, np.eye(16)[0], 6.0, 4.0)
