@@ -10,7 +10,7 @@ separation each statistic achieves.
 import numpy as np
 
 import tensorpca as tp
-from tensorpca._util import derived_rng
+from tensorpca import derived_rng
 
 N, N_BOS, TRIALS, SEED = 6, 4, 25, 2024
 

@@ -11,7 +11,7 @@ the same instances.
 import numpy as np
 
 import tensorpca as tp
-from tensorpca._util import derived_rng
+from tensorpca import derived_rng
 
 N, N_BOS, SEED, TRIALS = 6, 4, 77, 20
 bounds_unit = tp.analytic_bounds(tp.ModelParams(N=N, n_bos=N_BOS, lambda_bar=1.0))

@@ -10,7 +10,7 @@ unit-query estimate improves on the single-shot amplified cost.
 import numpy as np
 
 import tensorpca as tp
-from tensorpca._util import derived_rng
+from tensorpca import derived_rng
 
 N, N_BOS, LAM, SEED, TRIALS = 3, 8, 0.03, 909, 15
 params = tp.ModelParams(N=N, n_bos=N_BOS, lambda_bar=LAM, seed=SEED)

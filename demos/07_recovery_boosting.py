@@ -10,7 +10,7 @@ correlation to 1.  Recovery is only defined up to a global sign.
 import numpy as np
 
 import tensorpca as tp
-from tensorpca._util import derived_rng
+from tensorpca import derived_rng
 
 N, N_BOS, LAM, SEED, TRIALS = 16, 4, 0.12, 515, 8
 params = tp.ModelParams(N=N, n_bos=N_BOS, lambda_bar=LAM, seed=SEED)
@@ -22,13 +22,12 @@ print(f"{'trial':>5} {'statistic':>10} {'corr(candidate)':>16} {'corr(boosted)':
 for trial in range(TRIALS):
     rng = derived_rng(SEED, "recover-demo", trial)
     tensor, v_sig = tp.sample_instance(params, spiked=True, rng=rng)
-    outcome = tp.projection_statistic(tensor, params, cfg, seed=trial)
-    if outcome.statistic < thr:
-        print(f"{trial:>5} {outcome.statistic:>10.5f}  below threshold, no recovery")
+    det = tp.detect_projection(tensor, params, cfg, seed=trial)
+    if not det.spiked:
+        print(f"{trial:>5} {det.statistic:>10.5f}  below threshold, no recovery")
         continue
-    rep = tp.recovery_chain(outcome.projected.normalized(), tensor, v_reference=v_sig,
-                            seed=trial)
-    print(f"{trial:>5} {outcome.statistic:>10.5f} {abs(rep.corr_initial):>16.4f} "
+    rep = tp.recovery_chain(det.state.normalized(), tensor, v_reference=v_sig, seed=trial)
+    print(f"{trial:>5} {det.statistic:>10.5f} {abs(rep.corr_initial):>16.4f} "
           f"{abs(rep.corr_boosted):>14.4f} {rep.iterations_used:>6}")
 
 print("\nweak starts also boost: planting a candidate with correlation 0.4")

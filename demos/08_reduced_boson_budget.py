@@ -14,7 +14,7 @@ is still polynomially large, cf. 04_density_of_states.py).
 import numpy as np
 
 import tensorpca as tp
-from tensorpca._util import derived_rng
+from tensorpca import derived_rng
 
 N, SEED, TRIALS = 6, 1313, 20
 target_cross = 8.0

@@ -45,6 +45,7 @@ from .instance import (
     save_tensor,
 )
 from .pipeline import (
+    DETECTORS,
     CostExponentTable,
     DetectionConfig,
     DetectionReport,

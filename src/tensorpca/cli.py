@@ -1,9 +1,13 @@
 """Experiment harness: seeded, reproducible runs of every pipeline with
 JSON/CSV report emission.
 
-Subcommands: gen, detect, dos, recover, exponents.  Reports embed their
-effective configuration and are byte-identical across reruns with the same
-seed; volatile fields (wall time) are never serialized.
+Subcommands: gen, detect, dos, recover, exponents.  The harness only
+samples instances, loops over the grid and trials, and writes reports:
+every detection decision belongs to the detectors of `pipeline.DETECTORS`,
+whose reports hand over their serialized row and the state that recovery
+starts from.  Reports embed their effective configuration and are
+byte-identical across reruns with the same seed; volatile fields (wall
+time) are never serialized.
 
 Exit codes: 0 success, 2 validation error, 3 capacity error,
 4 convergence error.
@@ -19,9 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, pipeline
+from . import __version__
 from ._util import (
-    DENSE_LIMIT,
     CapacityError,
     ConvergenceError,
     InvalidParameterError,
@@ -31,22 +34,9 @@ from ._util import (
 from .fock import build_basis, load_state
 from .hamiltonian import HamiltonianOperator
 from .instance import ModelParams, load_tensor, sample_instance, save_tensor
-from .pipeline import (
-    DetectionConfig,
-    _spectral_threshold,
-    _verdict,
-    cost_exponents,
-    detect_projection,
-    detect_spectral,
-    multistep_run,
-    p_threshold,
-    simulate_quantum_amplified,
-    simulate_quantum_unamplified,
-)
+from .pipeline import DETECTORS, DetectionConfig, cost_exponents, multistep_run
 from .recovery import recovery_chain
-from .spectral import density_of_states, leading_eigenvalue
-
-METHODS = ("spectral", "projection", "q-unamp", "q-amp")
+from .spectral import density_of_states
 
 
 @dataclass
@@ -63,15 +53,15 @@ class RunConfig:
     seed: int = 0
     trials: int = 1
     method: str = "projection"
-    c_prime: float = 0.2
-    slack: float = 10.0
-    c_doubleprime: float = 20.0
-    tol: float = 1e-8
+    c_prime: float = DetectionConfig.c_prime
+    slack: float = DetectionConfig.slack
+    c_doubleprime: float = DetectionConfig.c_doubleprime
+    tol: float = DetectionConfig.tol
     k: int = 0
     out: str = "report.json"
     fmt: str = "json"
     dump_operator: str | None = None
-    dense_limit: int = DENSE_LIMIT
+    dense_limit: int = DetectionConfig.dense_limit
     threads: int = 1
     ensemble: str = "real"
     unspiked: bool = False
@@ -83,6 +73,12 @@ class RunConfig:
     logs: list = field(default_factory=list)
 
     def detection_config(self) -> DetectionConfig:
+        """The detector knobs, validated together with the method name, so a
+        bad option fails the command before any trial runs."""
+        if self.method not in DETECTORS:
+            raise InvalidParameterError(
+                f"unknown method {self.method!r}; choose from {', '.join(DETECTORS)}"
+            )
         return DetectionConfig(
             c_prime=self.c_prime,
             slack=self.slack,
@@ -150,35 +146,13 @@ def cmd_gen(config: RunConfig) -> dict:
 def _run_one_detection(
     config: RunConfig, cfg: DetectionConfig, params: ModelParams, spiked: bool, trial: int
 ):
-    tensor, v = sample_instance(params, spiked=spiked, rng=derived_rng(params.seed, "instance", trial))
+    tensor, _ = sample_instance(params, spiked=spiked, rng=derived_rng(params.seed, "instance", trial))
     trial_seed = params.seed * 1_000_003 + trial
-    if config.method == "spectral":
-        rep = detect_spectral(tensor, params, seed=trial_seed, dense_limit=config.dense_limit)
-    elif config.method == "projection":
-        if config.k > 0:
-            ms = multistep_run(tensor, params, cfg=cfg, seed=trial_seed, k=config.k)
-            return {
-                "algorithm": f"multistep-k{config.k}",
-                "verdict": ms.verdict,
-                "statistic": ms.statistic,
-                "threshold": ms.threshold,
-                "seed": trial_seed,
-                "lambda": tensor.lam,
-                "cost_estimate": ms.cost_estimate,
-                "chain_product": ms.chain_product,
-                "q_j": list(ms.q_j),
-            }
-        rep = detect_projection(tensor, params, cfg, seed=trial_seed)
-    elif config.method == "q-unamp":
-        rep = simulate_quantum_unamplified(tensor, params, cfg, seed=trial_seed)
-    elif config.method == "q-amp":
-        rep = simulate_quantum_amplified(tensor, params, cfg, seed=trial_seed)
+    if config.method == "projection" and config.k > 0:
+        rep = multistep_run(tensor, params, cfg=cfg, seed=trial_seed, k=config.k)
     else:
-        raise InvalidParameterError(f"unknown method {config.method!r}")
-    row = asdict(rep)
-    row.pop("wall_time")  # volatile, never serialized
-    row["lambda"] = tensor.lam
-    return row
+        rep = DETECTORS[config.method](tensor, params, cfg, seed=trial_seed)
+    return {**rep.row(), "lambda": tensor.lam}
 
 
 # failures that turn one trial into an error row instead of ending the sweep
@@ -310,34 +284,22 @@ def cmd_dos(config: RunConfig) -> dict:
     )
 
 
-def _recover_one(config: RunConfig, trial: int) -> dict:
+def _recover_one(config: RunConfig, cfg: DetectionConfig, trial: int) -> dict:
     """One sampled trial of the recovery chain: detect, then recover and
-    boost only on a spiked verdict."""
+    boost from the detector's state only on a spiked verdict."""
     params = config.model_params(config.N_list[0], config.nbos_list[0], config.lambda_list[0])
     tensor, v = sample_instance(
         params, spiked=not config.unspiked, rng=derived_rng(config.seed, "instance", trial)
     )
     trial_seed = config.seed * 1_000_003 + trial
-    cfg = config.detection_config()
-    boost_tensor = tensor
     try:
-        if config.method == "spectral":
-            h = HamiltonianOperator(tensor.tensor, build_basis(params.N, params.n_bos))
-            threshold = _spectral_threshold(params)
-            statistic, state = leading_eigenvalue(h, seed=trial_seed)
-        else:
-            # looked up per trial, so a substituted projection_statistic applies
-            outcome = pipeline.projection_statistic(tensor, params, cfg, seed=trial_seed)
-            statistic, state = outcome.statistic, outcome.projected
-            threshold = p_threshold(params, cfg)
-            if config.boost_with == "tplus":
-                boost_tensor = outcome.pair.t_plus
-        detected = _verdict(statistic, threshold) == "spiked"
-        state = state.normalized() if detected else None
+        det = DETECTORS[config.method](tensor, params, cfg, seed=trial_seed)
+        state = det.state.normalized() if det.spiked else None
     except _TRIAL_ERRORS as exc:
         return {"trial": trial, "error": type(exc).__name__, "message": str(exc)}
-    if not detected:
+    if state is None:
         return {"trial": trial, "detected": False, "status": "detection_failed"}
+    boost_tensor = det.pair.t_plus if config.boost_with == "tplus" and det.pair else tensor
     rep = recovery_chain(state, boost_tensor, v_reference=v, mode=config.mode, seed=trial_seed)
     return {
         "trial": trial,
@@ -377,7 +339,8 @@ def cmd_recover(config: RunConfig) -> dict:
             }
         ]
     else:
-        rows = [_recover_one(config, trial) for trial in range(config.trials)]
+        cfg = config.detection_config()
+        rows = [_recover_one(config, cfg, trial) for trial in range(config.trials)]
     corrs = [r["corr_boosted"] for r in rows if "corr_boosted" in r]
     return _emit(
         config,
@@ -396,25 +359,17 @@ def cmd_exponents(config: RunConfig) -> dict:
     params = config.model_params(
         config.N_list[0], config.nbos_list[0], config.lambda_list[0]
     )
-    measured = {}
+    rows = []
     for path in config.logs:
         with open(path) as fh:
-            data = json.load(fh)
-        for row in data.get("trials", []):
-            if "error" in row:
-                continue
-            name = row.get("algorithm", "unknown")
-            counts = row.get("query_counts") or {}
-            agg = measured.setdefault(name, {})
-            for key, val in counts.items():
-                agg[key] = agg.get(key, 0) + int(val)
-    table = cost_exponents(params)
+            rows.extend(json.load(fh).get("trials", []))
+    table = cost_exponents(params, rows)
     return _emit(
         config,
         nbos_eq=table.nbos_eq if np.isfinite(table.nbos_eq) else None,
         ratios={k: str(v) for k, v in table.ratios.items()},
         exponents={k: (v if np.isfinite(v) else None) for k, v in table.exponents.items()},
-        measured=measured,
+        measured=table.measured,
     )
 
 
@@ -462,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--unspiked", action="store_true")
 
     d = subcommand("detect", "detection sweep with ROC aggregates", ("json", "csv"))
-    d.add_argument("--method", choices=METHODS)
+    d.add_argument("--method", choices=tuple(DETECTORS))
     d.add_argument("--cprime", dest="c_prime", type=float)
     d.add_argument("--slack", type=float)
     d.add_argument("--cdoubleprime", dest="c_doubleprime", type=float)
@@ -476,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--xgrid", dest="x_grid", type=_float_list)
 
     r = subcommand("recover", "detect/project/recover/boost chain", ("json",))
-    r.add_argument("--method", choices=("spectral", "projection"))
+    r.add_argument("--method", choices=tuple(DETECTORS))
     r.add_argument("--cprime", dest="c_prime", type=float)
     r.add_argument("--slack", type=float)
     r.add_argument("--mode", choices=("eig", "randomized"))

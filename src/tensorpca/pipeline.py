@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import asin, ceil, inf, pi, sin, sqrt
 
@@ -80,6 +80,11 @@ class DetectionReport:
     statistic >= threshold; the quantum simulators report the same exact
     statistic but draw their verdict from the simulated measurements
     (verdict_source = "sampled").
+
+    The report also hands over the state that recovery starts from:
+    `state` is the leading eigenvector (spectral) or the filtered input
+    state (projection detectors), and `pair` the decorrelated pair, None
+    for spectral.  Neither is serialized, nor is the volatile wall time.
     """
 
     algorithm: str
@@ -97,10 +102,17 @@ class DetectionReport:
     separation: float | None = None
     query_counts: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    state: StateVector | None = field(default=None, repr=False, compare=False)
+    pair: DecorrelatedPair | None = field(default=None, repr=False, compare=False)
 
     @property
     def spiked(self) -> bool:
         return self.verdict == "spiked"
+
+    def row(self) -> dict:
+        """The serialized report."""
+        unserialized = ("wall_time", "state", "pair")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in unserialized}
 
 
 def _verdict(statistic: float, threshold: float) -> str:
@@ -114,10 +126,6 @@ def _params_echo(params: ModelParams) -> dict:
     d = asdict(params)
     d["zeta"] = params.effective_zeta if params.N >= 2 else params.zeta
     return d
-
-
-def _config_echo(cfg: DetectionConfig) -> dict:
-    return asdict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +188,27 @@ def projection_nbos(params: ModelParams, minimum: int = 4) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_threshold(params: ModelParams) -> float:
-    """The midpoint cut e_cut of the analytic bounds.  At lambda_bar = 0 it
-    is 0, so _verdict reports unspiked: e_cut then falls to e_max/2, below
-    the noise edge, and would flag pure noise."""
-    return analytic_bounds(params).e_cut if params.lambda_bar > 0 else 0.0
-
-
 def detect_spectral(
     t0: SpikedTensor,
     params: ModelParams,
+    cfg: DetectionConfig | None = None,
     seed: int | None = None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> DetectionReport:
-    """Leading-eigenvalue detection against the midpoint threshold."""
+    """Leading-eigenvalue detection against the midpoint cut e_cut of the
+    analytic bounds.
+
+    At lambda_bar = 0 the threshold is 0, so the verdict is unspiked: e_cut
+    then falls to e_max/2, below the noise edge, and would flag pure noise.
+    `cfg` only gives the detectors one signature; no knob in it applies.
+    """
     t_start = time.perf_counter()
     if seed is None:
         seed = params.seed
     basis = build_basis(params.N, params.n_bos)
     h = HamiltonianOperator(t0.tensor, basis)
-    threshold = _spectral_threshold(params)
-    lam1, _ = leading_eigenvalue(h, seed=seed)
-    report = DetectionReport(
+    threshold = analytic_bounds(params).e_cut if params.lambda_bar > 0 else 0.0
+    lam1, vec = leading_eigenvalue(h, seed=seed)
+    return DetectionReport(
         algorithm="spectral",
         verdict=_verdict(lam1, threshold),
         statistic=float(lam1),
@@ -212,8 +219,8 @@ def detect_spectral(
         separation=float(lam1 / threshold) if threshold else None,
         query_counts={"matvec": h.matvec_count},
         wall_time=time.perf_counter() - t_start,
+        state=vec,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +369,12 @@ def _projection_report(
         cutoff_energy=outcome.cutoff,
         seed=int(seed),
         params=_params_echo(params),
-        config=_config_echo(cfg),
+        config=asdict(cfg),
         separation=outcome.statistic / thr if thr else None,
         query_counts={"matvec": outcome.matvec_count, "projector_applications": applications},
         wall_time=time.perf_counter() - t_start,
+        state=outcome.projected,
+        pair=outcome.pair,
         **extra,
     )
 
@@ -467,6 +476,15 @@ def simulate_quantum_amplified(
     )
 
 
+# the detectors by method name; each takes (t0, params, cfg=None, seed=None)
+DETECTORS = {
+    "spectral": detect_spectral,
+    "projection": detect_projection,
+    "q-unamp": simulate_quantum_unamplified,
+    "q-amp": simulate_quantum_amplified,
+}
+
+
 # ---------------------------------------------------------------------------
 # Multistep cascade
 # ---------------------------------------------------------------------------
@@ -538,6 +556,19 @@ class MultistepReport:
     @property
     def spiked(self) -> bool:
         return self.verdict == "spiked"
+
+    def row(self) -> dict:
+        """The serialized summary of the cascade."""
+        return {
+            "algorithm": f"multistep-k{self.plan.k}",
+            "verdict": self.verdict,
+            "statistic": self.statistic,
+            "threshold": self.threshold,
+            "seed": self.seed,
+            "cost_estimate": self.cost_estimate,
+            "chain_product": self.chain_product,
+            "q_j": list(self.q_j),
+        }
 
 
 def multistep_run(
@@ -659,7 +690,7 @@ def multistep_run(
         plan=plan,
         seed=int(seed),
         params=_params_echo(params),
-        config=_config_echo(cfg),
+        config=asdict(cfg),
         wall_time=time.perf_counter() - t_start,
     )
 
@@ -683,7 +714,12 @@ class CostExponentTable:
 
 
 def cost_exponents(params: ModelParams, reports: list | None = None) -> CostExponentTable:
-    """Theoretical exponent table plus measured query counts, if supplied."""
+    """Theoretical exponent table plus measured query counts.
+
+    `reports` holds reports or their serialized rows (as logged by the
+    CLI); the query counts are summed per algorithm, and error rows are
+    skipped.
+    """
     bounds = analytic_bounds(params)
     ratios = {
         "original_classical": Fraction(1, 1),
@@ -697,9 +733,12 @@ def cost_exponents(params: ModelParams, reports: list | None = None) -> CostExpo
     }
     measured = {}
     for rep in reports or []:
-        counts = getattr(rep, "query_counts", None) or {}
-        name = getattr(rep, "algorithm", "unknown")
-        measured[name] = dict(counts)
+        row = rep if isinstance(rep, dict) else rep.row()
+        if "error" in row:
+            continue
+        agg = measured.setdefault(row.get("algorithm", "unknown"), {})
+        for key, val in (row.get("query_counts") or {}).items():
+            agg[key] = agg.get(key, 0) + int(val)
     return CostExponentTable(
         nbos_eq=bounds.nbos_eq, ratios=ratios, exponents=exponents, measured=measured
     )

@@ -58,9 +58,6 @@ class RitzDecomposition:
     invariant_subspace: bool
     basis: OccupationBasis | None = None
 
-    def vector(self, i: int):
-        return _wrap_vector(self.ritz_vectors[:, i], self.basis)
-
 
 @dataclass
 class ApproxProjector:

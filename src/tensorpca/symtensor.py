@@ -186,20 +186,10 @@ class SymmetricTensor4:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def real_part(self) -> "SymmetricTensor4":
-        return SymmetricTensor4(self.n_modes, self.values.real)
-
     def norm(self) -> float:
         """Frobenius norm over all N^4 entries (orbit-weighted)."""
         w = layout(self.n_modes).orbit_sizes
         return float(np.sqrt(np.sum(w * np.abs(self.values) ** 2)))
-
-    def frobenius_inner(self, other: "SymmetricTensor4") -> complex:
-        """Full-entry inner product sum(conj(self) * other)."""
-        self._check_same_shape(other)
-        w = layout(self.n_modes).orbit_sizes
-        val = np.sum(w * np.conj(self.values) * other.values)
-        return complex(val) if self.is_complex or other.is_complex else float(val.real)
 
 
 def symmetrize_dense(dense: np.ndarray) -> np.ndarray:

@@ -9,8 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from tensorpca import load_tensor
-from tensorpca.cli import RunConfig, build_parser, main
+from tensorpca import (
+    DETECTORS,
+    DetectionConfig,
+    InvalidParameterError,
+    derived_rng,
+    load_tensor,
+    sample_instance,
+    simulate_quantum_amplified,
+)
+from tensorpca.cli import RunConfig, build_parser, cmd_detect, cmd_recover, main
 
 
 def run(args):
@@ -59,6 +67,14 @@ class TestParser:
         dests = {a.dest for a in _subparsers()[name]._actions
                  if not isinstance(a, argparse._HelpAction)}
         assert dests <= fields
+
+    def test_detection_defaults_come_from_detection_config(self):
+        assert RunConfig(subcommand="detect").detection_config() == DetectionConfig()
+
+    @pytest.mark.parametrize("name", ["detect", "recover"])
+    def test_method_choices_are_the_detector_table(self, name):
+        (action,) = [a for a in _subparsers()[name]._actions if a.dest == "method"]
+        assert tuple(action.choices) == tuple(DETECTORS)
 
     @pytest.mark.parametrize(
         "args",
@@ -190,6 +206,15 @@ class TestDetect:
                     "--lambda", "0.5", "--cprime", "1.5", "--out", out]) == 2
         assert not out.exists()
 
+    def test_unknown_method_fails_before_any_trial(self, tmp_path):
+        # the parser cannot pass an unknown method; a config built in code can
+        out = tmp_path / "d.json"
+        config = RunConfig(subcommand="detect", method="bogus", N_list=[3], nbos_list=[4],
+                           lambda_list=[0.5], out=str(out))
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            cmd_detect(config)
+        assert not out.exists()
+
     def test_capacity_exit_code(self, tmp_path):
         out = tmp_path / "c.json"
         assert run(["dos", "--N", "6", "--nbos", "6", "--trials", "1",
@@ -311,6 +336,46 @@ class TestRecover:
         rows = json.loads(out.read_text())["trials"]
         assert rows[0]["error"] == "MemoryError"
         assert rows[1]["detected"]
+
+    def test_unknown_method_fails_before_any_trial(self, tmp_path):
+        out = tmp_path / "r.json"
+        config = RunConfig(subcommand="recover", method="bogus", N_list=[4], nbos_list=[4],
+                           lambda_list=[2.5], out=str(out))
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            cmd_recover(config)
+        assert not out.exists()
+
+    def test_detected_exactly_where_detect_says_spiked(self, tmp_path):
+        # both commands draw trial t's spiked instance from
+        # derived_rng(seed, "instance", t) and run the same detector
+        grid = ["--method", "projection", "--N", "3", "--nbos", "4", "--lambda", "0.4",
+                "--slack", "1", "--trials", "6", "--seed", "40"]
+        det, rec = tmp_path / "d.json", tmp_path / "r.json"
+        assert run(["detect", *grid, "--out", det]) == 0
+        assert run(["recover", *grid, "--out", rec]) == 0
+        spiked = [r["verdict"] == "spiked" for r in json.loads(det.read_text())["trials"]
+                  if r["lambda"] > 0]
+        detected = [r["detected"] for r in json.loads(rec.read_text())["trials"]]
+        assert detected == spiked
+        assert any(spiked) and not all(spiked)
+
+    def test_quantum_method_runs_its_own_detector(self, tmp_path):
+        out = tmp_path / "q.json"
+        assert run(["recover", "--method", "q-amp", "--N", "3", "--nbos", "4",
+                    "--lambda", "0.4", "--trials", "4", "--seed", "40", "--out", out]) == 0
+        config = RunConfig(subcommand="recover", N_list=[3], nbos_list=[4], lambda_list=[0.4],
+                           seed=40)
+        params = config.model_params(3, 4, 0.4)
+        expected = []
+        for trial in range(4):
+            tensor, _ = sample_instance(params, spiked=True,
+                                        rng=derived_rng(40, "instance", trial))
+            rep = simulate_quantum_amplified(tensor, params, config.detection_config(),
+                                             seed=40 * 1_000_003 + trial)
+            expected.append(rep.spiked)
+        rows = json.loads(out.read_text())["trials"]
+        assert [r["detected"] for r in rows] == expected
+        assert any(expected) and not all(expected)  # the projection verdicts are all spiked
 
     def test_spectral_route(self, tmp_path):
         out = tmp_path / "s.json"

@@ -1,6 +1,8 @@
 """Detection algorithms, quantum query accounting, and the multistep
 cascade."""
 
+import inspect
+from dataclasses import fields
 from fractions import Fraction
 from math import asin, ceil, pi, sin, sqrt
 
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 
 from tensorpca import (
+    DETECTORS,
     DetectionConfig,
+    DetectionReport,
     InvalidParameterError,
     ModelParams,
     SpikedTensor,
@@ -20,6 +24,7 @@ from tensorpca import (
     detect_projection,
     detect_spectral,
     lambda_effective,
+    leading_eigenvalue,
     make_spiked,
     multistep_plan,
     multistep_run,
@@ -210,6 +215,57 @@ class TestProjectionDetection:
         t0, _ = sample_instance(params, spiked=True)
         with pytest.raises(InvalidParameterError):
             detect_projection(t0, params, DetectionConfig())
+
+
+class TestDetectorTable:
+    """The four detectors share one signature and hand over the state that
+    recovery starts from."""
+
+    def test_one_table_one_signature(self):
+        assert tuple(DETECTORS) == ("spectral", "projection", "q-unamp", "q-amp")
+        for detector in DETECTORS.values():
+            sig = inspect.signature(detector).parameters
+            assert list(sig)[:4] == ["t0", "params", "cfg", "seed"]
+            assert sig["cfg"].default is None and sig["seed"].default is None
+        assert list(inspect.signature(detect_spectral).parameters) == ["t0", "params", "cfg", "seed"]
+
+    def test_spectral_state_is_the_leading_eigenvector(self):
+        params = ModelParams(N=4, n_bos=3, lambda_bar=0.7, seed=21)
+        t0, _ = sample_instance(params, spiked=True)
+        rep = DETECTORS["spectral"](t0, params, seed=21)
+        lam1, vec = leading_eigenvalue(HamiltonianOperator(t0.tensor, build_basis(4, 3)), seed=21)
+        assert rep.statistic == lam1
+        assert np.array_equal(rep.state.amps, vec.amps)
+        assert rep.pair is None
+
+    @pytest.mark.parametrize("method", ["projection", "q-unamp", "q-amp"])
+    def test_projection_state_is_the_filtered_state(self, method):
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=22)
+        t0, _ = sample_instance(params, spiked=True)
+        cfg = DetectionConfig()
+        rep = DETECTORS[method](t0, params, cfg, seed=22)
+        outcome = projection_statistic(t0, params, cfg, seed=22)
+        assert np.array_equal(rep.state.amps, outcome.projected.amps)
+        assert rep.pair is not None
+        assert np.array_equal(rep.pair.t_plus.values, outcome.pair.t_plus.values)
+
+    @pytest.mark.parametrize("method", sorted(DETECTORS))
+    def test_row_serializes_all_but_the_handover(self, method):
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=23)
+        t0, _ = sample_instance(params, spiked=True)
+        row = DETECTORS[method](t0, params, seed=23).row()
+        assert not {"state", "pair", "wall_time"} & set(row)
+        assert set(row) == {f.name for f in fields(DetectionReport)} - {"state", "pair", "wall_time"}
+
+    def test_multistep_row(self):
+        params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=24)
+        t0, _ = sample_instance(params, spiked=True)
+        ms = multistep_run(t0, params, seed=24, k=1)
+        row = ms.row()
+        assert row["algorithm"] == "multistep-k1"
+        assert row["q_j"] == list(ms.q_j)
+        assert (row["verdict"], row["statistic"], row["seed"]) == (ms.verdict, ms.statistic, 24)
+        assert "wall_time" not in row
 
 
 class TestQuantumSimulators:
@@ -490,3 +546,25 @@ class TestCostExponents:
         table = cost_exponents(params, reports=[rep])
         assert "projection" in table.measured
         assert table.measured["projection"]["matvec"] >= 1
+
+    def test_measured_counts_sum_over_reports(self):
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.4, seed=15)
+        reps = []
+        for trial in range(2):
+            t0, _ = sample_instance(params, spiked=True, rng=derived_rng(15, "sum", trial))
+            reps.append(detect_projection(t0, params, DetectionConfig(), seed=trial))
+        table = cost_exponents(params, reports=reps)
+        assert table.measured["projection"] == {
+            "matvec": reps[0].query_counts["matvec"] + reps[1].query_counts["matvec"],
+            "projector_applications": 2,
+        }
+
+    def test_logged_rows_summed_and_error_rows_skipped(self):
+        rows = [
+            {"algorithm": "spectral", "query_counts": {"matvec": 5}},
+            {"error": "CapacityError", "message": "too large"},
+            {"algorithm": "spectral", "query_counts": {"matvec": 7}},
+            {"algorithm": "multistep-k1", "verdict": "unspiked"},
+        ]
+        table = cost_exponents(ModelParams(N=3, n_bos=4, lambda_bar=0.4), reports=rows)
+        assert table.measured == {"spectral": {"matvec": 12}, "multistep-k1": {}}
