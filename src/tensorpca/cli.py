@@ -143,11 +143,16 @@ def cmd_gen(config: RunConfig) -> dict:
     }
 
 
+def _trial_seed(seed: int, trial: int) -> int:
+    """Detector seed of one trial of a sweep seeded with seed."""
+    return seed * 1_000_003 + trial
+
+
 def _run_one_detection(
     config: RunConfig, cfg: DetectionConfig, params: ModelParams, spiked: bool, trial: int
 ):
     tensor, _ = sample_instance(params, spiked=spiked, rng=derived_rng(params.seed, "instance", trial))
-    trial_seed = params.seed * 1_000_003 + trial
+    trial_seed = _trial_seed(params.seed, trial)
     if config.method == "projection" and config.k > 0:
         rep = multistep_run(tensor, params, cfg=cfg, seed=trial_seed, k=config.k)
     else:
@@ -201,7 +206,7 @@ def cmd_detect(config: RunConfig) -> dict:
                                 "error": type(exc).__name__,
                                 "message": str(exc),
                                 "lambda": params.lambda_bar if spiked else 0.0,
-                                "seed": params.seed * 1_000_003 + trial,
+                                "seed": _trial_seed(params.seed, trial),
                             }
                         row["N"] = N
                         row["n_bos"] = n_bos
@@ -291,7 +296,7 @@ def _recover_one(config: RunConfig, cfg: DetectionConfig, trial: int) -> dict:
     tensor, v = sample_instance(
         params, spiked=not config.unspiked, rng=derived_rng(config.seed, "instance", trial)
     )
-    trial_seed = config.seed * 1_000_003 + trial
+    trial_seed = _trial_seed(config.seed, trial)
     try:
         det = DETECTORS[config.method](tensor, params, cfg, seed=trial_seed)
         state = det.state.normalized() if det.spiked else None

@@ -574,10 +574,9 @@ class MultistepReport:
 def multistep_run(
     t0: SpikedTensor,
     params: ModelParams,
-    plan: MultistepPlan | None = None,
     cfg: DetectionConfig | None = None,
     seed: int | None = None,
-    k: int | None = None,
+    k: int = 0,
     pair: DecorrelatedPair | None = None,
 ) -> MultistepReport:
     """Run the cascade bottom-up.
@@ -600,8 +599,7 @@ def multistep_run(
     cfg = cfg or DetectionConfig()
     if seed is None:
         seed = params.seed
-    if plan is None:
-        plan = multistep_plan(params, 0 if k is None else k, cfg)
+    plan = multistep_plan(params, k, cfg)
     params.require_input_state()
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))

@@ -6,7 +6,7 @@ threshold quantities, and density-of-states estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, log
+from math import ceil, erf, inf, log, sqrt
 
 import numpy as np
 
@@ -296,10 +296,15 @@ def project_above(
     weight <= tol; between the cutoffs the filter is monotone but
     otherwise unspecified.  The realized filter cuts at the window
     midpoint: exactly (dense), via Ritz pairs from a Lanczos sweep
-    started at x (ritz), or by a damped polynomial filter (chebyshev).
+    started at x (ritz), or by the Chebyshev series of an erf smooth step
+    whose steepness and degree follow from tol and the window (chebyshev).
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
+    if chebyshev_degree is not None and chebyshev_degree < 1:
+        raise InvalidParameterError(f"chebyshev_degree must be at least 1, got {chebyshev_degree}")
     matvec, dim, op_basis = _as_operator(op)
     vec, vec_basis = _as_vector(x)
     basis = op_basis if op_basis is not None else vec_basis
@@ -323,9 +328,7 @@ def project_above(
         return _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters)
 
     if method == "chebyshev":
-        return _project_chebyshev(
-            op, matvec, dim, basis, vec, e_lower, e_upper, tol, chebyshev_degree
-        )
+        return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
 
     raise InvalidParameterError(f"unknown projector method {method!r}")
 
@@ -392,58 +395,49 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
     return _wrap_vector(projected, basis), norm_sq, proj
 
 
-def _chebyshev_step_coeffs(degree: int, cut: float) -> np.ndarray:
-    """Jackson-damped Chebyshev coefficients of the step 1[t >= cut] on [-1, 1].
+def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
+    """Filter by the Chebyshev series of the smooth step
+    1/2 (1 + erf(kappa (t - c))), in unit coordinates t where c is the window
+    midpoint and h its half-width.
 
-    With theta_c = arccos(cut): a_0 = theta_c/pi, a_k = 2 sin(k theta_c)/(k pi).
+    kappa = sqrt(ln(1/tol)) / h puts the step within tol/2 of 0 at e_lower
+    and of 1 at e_upper, because erfc(x) <= exp(-x^2).  Without a given
+    degree the series is cut where the dropped |coefficients| sum to at
+    most tol/2, so the band error is at most tol.
     """
-    k = np.arange(degree + 1)
-    theta_c = np.arccos(np.clip(cut, -1.0, 1.0))
-    coeffs = np.empty(degree + 1)
-    coeffs[0] = theta_c / np.pi
-    kk = k[1:]
-    coeffs[1:] = 2.0 * np.sin(kk * theta_c) / (kk * np.pi)
-    # Jackson damping suppresses Gibbs oscillation at the jump
-    g = ((degree + 1 - k) * np.cos(np.pi * k / (degree + 1))
-         + np.sin(np.pi * k / (degree + 1)) / np.tan(np.pi / (degree + 1))) / (degree + 1)
-    return coeffs * g
-
-
-def _project_chebyshev(op, matvec, dim, basis, vec, e_lower, e_upper, tol, degree):
+    matvec, dim, _ = _as_operator(op)
     # spectral interval estimate with safety margin from a short sweep
     probe = lanczos(op, vec, max_iters=min(dim, 60), tol=1e-6, num_wanted=1)
     lo = float(probe.ritz_values.min())
     hi = float(probe.ritz_values.max())
     pad = 0.1 * max(hi - lo, 1e-12) + 1e-12
     lo, hi = lo - pad, hi + pad
-    scale_to_unit = lambda e: (2.0 * e - (hi + lo)) / (hi - lo)
-    cut = scale_to_unit(0.5 * (e_lower + e_upper))
+    u_lower, u_upper = ((2.0 * e - (hi + lo)) / (hi - lo) for e in (e_lower, e_upper))
+    log_inv_tol = log(1.0 / tol)
+    kappa = sqrt(log_inv_tol) / (0.5 * (u_upper - u_lower))
+    mid = 0.5 * (u_lower + u_upper)
 
-    def band_error(coeffs):
-        grid = np.linspace(-1.0, 1.0, 4001)
-        tvals = np.polynomial.chebyshev.chebval(grid, coeffs)
-        pass_band = grid >= scale_to_unit(e_upper)
-        stop_band = grid <= scale_to_unit(e_lower)
-        err = 0.0
-        if pass_band.any():
-            err = max(err, float(np.abs(tvals[pass_band] - 1.0).max()))
-        if stop_band.any():
-            err = max(err, float(np.abs(tvals[stop_band]).max()))
-        return err
-
+    # the coefficients fall below tol near degree 2 kappa sqrt(ln(1/tol));
+    # interpolate at twice that many Chebyshev extrema, by a DCT-I through
+    # the FFT of the even extension (O(fit) memory, no Vandermonde matrix)
+    fit = max(min(6000, 16 + int(4.0 * kappa * sqrt(log_inv_tol))), degree or 0)
+    nodes = np.cos(np.pi * np.arange(fit + 1) / fit).tolist()
+    step = np.array([0.5 * (1.0 + erf(kappa * (t - mid))) for t in nodes])
+    coeffs = np.fft.rfft(np.concatenate([step, step[-2:0:-1]])).real / fit
+    coeffs[[0, fit]] *= 0.5
     if degree is None:
-        # grow the degree until the measured band deviation meets tol
-        width = max(scale_to_unit(e_upper) - scale_to_unit(e_lower), 1e-6)
-        degree = max(8, int(ceil(4.0 / width)))
-        coeffs = _chebyshev_step_coeffs(degree, cut)
-        achieved = band_error(coeffs)
-        while achieved > tol and degree < 6000:
-            degree = min(2 * degree, 6000)
-            coeffs = _chebyshev_step_coeffs(degree, cut)
-            achieved = band_error(coeffs)
-    else:
-        coeffs = _chebyshev_step_coeffs(degree, cut)
-        achieved = band_error(coeffs)
+        # dropped[d]: sum of |coeffs[k]| over k > d
+        dropped = np.append(np.cumsum(np.abs(coeffs[:0:-1]))[::-1], 0.0)
+        degree = max(1, int(np.argmax(dropped <= 0.5 * tol)))
+    coeffs = coeffs[: degree + 1]
+
+    # measured band error on a grid that includes both band edges
+    grid = np.clip(np.append(np.linspace(-1.0, 1.0, 4001), [u_lower, u_upper]), -1.0, 1.0)
+    tvals = np.polynomial.chebyshev.chebval(grid, coeffs)
+    achieved = max(
+        float(np.abs(tvals[grid <= u_lower]).max(initial=0.0)),
+        float(np.abs(tvals[grid >= u_upper] - 1.0).max(initial=0.0)),
+    )
     if achieved > tol:
         raise ConvergenceError(
             f"chebyshev filter error {achieved:.3e} > tol {tol:.3e} at degree {degree}",

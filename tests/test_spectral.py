@@ -15,6 +15,7 @@ import tensorpca
 from tensorpca import (
     CapacityError,
     ConvergenceError,
+    DetectionConfig,
     HamiltonianOperator,
     InvalidParameterError,
     ModelParams,
@@ -27,6 +28,7 @@ from tensorpca import (
     leading_eigenvalue,
     make_spiked,
     project_above,
+    projection_statistic,
     sample_gaussian_tensor,
     sample_instance,
     sample_signal,
@@ -359,13 +361,13 @@ class TestProjectAbove:
 
     def test_passband_eigenvector(self):
         x = np.eye(16)[0]
-        for method in ("dense", "ritz"):
+        for method in ("dense", "ritz", "chebyshev"):
             _, w, _ = project_above(self.a, x, 4.0, 6.0, method=method)
             assert w >= 1.0 - 1e-10
 
     def test_stopband_eigenvector(self):
         x = np.eye(16)[8]
-        for method in ("dense", "ritz"):
+        for method in ("dense", "ritz", "chebyshev"):
             _, w, _ = project_above(self.a, x, 4.0, 6.0, method=method)
             assert w <= 1e-10
 
@@ -373,11 +375,11 @@ class TestProjectAbove:
         x = rng(11).standard_normal(16)
         x /= np.linalg.norm(x)
         exact = float(np.sum(x[:4] ** 2))
-        for method in ("dense", "ritz"):
+        for method in ("dense", "ritz", "chebyshev"):
             projected, w, proj = project_above(self.a, x, 4.0, 6.0, method=method)
             assert w == pytest.approx(exact, abs=1e-6)
             assert np.linalg.norm(projected) ** 2 == pytest.approx(w, rel=1e-9)
-        assert proj.achieved_error <= 1e-8
+            assert proj.achieved_error <= 1e-8
 
     def test_chebyshev_filter_contract(self):
         x = rng(12).standard_normal(16)
@@ -439,9 +441,28 @@ class TestProjectAbove:
         assert proj.degree_or_iters == 2
         assert 1e-6 < abs(w - exact) <= proj.achieved_error <= 0.05
 
-    def test_window_validation(self):
+    @pytest.mark.parametrize(
+        "scale, e_lower, e_upper, options",
+        [
+            (1.0, 6.0, 4.0, {}),
+            (1.0, 4.0, 6.0, {"method": "bogus"}),
+            (1.5, 4.0, 6.0, {}),
+            (1.0, 4.0, 6.0, {"method": "chebyshev", "chebyshev_degree": 0}),
+            (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 0.0}),
+            (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 1.0}),
+        ],
+        ids=[
+            "reversed-window",
+            "unknown-method",
+            "unnormalized-state",
+            "degree-below-one",
+            "tol-zero",
+            "tol-one",
+        ],
+    )
+    def test_window_validation(self, scale, e_lower, e_upper, options):
         with pytest.raises(InvalidParameterError):
-            project_above(self.a, np.eye(16)[0], 6.0, 4.0)
+            project_above(self.a, scale * np.eye(16)[0], e_lower, e_upper, **options)
 
     def test_sandwich_with_eigenvalues_inside_the_window(self):
         # the filter is unspecified inside the window but must stay between
@@ -453,9 +474,28 @@ class TestProjectAbove:
         e_lower, e_upper = 4.0, 6.0
         upper_weight = float(np.sum(x[diag > e_upper] ** 2))
         lower_weight = float(np.sum(x[diag > e_lower] ** 2))
-        for method in ("dense", "ritz"):
+        for method in ("dense", "ritz", "chebyshev"):
             _, w, _ = project_above(a, x, e_lower, e_upper, method=method)
             assert upper_weight - 1e-8 <= w <= lower_weight + 1e-8
+
+    @pytest.mark.parametrize("N, n_bos", [(6, 4), (8, 4), (12, 4), (6, 8)])
+    def test_chebyshev_meets_the_dense_contract(self, N, n_bos):
+        # the pipeline's window on a seeded H(t_plus) at the default tol: the
+        # weight lies between the exact weights above e_upper and above
+        # e_lower, widened by tol, at a degree far below the cap of 6000
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.1, seed=N + n_bos)
+        t0, _ = sample_instance(params, spiked=True)
+        cfg = DetectionConfig(projector_method="ritz")
+        out = projection_statistic(t0, params, cfg, seed=params.seed)
+        h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+        _, w, proj = project_above(h, out.input_state, out.e_lower, out.cutoff, method="chebyshev")
+        vals, vecs = np.linalg.eigh(h.materialize_dense())
+        weights = np.abs(vecs.T @ out.input_state.amps) ** 2
+        upper_weight = float(weights[vals >= out.cutoff].sum())
+        lower_weight = float(weights[vals >= out.e_lower].sum())
+        assert upper_weight - 1e-8 <= w <= lower_weight + 1e-8
+        assert proj.achieved_error <= 1e-8
+        assert proj.degree_or_iters <= 1000
 
 
 class TestFullSpectrum:
