@@ -73,11 +73,17 @@ class RunConfig:
     logs: list = field(default_factory=list)
 
     def detection_config(self) -> DetectionConfig:
-        """The detector knobs, validated together with the method name, so a
-        bad option fails the command before any trial runs."""
+        """The detector knobs, validated together with the method name and
+        the cascade depth, so a bad option fails the command before any
+        trial runs."""
         if self.method not in DETECTORS:
             raise InvalidParameterError(
                 f"unknown method {self.method!r}; choose from {', '.join(DETECTORS)}"
+            )
+        if self.k < 0 or (self.k > 0 and self.method != "projection"):
+            raise InvalidParameterError(
+                f"--k {self.k}: the cascade depth must be >= 0, and > 0 only with "
+                "--method projection"
             )
         return DetectionConfig(
             c_prime=self.c_prime,
@@ -304,7 +310,7 @@ def _recover_one(config: RunConfig, cfg: DetectionConfig, trial: int) -> dict:
         return {"trial": trial, "error": type(exc).__name__, "message": str(exc)}
     if state is None:
         return {"trial": trial, "detected": False, "status": "detection_failed"}
-    boost_tensor = det.pair.t_plus if config.boost_with == "tplus" and det.pair else tensor
+    boost_tensor = det.pair.t_plus if config.boost_with == "tplus" else tensor
     rep = recovery_chain(state, boost_tensor, v_reference=v, mode=config.mode, seed=trial_seed)
     return {
         "trial": trial,
@@ -323,7 +329,14 @@ def cmd_recover(config: RunConfig) -> dict:
     Unspiked-verdict trials report detection_failed and skip recovery.
     With --state (plus --tensor for the boosting stage) the chain starts
     from a saved post-projection snapshot instead of detecting afresh.
+    Boosting with t_plus needs the decorrelated pair of a projection
+    detector, which neither the snapshot nor the spectral detector has.
     """
+    if config.boost_with == "tplus" and (config.state_file or config.method == "spectral"):
+        raise InvalidParameterError(
+            "--boost-with tplus needs a projection method and no --state: "
+            "only a projection detector draws the decorrelated pair"
+        )
     if config.state_file:
         if not config.tensor_file:
             raise InvalidParameterError("--state also needs --tensor for the boosting stage")

@@ -243,19 +243,8 @@ class StateVector:
             return complex(val)
         return float(val.real) if np.iscomplexobj(val) else float(val)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amps)
-
     def __repr__(self):
         return f"StateVector({self.basis!r}, norm={self.norm():.6g})"
-
-
-def inner(x: StateVector, y: StateVector) -> complex:
-    return x.inner(y)
-
-
-def norm(x: StateVector) -> float:
-    return x.norm()
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +350,9 @@ def symmetrized_product(x: StateVector, y: StateVector) -> tuple[StateVector, fl
     return StateVector(out_basis, raw.amps / w), float(w)
 
 
-def embed_power_state(
-    basis: OccupationBasis, t: SymmetricTensor4, k: int | None = None
-) -> tuple[StateVector, float]:
-    """Normalized symmetric projection of the k-fold tensor power of |T>.
+def embed_power_state(basis: OccupationBasis, t: SymmetricTensor4) -> tuple[StateVector, float]:
+    """Normalized symmetric projection of the k-fold tensor power of |T>,
+    k = n_bos / 4.
 
     Returns (state, pre_norm) where pre_norm = |Pi_symm |T>^{(x)k}| is the
     norm of the raw projected amplitudes before normalization (the
@@ -372,17 +360,13 @@ def embed_power_state(
     """
     if basis.n_bos % 4 != 0:
         raise InvalidParameterError(f"power state needs n_bos divisible by 4, got {basis.n_bos}")
-    if k is None:
-        k = basis.n_bos // 4
-    if 4 * k != basis.n_bos:
-        raise InvalidParameterError(f"k={k} inconsistent with n_bos={basis.n_bos}")
     if t.n_modes != basis.n_modes:
         raise InvalidParameterError("tensor mode count does not match basis")
     if t.norm() == 0.0:
         raise InvalidParameterError("cannot embed the zero tensor")
     block = tensor_occupation_amplitudes(t)
     raw = block
-    for j in range(1, k):
+    for j in range(1, basis.n_bos // 4):
         raw = _convolve_raw(raw, block, build_basis(basis.n_modes, 4 * (j + 1)))
     pre_norm = raw.norm()
     return StateVector(basis, raw.amps / pre_norm), float(pre_norm)

@@ -4,9 +4,10 @@ and the anti-correlated noise split (t_plus, t_minus).
 Conventions fixed here:
   * signal vectors have norm sqrt(N) exactly;
   * Gaussian tensors are the average over all 24 index permutations of an
-    i.i.d. unit-variance tensor ("average" convention), so the canonical
-    entry for a sorted tuple has variance prod(multiplicities!) / 24; the
-    "unit" convention instead gives every canonical entry unit variance;
+    i.i.d. unit-variance tensor ("average" convention, the permutation-
+    symmetrized spiked Gaussian model of Hastings, arXiv:1907.12724), so
+    the canonical entry for a sorted tuple has variance
+    prod(multiplicities!) / 24;
   * the complex ensemble draws independent real and imaginary parts with
     variance 1/2 each.
 """
@@ -18,10 +19,14 @@ from math import log
 
 import numpy as np
 
-from ._util import InvalidParameterError, derived_rng, load_record, save_record
+from ._util import (
+    InvalidParameterError,
+    derived_rng,
+    load_record,
+    save_record,
+    symmetric_dimension,
+)
 from .symtensor import SymmetricTensor4, layout, rank_one
-
-VARIANCE_CONVENTIONS = ("average", "unit")
 
 
 @dataclass(frozen=True)
@@ -114,10 +119,7 @@ def sample_signal(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_gaussian_tensor(
-    N: int,
-    rng: np.random.Generator,
-    ensemble: str = "real",
-    variance_convention: str = "average",
+    N: int, rng: np.random.Generator, ensemble: str = "real"
 ) -> SymmetricTensor4:
     """Symmetrized Gaussian noise tensor.
 
@@ -128,8 +130,6 @@ def sample_gaussian_tensor(
     """
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
-    if variance_convention not in VARIANCE_CONVENTIONS:
-        raise InvalidParameterError(f"unknown variance convention {variance_convention!r}")
     lay = layout(N)
     m = lay.size
     if ensemble == "real":
@@ -138,23 +138,18 @@ def sample_gaussian_tensor(
         vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
     else:
         raise InvalidParameterError(f"unknown ensemble {ensemble!r}")
-    if variance_convention == "average":
-        vals = vals / np.sqrt(lay.orbit_sizes)
-    return SymmetricTensor4(N, vals)
+    return SymmetricTensor4(N, vals / np.sqrt(lay.orbit_sizes))
 
 
-def noise_power_per_entry(N: int, variance_convention: str = "average") -> float:
+def noise_power_per_entry(N: int) -> float:
     """Mean squared Frobenius norm of the noise tensor divided by N^4.
 
-    This is the s-parameter entering the projection success threshold; it
-    is 1 under the unit convention and (number of canonical entries)/N^4
-    under the average convention.
+    This is the s-parameter entering the projection success threshold.
+    Each canonical entry fills its whole orbit with variance 1/(orbit
+    size), so it adds 1 to the squared norm, and the power is (number of
+    canonical entries)/N^4.
     """
-    if variance_convention == "unit":
-        return 1.0
-    if variance_convention == "average":
-        return layout(N).size / float(N) ** 4
-    raise InvalidParameterError(f"unknown variance convention {variance_convention!r}")
+    return symmetric_dimension(N, 4) / float(N) ** 4
 
 
 def make_spiked(lam: float, v: np.ndarray, g: SymmetricTensor4) -> SpikedTensor:
@@ -193,7 +188,6 @@ def decorrelate(
     rng: np.random.Generator | None = None,
     add_imaginary: bool = False,
     g_prime: SymmetricTensor4 | None = None,
-    variance_convention: str = "average",
 ) -> DecorrelatedPair:
     """Split t0 into (t_plus, t_minus) with anti-correlated extra noise.
 
@@ -219,9 +213,7 @@ def decorrelate(
     if g_prime is None:
         if rng is None:
             raise InvalidParameterError("decorrelate needs an rng when g_prime is not given")
-        g_prime = sample_gaussian_tensor(
-            tensor.n_modes, rng, ensemble="real", variance_convention=variance_convention
-        )
+        g_prime = sample_gaussian_tensor(tensor.n_modes, rng)
     elif g_prime.n_modes != tensor.n_modes:
         raise InvalidParameterError("g_prime mode count does not match the instance")
 
@@ -231,9 +223,7 @@ def decorrelate(
     if add_imaginary:
         if rng is None:
             raise InvalidParameterError("add_imaginary needs an rng")
-        extra = sample_gaussian_tensor(
-            tensor.n_modes, rng, ensemble="real", variance_convention=variance_convention
-        )
+        extra = sample_gaussian_tensor(tensor.n_modes, rng)
         # match the real-noise power of t_minus, which is (1 + zeta^-2) in
         # base-noise units before the overall 1/sqrt(1+zeta^2)
         amp = np.sqrt(1.0 + zeta**-2) * scale

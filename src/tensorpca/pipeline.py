@@ -46,9 +46,9 @@ class DetectionConfig:
         success statistic (the measurement picture where symmetrization is
         itself a projective step).
     add_imaginary: add pure-imaginary noise to t_minus (analysis setting;
-        off by default).
-    s_plus: noise power per entry entering the threshold; None derives it
-        from the variance convention.
+        off by default); the threshold then counts twice the noise power.
+    dense_limit: largest basis dimension the filter projects densely;
+        larger ones use the Ritz projector.
     """
 
     c_prime: float = 0.2
@@ -57,11 +57,7 @@ class DetectionConfig:
     tol: float = 1e-8
     use_symmetrize: bool = True
     add_imaginary: bool = False
-    s_plus: float | None = None
-    projector_method: str = "auto"
-    cutoff_gap: float | None = None
     dense_limit: int = DENSE_LIMIT
-    variance_convention: str = "average"
 
     def __post_init__(self):
         if not 0.0 < self.c_prime < 1.0:
@@ -156,13 +152,11 @@ def p_threshold(params: ModelParams, cfg: DetectionConfig, n_bos: int | None = N
     if lam_minus == 0.0:
         warnings.warn("lambda_bar_minus is zero: projection detection impossible", stacklevel=2)
         return 0.0
-    s_plus = cfg.s_plus
-    if s_plus is None:
-        s_plus = noise_power_per_entry(params.N, cfg.variance_convention)
-        if cfg.add_imaginary:
-            s_plus *= 2.0
+    s = noise_power_per_entry(params.N)
+    if cfg.add_imaginary:
+        s *= 2.0
     signal = lam_minus**2 * params.N**4
-    ratio = signal / (signal + s_plus * params.N**4)
+    ratio = signal / (signal + s * params.N**4)
     return ratio ** (n // 4) / cfg.slack
 
 
@@ -246,13 +240,7 @@ class ProjectionOutcome:
 def _make_pair(
     t0: SpikedTensor, params: ModelParams, cfg: DetectionConfig, rng: np.random.Generator
 ) -> DecorrelatedPair:
-    return decorrelate(
-        t0,
-        params.effective_zeta,
-        rng,
-        add_imaginary=cfg.add_imaginary,
-        variance_convention=cfg.variance_convention,
-    )
+    return decorrelate(t0, params.effective_zeta, rng, add_imaginary=cfg.add_imaginary)
 
 
 def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
@@ -280,18 +268,9 @@ def _project_step(
     """Filter a prepared state above the cutoff under H(t_plus) on its own
     basis, and fold in its symmetric-projection weight when configured."""
     h = HamiltonianOperator(pair.t_plus, state.basis)
-    gap = cfg.cutoff_gap
-    if gap is None:
-        gap = _spectral_range(h, seed) / params.N
-    gap = max(gap, 1e-9 * max(abs(cutoff), 1.0))
+    gap = max(_spectral_range(h, seed) / params.N, 1e-9 * max(abs(cutoff), 1.0))
     projected, weight, _ = project_above(
-        h,
-        state,
-        cutoff - gap,
-        cutoff,
-        tol=cfg.tol,
-        method=cfg.projector_method,
-        dense_limit=cfg.dense_limit,
+        h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
     )
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(
@@ -317,7 +296,7 @@ def _filtered_statistic(
 ) -> ProjectionOutcome:
     """Embed the power input state of t_minus and filter it above the cutoff."""
     n = params.n_bos if n_bos is None else n_bos
-    state, pre_norm = embed_power_state(build_basis(params.N, n), pair.t_minus, n // 4)
+    state, pre_norm = embed_power_state(build_basis(params.N, n), pair.t_minus)
     sym_weight = pre_norm / pair.t_minus.norm() ** (n // 4)
     return _project_step(pair, state, sym_weight, params, cfg, cutoff, seed)
 
@@ -644,10 +623,7 @@ def multistep_run(
         qs = []
         for idx, size in enumerate(level):
             rng_q = derived_rng(seed, f"multistep-unspiked-{j}", idx)
-            g = sample_gaussian_tensor(
-                params.N, rng_q, ensemble=params.ensemble,
-                variance_convention=cfg.variance_convention,
-            )
+            g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
             unsp = SpikedTensor(tensor=g, lam=0.0, provenance="unspiked")
             pair_q = _make_pair(unsp, params, cfg, rng_q)
             cutoff = plan.cutoffs_per_level[j][idx]

@@ -586,7 +586,6 @@ def density_of_states(
     dense_limit: int = DENSE_LIMIT,
     emax_reference: str = "theorem",
     threads: int = 1,
-    variance_convention: str = "average",
 ) -> DosEstimate:
     """Monte-Carlo estimate of the high-eigenvalue fraction of unspiked
     operators, with the per-boson base-N decay exponent.
@@ -609,9 +608,7 @@ def density_of_states(
 
     def one_trial(t: int) -> np.ndarray:
         rng = derived_rng(seed, "dos-trial", t)
-        g = sample_gaussian_tensor(
-            params.N, rng, ensemble=params.ensemble, variance_convention=variance_convention
-        )
+        g = sample_gaussian_tensor(params.N, rng, ensemble=params.ensemble)
         h = HamiltonianOperator(g, basis)
         return full_spectrum(h, dense_limit=dense_limit).eigenvalues
 

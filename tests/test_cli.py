@@ -206,6 +206,15 @@ class TestDetect:
                     "--lambda", "0.5", "--cprime", "1.5", "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, k", [("q-amp", 1), ("q-unamp", 1), ("spectral", 2),
+                                           ("projection", -1)])
+    def test_cascade_depth_outside_projection_fails_before_any_trial(self, tmp_path, method, k):
+        # --k selects the cascade, which only the projection method runs
+        out = tmp_path / "d.json"
+        assert run(["detect", "--method", method, "--k", k, "--N", "3", "--nbos", "8",
+                    "--lambda", "0.5", "--trials", "1", "--out", out]) == 2
+        assert not out.exists()
+
     def test_unknown_method_fails_before_any_trial(self, tmp_path):
         # the parser cannot pass an unknown method; a config built in code can
         out = tmp_path / "d.json"
@@ -312,6 +321,23 @@ class TestRecover:
         (tmp_path / "s.bin").write_bytes((tmp_path / "s.bin").read_bytes()[:-3])
         assert run(["recover", "--state", tmp_path / "s.bin", "--tensor", tmp_path / "t.bin",
                     "--out", tmp_path / "r.json"]) == 2
+
+    def test_tplus_boost_without_a_pair_fails_before_any_trial(self, tmp_path):
+        # the spectral detector and a snapshot carry no decorrelated pair
+        from tensorpca import ModelParams, build_basis, embed_power_state
+        from tensorpca.fock import save_state
+        from tensorpca.instance import save_tensor
+
+        tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+        state, _ = embed_power_state(build_basis(3, 4), tensor.tensor)
+        save_state(tmp_path / "s.json", state)
+        save_tensor(tmp_path / "t.json", tensor)
+        out = tmp_path / "r.json"
+        assert run(["recover", "--method", "spectral", "--boost-with", "tplus", "--N", "4",
+                    "--nbos", "4", "--lambda", "2.0", "--trials", "1", "--out", out]) == 2
+        assert run(["recover", "--state", tmp_path / "s.json", "--tensor", tmp_path / "t.json",
+                    "--boost-with", "tplus", "--out", out]) == 2
+        assert not out.exists()
 
     def test_snapshot_without_tensor_is_a_validation_error(self, tmp_path):
         assert run(["recover", "--state", tmp_path / "missing.json", "--out",

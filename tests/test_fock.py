@@ -25,10 +25,8 @@ from tensorpca.fock import (
     StateVector,
     _enumerate_colex,
     full_to_occupation,
-    inner,
     load_state,
     lowering_map,
-    norm,
     occupation_to_full,
     save_state,
     symmetrize_full,
@@ -145,16 +143,16 @@ class TestStateVector:
         g = rng(1)
         x = StateVector(basis, g.standard_normal(basis.dim))
         y = StateVector(basis, g.standard_normal(basis.dim))
-        assert inner(x, x) == pytest.approx(norm(x) ** 2, rel=1e-12)
+        assert x.inner(x) == pytest.approx(x.norm() ** 2, rel=1e-12)
         xc = StateVector(basis, x.amps + 1j * g.standard_normal(basis.dim))
-        assert inner(xc, y) == pytest.approx(np.conj(inner(y, xc)), abs=1e-12)
-        assert abs(inner(x, y)) <= norm(x) * norm(y) + 1e-12
+        assert xc.inner(y) == pytest.approx(np.conj(y.inner(xc)), abs=1e-12)
+        assert abs(x.inner(y)) <= x.norm() * y.norm() + 1e-12
 
     def test_basis_mismatch_rejected(self):
         x = StateVector(build_basis(3, 2), np.ones(6))
         y = StateVector(build_basis(2, 3), np.ones(4))
         with pytest.raises(InvalidParameterError):
-            inner(x, y)
+            x.inner(y)
 
 
 class TestProductEmbedding:
@@ -210,7 +208,7 @@ class TestPowerEmbedding:
     def test_single_block_is_tensor_coefficients(self):
         t = sample_gaussian_tensor(3, rng(2))
         basis = build_basis(3, 4)
-        state, pre = embed_power_state(basis, t, 1)
+        state, pre = embed_power_state(basis, t)
         block = tensor_occupation_amplitudes(t)
         assert pre == pytest.approx(block.norm(), rel=1e-12)
         assert np.allclose(state.amps, block.amps / block.norm(), atol=1e-12)
@@ -231,7 +229,7 @@ class TestPowerEmbedding:
         n_modes, n_bos = 2, 8
         t = sample_gaussian_tensor(n_modes, rng(4))
         basis = build_basis(n_modes, n_bos)
-        state, pre = embed_power_state(basis, t, 2)
+        state, pre = embed_power_state(basis, t)
         flat = t.to_dense().reshape(-1)
         oracle_full = symmetrize_full(FullSpaceVector(n_modes, n_bos, np.kron(flat, flat)))
         oracle = full_to_occupation(oracle_full, basis)
@@ -248,7 +246,7 @@ class TestPowerEmbedding:
         # widest full space the oracle budget allows: 6^4 = 1296
         t = sample_gaussian_tensor(6, rng(20))
         basis = build_basis(6, 4)
-        state, pre = embed_power_state(basis, t, 1)
+        state, pre = embed_power_state(basis, t)
         oracle_full = symmetrize_full(FullSpaceVector(6, 4, t.to_dense().reshape(-1)))
         oracle = full_to_occupation(oracle_full, basis)
         assert pre == pytest.approx(oracle.norm(), rel=1e-10)
@@ -278,8 +276,8 @@ class TestSymmetrizedProduct:
         # which is what ties the cascade merges to the power embedding
         t = sample_gaussian_tensor(2, rng(21))
         basis16 = build_basis(2, 16)
-        seq, pre = embed_power_state(basis16, t, 4)
-        quarter, _ = embed_power_state(build_basis(2, 4), t, 1)
+        seq, pre = embed_power_state(basis16, t)
+        quarter, _ = embed_power_state(build_basis(2, 4), t)
         half, w_half = symmetrized_product(quarter, quarter)
         full, w_full = symmetrized_product(half, half)
         assert abs(abs(full.inner(seq)) - 1.0) < 1e-10

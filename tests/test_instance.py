@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tensorpca import (
+    DetectionConfig,
     InvalidParameterError,
     ModelParams,
     SpikedTensor,
@@ -15,6 +16,7 @@ from tensorpca import (
     lambda_effective,
     load_tensor,
     make_spiked,
+    p_threshold,
     sample_gaussian_tensor,
     sample_signal,
     save_tensor,
@@ -85,13 +87,6 @@ class TestGaussianTensor:
             var = samples[:, lay.index[tup]].var()
             assert abs(var - expected) < 0.05 * expected
 
-    def test_unit_convention_gives_unit_canonical_variance(self):
-        g = rng(13)
-        samples = np.array(
-            [sample_gaussian_tensor(2, g, variance_convention="unit").values for _ in range(20000)]
-        )
-        assert np.all(np.abs(samples.var(axis=0) - 1.0) < 0.06)
-
     def test_complex_ensemble_halves(self):
         g = rng(17)
         vals = np.array(
@@ -101,9 +96,22 @@ class TestGaussianTensor:
         assert abs(vals.imag.var() - 0.5) < 0.03
 
     def test_noise_power_per_entry(self):
-        assert noise_power_per_entry(2, "unit") == 1.0
-        # average convention: number of canonical entries over N^4
-        assert noise_power_per_entry(2, "average") == 5.0 / 16.0
+        # number of canonical entries over N^4
+        assert noise_power_per_entry(2) == 5.0 / 16.0
+
+    def test_noise_power_closed_form_matches_layout(self):
+        for n in range(1, 49):
+            assert noise_power_per_entry(n) == layout(n).size / float(n) ** 4
+
+    def test_noise_power_and_threshold_need_no_layout(self, monkeypatch):
+        def no_layout(n_modes):
+            raise AssertionError(f"layout({n_modes}) was built")
+
+        monkeypatch.setattr("tensorpca.instance.layout", no_layout)
+        n = 10**9
+        assert noise_power_per_entry(n) == pytest.approx(1.0 / 24.0, rel=1e-8)
+        params = ModelParams(N=n, n_bos=4, lambda_bar=0.5)
+        assert 0.0 < p_threshold(params, DetectionConfig()) < 1.0
 
 
 class TestMakeSpiked:

@@ -89,12 +89,13 @@ class TestThresholds:
         assert p_threshold(params, cfg) == pytest.approx(0.1, rel=1e-6)
 
     def test_success_threshold_arithmetic(self):
-        # plant lambda_bar so the minus-strength is exactly 1
+        # plant lambda_bar so the minus-strength is exactly 1; the noise
+        # power at N=2 is 5/16, so the ratio is 16 / (16 + 5)
         zeta = 0.5
         lam_bar = 1.0 / (1.0 + zeta**-2) ** -0.5
         params = ModelParams(N=2, n_bos=4, lambda_bar=lam_bar, zeta=zeta)
-        cfg = DetectionConfig(slack=10.0, s_plus=1.0)
-        assert p_threshold(params, cfg) == pytest.approx(0.05, abs=1e-12)
+        cfg = DetectionConfig(slack=10.0)
+        assert p_threshold(params, cfg) == pytest.approx(16.0 / 210.0, abs=1e-12)
 
     def test_success_threshold_zero_signal_warns(self):
         params = ModelParams(N=4, n_bos=4, lambda_bar=0.0)
@@ -149,7 +150,7 @@ class TestThresholds:
     def test_per_boson_decay_exponent_approaches_minus_half(self):
         # fixed lambda_bar * N, growing N: log_N of the slack-free threshold
         # per boson tends to -1/2
-        cfg = DetectionConfig(slack=1.0, s_plus=1.0)
+        cfg = DetectionConfig(slack=1.0)
         vals = []
         for N in (10**3, 10**6, 10**9):
             params = ModelParams(N=N, n_bos=8, lambda_bar=3.0 / N)
@@ -322,8 +323,8 @@ class TestQuantumSimulators:
         # exact projector
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.3, seed=18)
         t0, _ = sample_instance(params, spiked=True)
-        cfg_dense = DetectionConfig(add_imaginary=True, projector_method="dense")
-        cfg_ritz = DetectionConfig(add_imaginary=True, projector_method="ritz")
+        cfg_dense = DetectionConfig(add_imaginary=True)
+        cfg_ritz = DetectionConfig(add_imaginary=True, dense_limit=0)
         a = projection_statistic(t0, params, cfg_dense, seed=18)
         b = projection_statistic(t0, params, cfg_ritz, seed=18)
         assert np.iscomplexobj(a.input_state.amps)

@@ -306,8 +306,8 @@ from tensorpca.recovery import spdm
 params = tp.ModelParams(N=4, n_bos=4, lambda_bar=1.0, seed=11)
 tensor, _ = tp.sample_instance(params, spiked=True, rng=tp.derived_rng(11, "blocked"))
 proj = tp.ModelParams(N=4, n_bos=tp.projection_nbos(params), lambda_bar=1.0, seed=11)
-for method in ("dense", "ritz"):
-    report = tp.detect_projection(tensor, proj, tp.DetectionConfig(projector_method=method), seed=3)
+for dense_limit in (tp.DetectionConfig.dense_limit, 0):  # dense, then Ritz
+    report = tp.detect_projection(tensor, proj, tp.DetectionConfig(dense_limit=dense_limit), seed=3)
     assert report.verdict == "spiked", report
 basis = tp.build_basis(4, 8)
 state, _ = tp.embed_power_state(basis, tensor.tensor)
@@ -485,7 +485,7 @@ class TestProjectAbove:
         # e_lower, widened by tol, at a degree far below the cap of 6000
         params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.1, seed=N + n_bos)
         t0, _ = sample_instance(params, spiked=True)
-        cfg = DetectionConfig(projector_method="ritz")
+        cfg = DetectionConfig(dense_limit=0)
         out = projection_statistic(t0, params, cfg, seed=params.seed)
         h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
         _, w, proj = project_above(h, out.input_state, out.e_lower, out.cutoff, method="chebyshev")
