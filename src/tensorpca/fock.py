@@ -306,6 +306,10 @@ def _power_table(basis4: OccupationBasis) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
+# Rows of x per block of the pair table in _convolve_raw
+_CONVOLVE_ROWS = 64
+
+
 def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) -> StateVector:
     """Raw occupation amplitudes of the symmetric projection of x (x) y.
 
@@ -318,15 +322,26 @@ def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) ->
         raise InvalidParameterError("mode counts differ in symmetrized product")
     if ba.n_bos + bb.n_bos != out_basis.n_bos:
         raise InvalidParameterError("boson counts do not add up in symmetrized product")
-    ia, ib = np.meshgrid(np.arange(ba.dim), np.arange(bb.dim), indexing="ij")
-    ia, ib = ia.ravel(), ib.ravel()
-    target_occ = ba.states[ia].astype(np.int64) + bb.states[ib].astype(np.int64)
-    ranks = out_basis.rank_array(target_occ)
-    log_w = 0.5 * (
-        ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
-    )
-    contrib = x.amps[ia] * y.amps[ib] * np.exp(log_w)
-    return StateVector(out_basis, _bincount(ranks, contrib, out_basis.dim))
+    # The index pairs (ia, ib) run in C order over blocks of _CONVOLVE_ROWS
+    # rows of x, so no more than a block of pairs and their occupations is
+    # held at once.  np.add.at adds in index order, so every output bin
+    # sees the same sequence of additions as one np.bincount over all pairs.
+    complex_out = np.iscomplexobj(x.amps) or np.iscomplexobj(y.amps)
+    sums = [np.zeros(out_basis.dim) for _ in range(2 if complex_out else 1)]
+    for start in range(0, ba.dim, _CONVOLVE_ROWS):
+        rows = np.arange(start, min(start + _CONVOLVE_ROWS, ba.dim))
+        ia, ib = np.meshgrid(rows, np.arange(bb.dim), indexing="ij")
+        ia, ib = ia.ravel(), ib.ravel()
+        target_occ = ba.states[ia].astype(np.int64) + bb.states[ib].astype(np.int64)
+        ranks = out_basis.rank_array(target_occ)
+        log_w = 0.5 * (
+            ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
+        )
+        contrib = x.amps[ia] * y.amps[ib] * np.exp(log_w)
+        for acc, part in zip(sums, (contrib.real, contrib.imag)):
+            np.add.at(acc, ranks, part)
+    amps = sums[0] + 1j * sums[1] if complex_out else sums[0]
+    return StateVector(out_basis, amps)
 
 
 def _bincount(ranks: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:

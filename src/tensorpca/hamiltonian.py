@@ -104,12 +104,19 @@ class HamiltonianOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
+        # widen integer and single-precision input for the in-place scalings
+        x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
         if x.shape != (self.dim,):
             raise InvalidParameterError(f"vector of shape {x.shape}, expected ({self.dim},)")
         self.matvec_count += 1
         sources, coefs = self._lowering
-        pairs = (coefs * x[sources]).reshape(self._weights.shape[0], -1)
-        return _bincount(sources, coefs * (self._weights @ pairs).ravel(), self.dim)
+        # both scalings run in place, on the gathered pairs and on the GEMM
+        # product, so a matvec allocates no third P x D2 block
+        pairs = x[sources]
+        pairs *= coefs
+        prod = (self._weights @ pairs.reshape(self._weights.shape[0], -1)).ravel()
+        prod *= coefs
+        return _bincount(sources, prod, self.dim)
 
     def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The operator's entries as (rows, cols, vals), each of shape

@@ -5,7 +5,8 @@ threshold quantities, and density-of-states estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, erf, inf, log, sqrt
 
 import numpy as np
@@ -48,15 +49,29 @@ def _wrap_vector(amps, basis):
 
 @dataclass
 class RitzDecomposition:
-    """Ritz pairs from a Krylov sweep, sorted by descending Ritz value."""
+    """Ritz pairs from a Krylov sweep, sorted by descending Ritz value.
+
+    The Ritz vectors are built on the first read of ritz_vectors, as the
+    product of the Krylov block and the tridiagonal's eigenvectors, and
+    then replace the block.  A caller that reads only values, such as a
+    spectral-range probe, never builds the D x k product.
+    """
 
     ritz_values: np.ndarray
-    ritz_vectors: np.ndarray  # columns follow ritz_values
     residuals: np.ndarray
     iterations: int
     start_coeffs: np.ndarray  # expansion of the start vector on the Ritz pairs
     invariant_subspace: bool
     basis: OccupationBasis | None = None
+    _krylov: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x D
+    _eigvecs: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x k
+
+    @cached_property
+    def ritz_vectors(self) -> np.ndarray:
+        """D x k, columns following ritz_values."""
+        vectors = self._krylov.T @ self._eigvecs
+        self._krylov = None
+        return vectors
 
 
 @dataclass
@@ -77,8 +92,13 @@ class SpectrumSummary:
     source: str
 
 
+# A sweep capped at this many steps reserves its Krylov block up front
+_RESERVED_STEPS = 64
+
+
 def _lanczos_sweep(matvec, v0, max_iters, stop_check):
-    """Krylov tridiagonalization with full reorthogonalization.
+    """Krylov tridiagonalization with full reorthogonalization, returned as
+    a RitzDecomposition (without a basis).
 
     After step k, stop_check(tridiag, beta) -> bool decides early
     termination.  tridiag is the k x k Lanczos tridiagonal so far, a view
@@ -94,10 +114,12 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     complex_vec = np.iscomplexobj(v0)
     q = (v0 / start_norm).astype(np.complex128 if complex_vec else np.float64)
     max_iters = max(1, min(max_iters, dim))
-    # Krylov vectors are contiguous rows and the tridiagonal a square block;
-    # both double when full, so memory follows the iterations actually run,
-    # not max_iters
-    size = min(max_iters, 8)
+    # Krylov vectors are contiguous rows and the tridiagonal a square block.
+    # A sweep of at most _RESERVED_STEPS steps reserves both once: np.empty
+    # commits only the rows written, and no full block is ever copied.  A
+    # longer sweep starts at 8 rows and doubles both when full, so memory
+    # follows the iterations actually run, not max_iters
+    size = max_iters if max_iters <= _RESERVED_STEPS else 8
     basis_vecs = np.empty((size, dim), dtype=q.dtype)
     tridiag = np.zeros((size, size))
     invariant = False
@@ -117,17 +139,17 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
         w = matvec(q)
         alpha = float(np.real(np.vdot(q, w)))
         tridiag[k, k] = alpha
-        w = w - alpha * q
+        w -= alpha * q
         if k:
             tridiag[k, k - 1] = tridiag[k - 1, k] = beta
-            w = w - beta * basis_vecs[k - 1]
+            w -= beta * basis_vecs[k - 1]
         # full reorthogonalization, twice for floating-point hygiene
         active = basis_vecs[: k + 1]
         for _ in range(2):
             if complex_vec:
-                w = w - np.conj(active @ np.conj(w)) @ active
+                w -= np.conj(active @ np.conj(w)) @ active
             else:
-                w = w - (active @ w) @ active
+                w -= (active @ w) @ active
         beta = float(np.linalg.norm(w))
         k += 1
         scale = max(scale, abs(alpha))
@@ -143,10 +165,17 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
         scale = max(scale, beta)
         q = w / beta
     values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], exit_beta)
-    vectors = basis_vecs[:k].T @ eigvecs
     if invariant:
         residuals = np.zeros_like(residuals)
-    return values, vectors, residuals, first_row * start_norm, k, invariant
+    return RitzDecomposition(
+        ritz_values=values,
+        residuals=residuals,
+        iterations=k,
+        start_coeffs=first_row * start_norm,
+        invariant_subspace=invariant,
+        _krylov=basis_vecs[:k],
+        _eigvecs=eigvecs,
+    )
 
 
 def _ritz_from_tridiag(tridiag, beta_last):
@@ -217,18 +246,9 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
         residuals, scale = _top_residuals(tridiag, beta, num_wanted)
         return all(r <= tol * scale for r in residuals)
 
-    values, vectors, residuals, start_coeffs, iters, invariant = _lanczos_sweep(
-        matvec, v0, max_iters, stop
-    )
-    return RitzDecomposition(
-        ritz_values=values,
-        ritz_vectors=vectors,
-        residuals=residuals,
-        iterations=iters,
-        start_coeffs=start_coeffs,
-        invariant_subspace=invariant,
-        basis=basis,
-    )
+    ritz = _lanczos_sweep(matvec, v0, max_iters, stop)
+    ritz.basis = basis
+    return ritz
 
 
 def leading_eigenvalue(
@@ -240,14 +260,17 @@ def leading_eigenvalue(
 ):
     """Largest eigenvalue and eigenvector, deterministic for a given seed.
 
-    Raises ConvergenceError (carrying the best estimate) if no restart
-    reaches residual <= tol * spectral-scale.
+    Raises ConvergenceError (carrying the best estimate, and the Krylov
+    steps summed over all restarts as its iterations) if no restart reaches
+    residual <= tol * spectral-scale.
     """
     matvec, dim, basis = _as_operator(op)
     best = None
+    steps = 0
     for attempt in range(max(1, restarts)):
         v0 = derived_rng(seed, "leading-eigenvalue-start", attempt).standard_normal(dim)
         ritz = lanczos(op, v0, max_iters=max_iters, tol=tol, num_wanted=1)
+        steps += ritz.iterations
         lam = float(ritz.ritz_values[0])
         res = float(ritz.residuals[0])
         scale = max(1.0, float(np.abs(ritz.ritz_values).max()))
@@ -257,8 +280,10 @@ def leading_eigenvalue(
             vec = ritz.ritz_vectors[:, 0]
             return lam, _wrap_vector(vec, basis)
     raise ConvergenceError(
-        f"leading eigenvalue residual {best[2]:.3e} after {restarts} restarts",
+        f"leading eigenvalue residual {best[2]:.3e} after {restarts} restarts "
+        f"({steps} Krylov steps in all)",
         best=best[0],
+        iterations=steps,
     )
 
 
@@ -356,14 +381,15 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
         state["stopped"] = bool(boundary_ok and state["stable"] >= 2)
         return state["stopped"]
 
-    values, vectors, residuals, start_coeffs, iters, invariant = _lanczos_sweep(
-        matvec, vec, max_iters, stop
+    ritz = _lanczos_sweep(matvec, vec, max_iters, stop)
+    values, residuals, start_coeffs, iters = (
+        ritz.ritz_values, ritz.residuals, ritz.start_coeffs, ritz.iterations
     )
     keep = values >= mid
     coefs = start_coeffs[keep]
-    projected = vectors[:, keep] @ coefs
+    projected = ritz.ritz_vectors[:, keep] @ coefs
     norm_sq = float(np.sum(np.abs(coefs) ** 2))
-    if invariant:
+    if ritz.invariant_subspace:
         achieved = 1e-14
     else:
         if state["stopped"]:

@@ -2,6 +2,7 @@
 validated against."""
 
 import json
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -23,6 +24,8 @@ from tensorpca import (
 from tensorpca._util import log_factorials
 from tensorpca.fock import (
     StateVector,
+    _bincount,
+    _convolve_raw,
     _enumerate_colex,
     full_to_occupation,
     load_state,
@@ -293,6 +296,54 @@ class TestSymmetrizedProduct:
         oracle = full_to_occupation(oracle_full, build_basis(n_modes, 4))
         assert weight == pytest.approx(oracle.norm(), rel=1e-10)
         assert np.allclose(merged.amps * weight, oracle.amps, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "n_modes, ensemble, n_bos_x",
+        [(3, "real", 4), (6, "real", 4), (8, "real", 4), (6, "complex", 4), (6, "real", 8)],
+    )
+    def test_blocked_convolution_is_bit_identical(self, n_modes, ensemble, n_bos_x):
+        # the pairs run over blocks of rows of x (one block at N=3, six at
+        # N=8), and each output bin must add the same terms in the same order
+        block = tensor_occupation_amplitudes(
+            sample_gaussian_tensor(n_modes, rng(30), ensemble=ensemble)
+        )
+        x = block
+        if n_bos_x == 8:
+            x = _convolve_single_shot(block, block, build_basis(n_modes, 8))
+        out_basis = build_basis(n_modes, n_bos_x + 4)
+        got = _convolve_raw(x, block, out_basis).amps
+        want = _convolve_single_shot(x, block, out_basis).amps
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocked_convolution_memory(self):
+        # all 330^2 index pairs of 4-boson states at N=8 at once, with their
+        # 8-wide occupations, peaked at 35 MB
+        block = tensor_occupation_amplitudes(sample_gaussian_tensor(8, rng(31)))
+        basis = build_basis(8, 8)
+        _convolve_raw(block, block, basis)  # warm the basis tables
+        tracemalloc.start()
+        try:
+            _convolve_raw(block, block, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+def _convolve_single_shot(x, y, out_basis):
+    """_convolve_raw over all index pairs in one pass and one np.bincount:
+    the reference for its blocked accumulation."""
+    ba, bb = x.basis, y.basis
+    ia, ib = np.meshgrid(np.arange(ba.dim), np.arange(bb.dim), indexing="ij")
+    ia, ib = ia.ravel(), ib.ravel()
+    target_occ = ba.states[ia].astype(np.int64) + bb.states[ib].astype(np.int64)
+    ranks = out_basis.rank_array(target_occ)
+    log_w = 0.5 * (
+        ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
+    )
+    contrib = x.amps[ia] * y.amps[ib] * np.exp(log_w)
+    return StateVector(out_basis, _bincount(ranks, contrib, out_basis.dim))
 
 
 class TestFullSpaceOracles:

@@ -87,6 +87,19 @@ class TestMatvec:
         y = h.matvec(x)
         assert np.allclose(y, h.matvec(x.real) + 1j * h.matvec(x.imag), atol=1e-11)
 
+    def test_narrow_input_dtypes_apply_in_double_precision(self):
+        # the matvec scales its gathered pairs in place, so an integer or
+        # single-precision input must first be widened
+        t, h = random_operator(3, 4, 12)
+        x = np.arange(h.dim) % 3 - 1
+        want = h.matvec(x.astype(float))
+        for narrow in (x, x.astype(np.float32)):
+            got = h.matvec(narrow)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        cx = (x + 1j * x[::-1]).astype(np.complex64)
+        assert h.matvec(cx).tobytes() == h.matvec(cx.astype(complex)).tobytes()
+
     def test_complex_tensor_rejected(self):
         t = sample_gaussian_tensor(2, rng(9), ensemble="complex")
         with pytest.raises(InvalidParameterError):

@@ -2,6 +2,7 @@
 cascade."""
 
 import inspect
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from math import asin, ceil, pi, sin, sqrt
@@ -216,6 +217,63 @@ class TestProjectionDetection:
         t0, _ = sample_instance(params, spiked=True)
         with pytest.raises(InvalidParameterError):
             detect_projection(t0, params, DetectionConfig())
+
+
+class TestPinnedRangeProbe:
+    """The range probe and the Ritz projection on seeded H(t_plus) at the
+    recovery operating point (N=16, n_bos=4, D=3876, seed 99), built as
+    projection_statistic builds it, for trial 0 of the spiked and of the
+    unspiked draws.  Recorded with every sweep building all of its Ritz
+    vectors.  Counts are pinned exactly, floats to rtol 1e-12."""
+
+    PARAMS = ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99)
+    CFG = DetectionConfig(dense_limit=1500)
+
+    def _instance(self, tag):
+        spiked = tag == "recov16"
+        t0, _ = sample_instance(self.PARAMS, spiked=spiked, rng=derived_rng(99, tag, 0))
+        return t0
+
+    def _operator(self, tag):
+        pair = pipeline._make_pair(
+            self._instance(tag), self.PARAMS, self.CFG, derived_rng(0, "decorrelate")
+        )
+        return HamiltonianOperator(pair.t_plus, build_basis(16, 4))
+
+    @pytest.mark.parametrize(
+        "tag, matvecs, value",
+        [("recov16", 14, 520.3950568057827), ("recov16-null", 48, 202.51148541850736)],
+    )
+    def test_range_probe(self, tag, matvecs, value):
+        h = self._operator(tag)
+        assert pipeline._spectral_range(h, 0) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert h.matvec_count == matvecs
+
+    @pytest.mark.parametrize(
+        "tag, statistic, weight, matvecs",
+        [
+            ("recov16", 0.023089314557111936, 0.023089314557111936, 27),
+            ("recov16-null", 0.0, 0.0, 51),
+        ],
+    )
+    def test_projection_statistic(self, tag, statistic, weight, matvecs):
+        outcome = projection_statistic(self._instance(tag), self.PARAMS, self.CFG, seed=0)
+        assert outcome.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert outcome.proj_weight == pytest.approx(weight, rel=1e-12, abs=0.0)
+        assert outcome.matvec_count == matvecs
+
+    def test_unspiked_range_probe_holds_one_krylov_block(self):
+        # the probe reads only Ritz values: it reserves one 60-row Krylov
+        # block and builds no Ritz vectors.  Growing the block by copies
+        # and building the D x k vectors peaked at 1.88 blocks
+        h = self._operator("recov16-null")
+        tracemalloc.start()
+        try:
+            pipeline._spectral_range(h, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 60 * h.dim * 8
 
 
 class TestDetectorTable:

@@ -91,6 +91,25 @@ class TestLanczos:
         assert lam == pytest.approx(10.0, rel=1e-10)
         assert peak < 32 * dim * 8
 
+    def test_values_only_sweep_holds_one_krylov_block(self):
+        # a sweep capped at 60 steps reserves its block once, and builds
+        # its D x k Ritz vectors only when they are read; growing the block
+        # by copies and building the vectors peaked at 2.04 blocks
+        dim = 20_000
+        op = sp.diags(np.linspace(0.0, 1.0, dim))
+        x = rng(50).standard_normal(dim)
+        tracemalloc.start()
+        try:
+            out = lanczos(op, x, max_iters=60, tol=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 60 * dim * 8
+        vectors = out.ritz_vectors
+        assert vectors.shape == (dim, out.iterations)
+        gram = vectors.T @ vectors
+        assert np.abs(gram - np.eye(out.iterations)).max() < 1e-8
+
     def test_start_expansion_recovers_start(self):
         a = np.diag([5.0, 2.0, -1.0, 0.5])
         x = rng(4).standard_normal(4)
@@ -348,6 +367,13 @@ class TestLeadingEigenvalue:
         with pytest.raises(ConvergenceError) as exc:
             leading_eigenvalue(m, restarts=2, max_iters=3, tol=1e-14, seed=2)
         assert exc.value.best is not None
+
+    def test_nonconvergence_reports_krylov_steps_over_all_restarts(self):
+        op = np.diag(np.linspace(0.0, 1.0, 50))
+        with pytest.raises(ConvergenceError) as exc:
+            leading_eigenvalue(op, restarts=3, max_iters=2, tol=1e-12, seed=4)
+        assert exc.value.iterations == 6
+        assert "6 Krylov steps" in str(exc.value)
 
     def test_zero_operator(self):
         top, _ = leading_eigenvalue(np.zeros((5, 5)), seed=3)
