@@ -27,8 +27,6 @@ from .hamiltonian import (
     ideal_energy,
     ideal_moment2,
     restrict_to_symmetric,
-    rotate_tensor,
-    rotation_aligning,
 )
 from .instance import (
     DecorrelatedPair,
@@ -72,7 +70,6 @@ from .recovery import (
     corr,
     randomized_recover,
     recovery_chain,
-    recovery_energy_bound_check,
     spdm,
 )
 from .spectral import (

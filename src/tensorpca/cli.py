@@ -6,8 +6,8 @@ samples instances, loops over the grid and trials, and writes reports:
 every detection decision belongs to the detectors of `pipeline.DETECTORS`,
 whose reports hand over their serialized row and the state that recovery
 starts from.  Reports embed their effective configuration and are
-byte-identical across reruns with the same seed; volatile fields (wall
-time) are never serialized.
+byte-identical across reruns with the same seed; wall-clock time is
+never serialized.
 
 Exit codes: 0 success, 2 validation error, 3 capacity error,
 4 convergence error.
@@ -31,8 +31,7 @@ from ._util import (
     derived_rng,
     run_trials,
 )
-from .fock import build_basis, load_state
-from .hamiltonian import HamiltonianOperator
+from .fock import load_state
 from .instance import ModelParams, load_tensor, sample_instance, save_tensor
 from .pipeline import DETECTORS, DetectionConfig, cost_exponents, multistep_run
 from .recovery import recovery_chain
@@ -47,7 +46,6 @@ class RunConfig:
     subcommand: str
     N_list: list = field(default_factory=lambda: [6])
     nbos_list: list = field(default_factory=lambda: [4])
-    p: int = 4
     lambda_list: list = field(default_factory=lambda: [0.0])
     zeta: float | None = None
     seed: int = 0
@@ -60,7 +58,6 @@ class RunConfig:
     k: int = 0
     out: str = "report.json"
     fmt: str = "json"
-    dump_operator: str | None = None
     dense_limit: int = DetectionConfig.dense_limit
     threads: int = 1
     ensemble: str = "real"
@@ -95,7 +92,7 @@ class RunConfig:
 
     def model_params(self, N: int, n_bos: int, lam: float) -> ModelParams:
         return ModelParams(
-            N=N, n_bos=n_bos, p=self.p, lambda_bar=lam, zeta=self.zeta,
+            N=N, n_bos=n_bos, lambda_bar=lam, zeta=self.zeta,
             seed=self.seed, ensemble=self.ensemble,
         )
 
@@ -179,23 +176,6 @@ def cmd_detect(config: RunConfig) -> dict:
     invalid detection option fails the command before any trial runs.
     """
     cfg = config.detection_config()
-    if config.dump_operator:
-        # debugging export: the operator of the first spiked instance on the
-        # first grid point, in matrix-market format
-        try:
-            from scipy.io import mmwrite
-        except ImportError:
-            raise InvalidParameterError(
-                "--dump-operator needs scipy; install it with pip install 'tensorpca[scipy]'"
-            ) from None
-
-        params = config.model_params(
-            config.N_list[0], config.nbos_list[0], config.lambda_list[0]
-        )
-        tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(params.seed, "instance", 0))
-        h = HamiltonianOperator(tensor.tensor, build_basis(params.N, params.n_bos))
-        mmwrite(config.dump_operator, h.sparse_matrix().tocsr())
-
     rows = []
     for N in config.N_list:
         for n_bos in config.nbos_list:
@@ -418,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", dest="N_list", type=_int_list, help="mode counts (comma list)")
         p.add_argument("--nbos", dest="nbos_list", type=_int_list,
                        help="boson counts (comma list)")
-        p.add_argument("--p", type=int)
         p.add_argument("--lambda", dest="lambda_list", type=_float_list,
                        help="claimed signal strengths (comma list)")
         p.add_argument("--zeta", type=float, help="default: 1/ln N")
@@ -441,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--cdoubleprime", dest="c_doubleprime", type=float)
     d.add_argument("--tol", type=float)
     d.add_argument("--k", type=int, help="multistep depth (projection method)")
-    d.add_argument("--dump-operator",
-                   help="write the first instance operator as a matrix-market file "
-                        "(needs scipy)")
 
     o = subcommand("dos", "density-of-states tables", ("json", "csv"))
     o.add_argument("--xgrid", dest="x_grid", type=_float_list)

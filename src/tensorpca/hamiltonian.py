@@ -25,8 +25,7 @@ fock.lowering_map.  W is gathered from the canonical tensor storage through
 a P x P table of storage slots that depends only on N and is built once per
 N (_pair_table), so no dense N^4 tensor is built per operator.  Each row of
 A has one entry, so a matvec is one gather, one P x P GEMM and one scatter.
-The dense matrix (and, for export, a sparse one) is assembled from the same
-factors.
+The dense matrix is assembled from the same factors.
 """
 
 from __future__ import annotations
@@ -133,15 +132,6 @@ class HamiltonianOperator:
         cols = np.broadcast_to(sources[None, :, :], vals.shape)
         return rows, cols, vals
 
-    def sparse_matrix(self):
-        """The operator as a scipy.sparse COO matrix (needs scipy)."""
-        import scipy.sparse as sp
-
-        rows, cols, vals = self._triples()
-        return sp.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(self.dim, self.dim)
-        )
-
     # -- dense ----------------------------------------------------------
     def materialize_dense(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         """Dense matrix of the operator, symmetrized against roundoff.
@@ -213,35 +203,6 @@ def ideal_moment2(t: SymmetricTensor4, n_bos: int) -> float:
         + 4.0 * falling_factorial(n, 3) * float(np.sum(row**2))
         + 2.0 * falling_factorial(n, 2) * float(np.sum(block**2))
     )
-
-
-# ---------------------------------------------------------------------------
-# Basis rotations
-# ---------------------------------------------------------------------------
-
-
-def rotate_tensor(t: SymmetricTensor4, u: np.ndarray) -> SymmetricTensor4:
-    """Apply an N x N orthogonal matrix to all four tensor slots."""
-    u = np.asarray(u, dtype=float)
-    dense = t.to_dense()
-    rotated = np.einsum("ai,bj,ck,dl,ijkl->abcd", u, u, u, u, dense, optimize=True)
-    return SymmetricTensor4.from_dense(rotated, symmetrize=True)
-
-
-def rotation_aligning(v: np.ndarray) -> np.ndarray:
-    """Orthogonal U with U v = |v| e_0 (Householder reflection)."""
-    v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise InvalidParameterError("cannot align the zero vector")
-    u = v / nrm
-    e0 = np.zeros_like(u)
-    e0[0] = 1.0
-    w = u - e0
-    wnorm2 = float(w @ w)
-    if wnorm2 < 1e-28:
-        return np.eye(v.size)
-    return np.eye(v.size) - 2.0 * np.outer(w, w) / wnorm2
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,13 @@ from .symtensor import SymmetricTensor4, layout, rank_one
 class ModelParams:
     """Model parameters shared by every algorithm.
 
-    N: mode count; n_bos: boson count; p: tensor order (must be 4);
-    lambda_bar: claimed signal strength; zeta: decorrelation strength
-    (None means the 1/ln N rule); seed: base RNG seed.
+    N: mode count; n_bos: boson count; lambda_bar: claimed signal
+    strength; zeta: decorrelation strength (None means the 1/ln N rule);
+    seed: base RNG seed.  The tensor order is always 4.
     """
 
     N: int
     n_bos: int
-    p: int = 4
     lambda_bar: float = 0.0
     zeta: float | None = None
     seed: int = 0
@@ -49,8 +48,6 @@ class ModelParams:
     def __post_init__(self):
         if self.N < 1:
             raise InvalidParameterError(f"N must be >= 1, got {self.N}")
-        if self.p != 4:
-            raise InvalidParameterError(f"only p=4 is supported, got p={self.p}")
         if self.n_bos < 2:
             raise InvalidParameterError(f"n_bos must be >= 2, got {self.n_bos}")
         if self.lambda_bar < 0:

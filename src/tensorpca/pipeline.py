@@ -11,7 +11,6 @@ projector applications as the unit of query cost.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -80,7 +79,7 @@ class DetectionReport:
     The report also hands over the state that recovery starts from:
     `state` is the leading eigenvector (spectral) or the filtered input
     state (projection detectors), and `pair` the decorrelated pair, None
-    for spectral.  Neither is serialized, nor is the volatile wall time.
+    for spectral.  Neither is serialized.
     """
 
     algorithm: str
@@ -97,7 +96,6 @@ class DetectionReport:
     verdict_source: str = "threshold"
     separation: float | None = None
     query_counts: dict = field(default_factory=dict)
-    wall_time: float = 0.0
     state: StateVector | None = field(default=None, repr=False, compare=False)
     pair: DecorrelatedPair | None = field(default=None, repr=False, compare=False)
 
@@ -107,7 +105,7 @@ class DetectionReport:
 
     def row(self) -> dict:
         """The serialized report."""
-        unserialized = ("wall_time", "state", "pair")
+        unserialized = ("state", "pair")
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in unserialized}
 
 
@@ -195,7 +193,6 @@ def detect_spectral(
     then falls to e_max/2, below the noise edge, and would flag pure noise.
     `cfg` only gives the detectors one signature; no knob in it applies.
     """
-    t_start = time.perf_counter()
     if seed is None:
         seed = params.seed
     basis = build_basis(params.N, params.n_bos)
@@ -212,7 +209,6 @@ def detect_spectral(
         params=_params_echo(params),
         separation=float(lam1 / threshold) if threshold else None,
         query_counts={"matvec": h.matvec_count},
-        wall_time=time.perf_counter() - t_start,
         state=vec,
     )
 
@@ -333,7 +329,6 @@ def _projection_report(
     p_threshold returns 0 when the route carries no signal; the simulated
     measurements are then never made.
     """
-    t_start = time.perf_counter()
     cfg = cfg or DetectionConfig()
     if seed is None:
         seed = params.seed
@@ -351,7 +346,6 @@ def _projection_report(
         config=asdict(cfg),
         separation=outcome.statistic / thr if thr else None,
         query_counts={"matvec": outcome.matvec_count, "projector_applications": applications},
-        wall_time=time.perf_counter() - t_start,
         state=outcome.projected,
         pair=outcome.pair,
         **extra,
@@ -513,8 +507,9 @@ def multistep_plan(params: ModelParams, k: int, cfg: DetectionConfig | None = No
 @dataclass
 class MultistepReport:
     """Cascade outcome: per-level conditional success probabilities p_j,
-    unconditioned unspiked probabilities q_j, the survival-chain comparison
-    against q_j[0], and the unit-query cost estimate."""
+    unconditioned unspiked probabilities q_j, the survival-chain product
+    to compare against q_j[0], and the unit-query cost estimate.  row()
+    is the serialized summary."""
 
     verdict: str
     statistic: float
@@ -522,15 +517,10 @@ class MultistepReport:
     p_j: tuple
     q_j: tuple
     chain_product: float
-    inequality_slack: float
-    chain_violated: bool
     cost_estimate: float
     p_threshold: float
     plan: MultistepPlan
     seed: int
-    params: dict
-    config: dict
-    wall_time: float = 0.0
 
     @property
     def spiked(self) -> bool:
@@ -574,7 +564,6 @@ def multistep_run(
     not 6.  A per-cascade query count should count a shared subsystem once.
     The q_j draws are independent per subsystem and never shared.
     """
-    t_start = time.perf_counter()
     cfg = cfg or DetectionConfig()
     if seed is None:
         seed = params.seed
@@ -633,11 +622,6 @@ def multistep_run(
         q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))) if qs else 0.0)
 
     chain_product = float(np.prod([np.prod(level) for level in p_j]))
-    q0 = q_j[0]
-    inequality_slack = chain_product / q0 if q0 > 0 else inf
-    # the survival-chain bound is a statement about unspiked instances;
-    # a spiked run exceeding q0 is expected, not a violation
-    chain_violated = (t0.lam == 0.0) and chain_product > q0
 
     base_threshold = p_threshold(params, cfg)
     survival_below = float(np.prod([np.prod(level) for level in p_j[1:]])) if k_levels else 1.0
@@ -657,15 +641,10 @@ def multistep_run(
         p_j=tuple(tuple(level) for level in p_j),
         q_j=tuple(q_j),
         chain_product=chain_product,
-        inequality_slack=float(inequality_slack),
-        chain_violated=bool(chain_violated),
         cost_estimate=float(cost),
         p_threshold=float(base_threshold),
         plan=plan,
         seed=int(seed),
-        params=_params_echo(params),
-        config=asdict(cfg),
-        wall_time=time.perf_counter() - t_start,
     )
 
 

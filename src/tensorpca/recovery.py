@@ -11,9 +11,8 @@ import numpy as np
 
 from ._util import InvalidParameterError, derived_rng
 from .fock import StateVector, lowering_map
-from .hamiltonian import HamiltonianOperator
 from .instance import SpikedTensor
-from .symtensor import SymmetricTensor4, rank_one
+from .symtensor import SymmetricTensor4
 
 
 class DegenerateIterationError(RuntimeError):
@@ -129,28 +128,6 @@ def boost(
         if aligned >= 1.0 - tol:
             break
     return u * np.sqrt(tensor.n_modes), iters
-
-
-def recovery_energy_bound_check(
-    x: StateVector, v_sig: np.ndarray, lambda_plus: float
-) -> tuple[float, float, bool]:
-    """Both sides of the spike-energy bound for a normalized state.
-
-    lhs = <x| H(lambda_plus v^{x4}) |x>; rhs = lambda_plus N (n_bos - 1)
-    <v|rho_raw|v>.  The bound holds for every state because the spike
-    operator is lambda_plus N^2 (n_0^2 - n_0) in the aligned frame and
-    n_0(n_0 - 1) <= n_0(n_bos - 1) pointwise.
-    """
-    v = np.asarray(v_sig, dtype=float)
-    spike = rank_one(v) * lambda_plus
-    h = HamiltonianOperator(spike, x.basis)
-    lhs = h.expectation(x)
-    rho = spdm(x, normalization="raw").rho
-    quad = float(np.real(v @ rho @ v))
-    n_modes = x.basis.n_modes
-    rhs = lambda_plus * n_modes * (x.basis.n_bos - 1) * quad
-    holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
-    return float(lhs), float(rhs), bool(holds)
 
 
 @dataclass

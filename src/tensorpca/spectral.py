@@ -501,11 +501,6 @@ class AnalyticBounds:
     where e_zero and e_max cross (inf if they never cross by n = 64).
     """
 
-    N: int
-    n_bos: int
-    p: int
-    lambda_bar: float
-    ensemble: str
     j_const: float
     e_max: float
     xi: float
@@ -527,12 +522,10 @@ def _e_zero_at(n: float, N: int, lambda_bar: float) -> float:
     return lambda_bar * n * (n - 1.0) * N**2
 
 
-def analytic_bounds(params: ModelParams, ensemble: str | None = None) -> AnalyticBounds:
+def analytic_bounds(params: ModelParams) -> AnalyticBounds:
     if params.N < 2:
         raise InvalidParameterError("analytic bounds need N >= 2 (log N)")
-    if ensemble is None:
-        ensemble = params.ensemble
-    N, n = params.N, params.n_bos
+    N, n, ensemble = params.N, params.n_bos, params.ensemble
     j = _j_const(n, ensemble)
     e_max = _e_max_at(n, N, ensemble)
     xi = np.sqrt(j) * n**0.5 * N / np.sqrt(2.0 * log(N))
@@ -540,11 +533,6 @@ def analytic_bounds(params: ModelParams, ensemble: str | None = None) -> Analyti
     e_cut = 0.5 * (e_zero + e_max)
     nbos_eq = _solve_nbos_eq(N, params.lambda_bar, ensemble)
     return AnalyticBounds(
-        N=N,
-        n_bos=n,
-        p=params.p,
-        lambda_bar=params.lambda_bar,
-        ensemble=ensemble,
         j_const=j,
         e_max=e_max,
         xi=float(xi),
@@ -594,13 +582,8 @@ class DosEstimate:
     p_greater: np.ndarray
     stderr: np.ndarray
     g_hat: np.ndarray
-    g_lower_bound: np.ndarray  # True where every trial had zero counts
     trials: int
     e_max_ref: float
-    N: int
-    n_bos: int
-    seed: int
-    emax_reference: str
     mean_lambda1: float
 
 
@@ -661,12 +644,7 @@ def density_of_states(
         p_greater=p_greater,
         stderr=stderr,
         g_hat=g_hat,
-        g_lower_bound=(p_greater == 0.0),
         trials=trials,
         e_max_ref=float(e_ref),
-        N=params.N,
-        n_bos=params.n_bos,
-        seed=int(seed),
-        emax_reference=emax_reference,
         mean_lambda1=mean_lambda1,
     )

@@ -4,9 +4,7 @@ reproducibility."""
 import argparse
 import dataclasses
 import json
-import sys
 
-import numpy as np
 import pytest
 
 from tensorpca import (
@@ -68,6 +66,28 @@ class TestParser:
                  if not isinstance(a, argparse._HelpAction)}
         assert dests <= fields
 
+    def test_every_config_field_is_a_dest(self):
+        # a field no option sets would still be echoed in every report
+        dests = {a.dest for parser in _subparsers().values() for a in parser._actions}
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"subcommand"}
+        assert fields <= dests
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["detect", "--method", "spectral", "--N", "4", "--nbos", "3", "--lambda", "0.7"],
+            ["detect", "--method", "projection", "--N", "3", "--nbos", "4", "--lambda", "0.8"],
+            ["dos", "--N", "4", "--nbos", "4"],
+        ],
+    )
+    def test_report_echo_has_no_tensor_order_or_operator_dump(self, tmp_path, args):
+        # the tensor order is always 4, and no option exports the operator
+        out = tmp_path / "r.json"
+        assert run(args + ["--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert not {"p", "dump_operator"} & set(data["config"])
+        assert all("p" not in row["params"] for row in data.get("trials", []))
+
     def test_detection_defaults_come_from_detection_config(self):
         assert RunConfig(subcommand="detect").detection_config() == DetectionConfig()
 
@@ -85,11 +105,14 @@ class TestParser:
             ["dos", "--N", "4", "--nbos", "4", "--format", "binary"],
             ["recover", "--N", "4", "--nbos", "4", "--lambda", "2.5", "--format", "csv"],
             ["exponents", "--N", "6", "--nbos", "4", "--format", "csv"],
+            ["detect", "--N", "3", "--nbos", "4", "--lambda", "0.3", "--p", "4"],
+            ["detect", "--N", "3", "--nbos", "4", "--lambda", "0.3", "--dump-operator", "x.mtx"],
         ],
     )
     def test_unwritable_format_is_a_validation_error(self, tmp_path, args):
         # a subcommand offers only the formats it writes; it never falls
-        # back to JSON under a name that promises another format
+        # back to JSON under a name that promises another format.  Options
+        # it does not have (the tensor order, an operator export) fail alike
         out = tmp_path / "o.out"
         assert run(args + ["--out", out]) == 2
         assert not out.exists()
@@ -134,28 +157,6 @@ class TestDetect:
                     "--out", out]) == 0
         data = json.loads(out.read_text())
         assert any(r["algorithm"] == "multistep-k1" for r in data["trials"] if "error" not in r)
-
-    def test_operator_dump_is_loadable(self, tmp_path):
-        from scipy.io import mmread
-
-        out = tmp_path / "d.json"
-        dump = tmp_path / "op.mtx"
-        assert run(["detect", "--method", "spectral", "--N", "3", "--nbos", "3",
-                    "--lambda", "0.4", "--trials", "1", "--seed", "13",
-                    "--dump-operator", dump, "--out", out]) == 0
-        mat = mmread(dump).toarray()
-        assert mat.shape == (10, 10)
-        assert np.abs(mat - mat.T).max() < 1e-12
-
-    def test_operator_dump_without_scipy_names_the_extra(self, tmp_path, monkeypatch, capsys):
-        for name in ("scipy", "scipy.io", "scipy.sparse"):
-            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
-        dump = tmp_path / "op.mtx"
-        assert run(["detect", "--method", "spectral", "--N", "3", "--nbos", "3",
-                    "--lambda", "0.4", "--trials", "1", "--seed", "13",
-                    "--dump-operator", dump, "--out", tmp_path / "d.json"]) == 2
-        assert "tensorpca[scipy]" in capsys.readouterr().err
-        assert not dump.exists()
 
     def test_quantum_methods_run(self, tmp_path):
         for method in ("q-unamp", "q-amp"):

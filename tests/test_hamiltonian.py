@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from oracles import rotate_tensor, rotation_aligning
 
 from tensorpca import (
     HamiltonianOperator,
@@ -17,8 +19,6 @@ from tensorpca import (
     ideal_moment2,
     make_spiked,
     restrict_to_symmetric,
-    rotate_tensor,
-    rotation_aligning,
     sample_gaussian_tensor,
     sample_signal,
 )
@@ -122,10 +122,14 @@ class TestMatvec:
     )
     def test_dense_assembly_matches_coo_to_dense_bit_for_bit(self, n_modes, n_bos):
         # materialize_dense sums the same entries in the same order as a
-        # scipy COO to-dense conversion of sparse_matrix()
+        # scipy COO to-dense conversion of the operator's triples
         _, h = random_operator(n_modes, n_bos, n_modes * 10 + n_bos)
         dense = h.materialize_dense()
-        coo = h.sparse_matrix().toarray()
+        rows, cols, vals = h._triples()
+        coo = sp.coo_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(h.dim, h.dim)
+        ).toarray()
+        del rows, cols, vals
         expected = coo + coo.T
         del coo
         expected /= 2.0

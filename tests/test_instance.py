@@ -246,7 +246,7 @@ class TestModelParams:
             ModelParams(N=0, n_bos=4)
         with pytest.raises(InvalidParameterError):
             ModelParams(N=4, n_bos=1)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(TypeError):
             ModelParams(N=4, n_bos=4, p=3)
         with pytest.raises(InvalidParameterError):
             ModelParams(N=4, n_bos=4, zeta=-1.0)

@@ -313,8 +313,8 @@ class TestDetectorTable:
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=23)
         t0, _ = sample_instance(params, spiked=True)
         row = DETECTORS[method](t0, params, seed=23).row()
-        assert not {"state", "pair", "wall_time"} & set(row)
-        assert set(row) == {f.name for f in fields(DetectionReport)} - {"state", "pair", "wall_time"}
+        assert not {"state", "pair"} & set(row)
+        assert set(row) == {f.name for f in fields(DetectionReport)} - {"state", "pair"}
 
     def test_multistep_row(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=24)
@@ -324,7 +324,6 @@ class TestDetectorTable:
         assert row["algorithm"] == "multistep-k1"
         assert row["q_j"] == list(ms.q_j)
         assert (row["verdict"], row["statistic"], row["seed"]) == (ms.verdict, ms.statistic, 24)
-        assert "wall_time" not in row
 
 
 class TestQuantumSimulators:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import recovery_energy_bound_check, rotate_tensor
 
 from tensorpca import (
     HamiltonianOperator,
@@ -15,8 +16,6 @@ from tensorpca import (
     make_spiked,
     randomized_recover,
     recovery_chain,
-    recovery_energy_bound_check,
-    rotate_tensor,
     sample_gaussian_tensor,
     sample_instance,
     sample_signal,
