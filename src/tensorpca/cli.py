@@ -9,6 +9,10 @@ starts from.  Reports embed their effective configuration and are
 byte-identical across reruns with the same seed; wall-clock time is
 never serialized.
 
+A subcommand offers only the options it reads, so none is echoed in a
+report without having acted; gen, recover and exponents take one value
+each of --N, --nbos and --lambda.
+
 Exit codes: 0 success, 2 validation error, 3 capacity error,
 4 convergence error.
 """
@@ -96,6 +100,14 @@ class RunConfig:
             seed=self.seed, ensemble=self.ensemble,
         )
 
+    def single_params(self) -> ModelParams:
+        """The one model point of a subcommand that runs no grid."""
+        grid = {"--N": self.N_list, "--nbos": self.nbos_list, "--lambda": self.lambda_list}
+        for flag, values in grid.items():
+            if len(values) != 1:
+                raise InvalidParameterError(f"{flag} takes one value here, got {values}")
+        return self.model_params(self.N_list[0], self.nbos_list[0], self.lambda_list[0])
+
 
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
@@ -134,7 +146,7 @@ def _emit(config: RunConfig, columns=(), csv_rows=(), **fields) -> dict:
 
 def cmd_gen(config: RunConfig) -> dict:
     """Write one instance tensor to the tensor file format."""
-    params = config.model_params(config.N_list[0], config.nbos_list[0], config.lambda_list[0])
+    params = config.single_params()
     tensor, _ = sample_instance(params, spiked=not config.unspiked)
     save_tensor(config.out, tensor, fmt=config.fmt)
     return {
@@ -275,10 +287,9 @@ def cmd_dos(config: RunConfig) -> dict:
     )
 
 
-def _recover_one(config: RunConfig, cfg: DetectionConfig, trial: int) -> dict:
+def _recover_one(config: RunConfig, cfg: DetectionConfig, params: ModelParams, trial: int) -> dict:
     """One sampled trial of the recovery chain: detect, then recover and
     boost from the detector's state only on a spiked verdict."""
-    params = config.model_params(config.N_list[0], config.nbos_list[0], config.lambda_list[0])
     tensor, v = sample_instance(
         params, spiked=not config.unspiked, rng=derived_rng(config.seed, "instance", trial)
     )
@@ -338,7 +349,8 @@ def cmd_recover(config: RunConfig) -> dict:
         ]
     else:
         cfg = config.detection_config()
-        rows = [_recover_one(config, cfg, trial) for trial in range(config.trials)]
+        params = config.single_params()
+        rows = [_recover_one(config, cfg, params, trial) for trial in range(config.trials)]
     corrs = [r["corr_boosted"] for r in rows if "corr_boosted" in r]
     return _emit(
         config,
@@ -354,9 +366,7 @@ def cmd_recover(config: RunConfig) -> dict:
 def cmd_exponents(config: RunConfig) -> dict:
     """Emit the theoretical cost-exponent table plus measured query counts
     harvested from previously written detection reports."""
-    params = config.model_params(
-        config.N_list[0], config.nbos_list[0], config.lambda_list[0]
-    )
+    params = config.single_params()
     rows = []
     for path in config.logs:
         with open(path) as fh:
@@ -384,6 +394,50 @@ def _float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
+# every option, declared once: flag -> add_argument keywords; dests are RunConfig fields
+_OPTIONS = {
+    "--N": dict(dest="N_list", type=_int_list, help="mode counts (comma list)"),
+    "--nbos": dict(dest="nbos_list", type=_int_list, help="boson counts (comma list)"),
+    "--lambda": dict(dest="lambda_list", type=_float_list, help="claimed strengths (comma list)"),
+    "--zeta": dict(type=float, help="default: 1/ln N"),
+    "--seed": dict(type=int),
+    "--trials": dict(type=int),
+    "--out": dict(type=str),
+    "--dense-limit": dict(type=int),
+    "--threads": dict(type=int),
+    "--ensemble": dict(choices=("real", "complex")),
+    "--unspiked": dict(action="store_true"),
+    "--method": dict(choices=tuple(DETECTORS)),
+    "--cprime": dict(dest="c_prime", type=float),
+    "--slack": dict(type=float),
+    "--cdoubleprime": dict(dest="c_doubleprime", type=float),
+    "--tol": dict(type=float),
+    "--k": dict(type=int, help="multistep depth (projection method)"),
+    "--xgrid": dict(dest="x_grid", type=_float_list),
+    "--mode": dict(choices=("eig", "randomized")),
+    "--boost-with": dict(choices=("t0", "tplus")),
+    "--state": dict(dest="state_file", help="start from a saved state snapshot, not detection"),
+    "--tensor": dict(dest="tensor_file", help="instance tensor file for boosting (with --state)"),
+    "--logs": dict(type=lambda s: s.split(","), help="detection reports to harvest counts from"),
+}
+
+# subcommand -> (handler, help, the formats it writes, the options it reads)
+_SUBCOMMANDS = {
+    "gen": (cmd_gen, "write an instance tensor file", ("json", "binary"),
+            "--N --nbos --lambda --seed --out --ensemble --unspiked"),
+    "detect": (cmd_detect, "detection sweep with ROC aggregates", ("json", "csv"),
+               "--N --nbos --lambda --zeta --seed --trials --out --dense-limit --threads "
+               "--method --cprime --slack --cdoubleprime --tol --k"),
+    "dos": (cmd_dos, "density-of-states tables", ("json", "csv"),
+            "--N --nbos --seed --trials --out --dense-limit --threads --xgrid"),
+    "recover": (cmd_recover, "detect/project/recover/boost chain", ("json",),
+                "--N --nbos --lambda --zeta --seed --trials --out --dense-limit "
+                "--method --cprime --slack --mode --unspiked --boost-with --state --tensor"),
+    "exponents": (cmd_exponents, "cost-exponent table", ("json",),
+                  "--N --nbos --lambda --out --ensemble --logs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser.  Every `dest` is a RunConfig field, and no option has
     a default here: an option left out stays unset, so RunConfig states it."""
@@ -392,64 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiments for spiked-tensor detection and recovery.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def subcommand(name: str, help: str, formats: tuple) -> argparse.ArgumentParser:
+    for name, (_, help, formats, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.add_argument("--N", dest="N_list", type=_int_list, help="mode counts (comma list)")
-        p.add_argument("--nbos", dest="nbos_list", type=_int_list,
-                       help="boson counts (comma list)")
-        p.add_argument("--lambda", dest="lambda_list", type=_float_list,
-                       help="claimed signal strengths (comma list)")
-        p.add_argument("--zeta", type=float, help="default: 1/ln N")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--out", type=str)
         p.add_argument("--format", dest="fmt", choices=formats)
-        p.add_argument("--dense-limit", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--ensemble", choices=("real", "complex"))
-        return p
-
-    g = subcommand("gen", "write an instance tensor file", ("json", "binary"))
-    g.add_argument("--unspiked", action="store_true")
-
-    d = subcommand("detect", "detection sweep with ROC aggregates", ("json", "csv"))
-    d.add_argument("--method", choices=tuple(DETECTORS))
-    d.add_argument("--cprime", dest="c_prime", type=float)
-    d.add_argument("--slack", type=float)
-    d.add_argument("--cdoubleprime", dest="c_doubleprime", type=float)
-    d.add_argument("--tol", type=float)
-    d.add_argument("--k", type=int, help="multistep depth (projection method)")
-
-    o = subcommand("dos", "density-of-states tables", ("json", "csv"))
-    o.add_argument("--xgrid", dest="x_grid", type=_float_list)
-
-    r = subcommand("recover", "detect/project/recover/boost chain", ("json",))
-    r.add_argument("--method", choices=tuple(DETECTORS))
-    r.add_argument("--cprime", dest="c_prime", type=float)
-    r.add_argument("--slack", type=float)
-    r.add_argument("--mode", choices=("eig", "randomized"))
-    r.add_argument("--unspiked", action="store_true")
-    r.add_argument("--boost-with", choices=("t0", "tplus"))
-    r.add_argument("--state", dest="state_file",
-                   help="start from a saved state snapshot instead of detecting")
-    r.add_argument("--tensor", dest="tensor_file",
-                   help="instance tensor file for the boosting stage (with --state)")
-
-    e = subcommand("exponents", "cost-exponent table", ("json",))
-    e.add_argument("--logs", type=lambda s: s.split(","),
-                   help="detection report JSONs to harvest query counts from")
-
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-_DISPATCH = {
-    "gen": cmd_gen,
-    "detect": cmd_detect,
-    "dos": cmd_dos,
-    "recover": cmd_recover,
-    "exponents": cmd_exponents,
-}
 
 
 def main(argv: list | None = None) -> int:
@@ -460,7 +462,7 @@ def main(argv: list | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     config = RunConfig(**vars(args))
     try:
-        _DISPATCH[config.subcommand](config)
+        _SUBCOMMANDS[config.subcommand][0](config)
     except InvalidParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

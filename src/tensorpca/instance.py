@@ -225,8 +225,7 @@ def decorrelate(
         # base-noise units before the overall 1/sqrt(1+zeta^2)
         amp = np.sqrt(1.0 + zeta**-2) * scale
         t_minus = SymmetricTensor4(tensor.n_modes, t_minus.values + 1j * amp * extra.values)
-    lam_plus = lam * (1.0 + zeta**2) ** -0.5
-    lam_minus = lam * (1.0 + zeta**-2) ** -0.5
+    lam_plus, lam_minus = lambda_effective(lam, zeta)
     return DecorrelatedPair(
         t_plus=t_plus, t_minus=t_minus, zeta=zeta, lambda_plus=lam_plus, lambda_minus=lam_minus
     )

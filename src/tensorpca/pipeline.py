@@ -568,7 +568,6 @@ def multistep_run(
     if seed is None:
         seed = params.seed
     plan = multistep_plan(params, k, cfg)
-    params.require_input_state()
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
 

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from tensorpca import (
@@ -47,10 +48,40 @@ class TestGen:
                         "--seed", "11", "--format", "binary", "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_complex_ensemble_writes_a_complex_tensor(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run([*_BASE["gen"], "--ensemble", "complex", "--out", out]) == 0
+        t = load_tensor(out)
+        assert t.ensemble == "complex"
+        assert np.iscomplexobj(t.tensor.values)
+
 
 def _subparsers():
     (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+# one valid command per subcommand at N <= 4, which each option below varies
+_BASE = {
+    "gen": ["gen", "--N", "3", "--nbos", "4", "--lambda", "0.5", "--seed", "1"],
+    "detect": ["detect", "--N", "3", "--nbos", "4", "--lambda", "0.5", "--trials", "1",
+               "--seed", "1"],
+    "dos": ["dos", "--N", "3", "--nbos", "4", "--trials", "2", "--seed", "1"],
+    "recover": ["recover", "--N", "3", "--nbos", "4", "--lambda", "2.0", "--trials", "1",
+                "--seed", "1"],
+    "exponents": ["exponents", "--N", "4", "--nbos", "4", "--lambda", "0.2"],
+}
+
+# options a subcommand does not offer, because they would change nothing it writes
+_REMOVED = [
+    ("gen", "--trials", "9"), ("gen", "--dense-limit", "5"), ("gen", "--threads", "2"),
+    ("gen", "--zeta", "0.3"),
+    ("detect", "--ensemble", "complex"),
+    ("dos", "--lambda", "0.7"), ("dos", "--zeta", "0.3"), ("dos", "--ensemble", "complex"),
+    ("recover", "--threads", "2"), ("recover", "--ensemble", "complex"),
+    ("exponents", "--seed", "3"), ("exponents", "--zeta", "0.2"), ("exponents", "--trials", "5"),
+    ("exponents", "--threads", "2"), ("exponents", "--dense-limit", "7"),
+]
 
 
 class TestParser:
@@ -107,12 +138,15 @@ class TestParser:
             ["exponents", "--N", "6", "--nbos", "4", "--format", "csv"],
             ["detect", "--N", "3", "--nbos", "4", "--lambda", "0.3", "--p", "4"],
             ["detect", "--N", "3", "--nbos", "4", "--lambda", "0.3", "--dump-operator", "x.mtx"],
+            *[pytest.param([*_BASE[name], flag, value], id=f"{name}{flag}")
+              for name, flag, value in _REMOVED],
         ],
     )
     def test_unwritable_format_is_a_validation_error(self, tmp_path, args):
         # a subcommand offers only the formats it writes; it never falls
         # back to JSON under a name that promises another format.  Options
-        # it does not have (the tensor order, an operator export) fail alike
+        # it does not have (the tensor order, an operator export, any option
+        # that would not change what it writes) fail alike
         out = tmp_path / "o.out"
         assert run(args + ["--out", out]) == 2
         assert not out.exists()
@@ -435,6 +469,14 @@ class TestExponents:
         data = json.loads(out.read_text())
         assert data["measured"]["projection"]["matvec"] >= 1
 
+    def test_complex_ensemble_moves_the_crossing(self, tmp_path):
+        real, cplx = tmp_path / "r.json", tmp_path / "c.json"
+        assert run([*_BASE["exponents"], "--out", real]) == 0
+        assert run([*_BASE["exponents"], "--ensemble", "complex", "--out", cplx]) == 0
+        nbos_eq = [json.loads(p.read_text())["nbos_eq"] for p in (real, cplx)]
+        assert None not in nbos_eq
+        assert nbos_eq[0] != nbos_eq[1]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -464,3 +506,145 @@ class TestDeterminism:
         ja = json.loads(a.read_text())
         jb = json.loads(b.read_text())
         assert ja["trials"] == jb["trials"]
+
+
+# (subcommand, option) -> (context, option args): the option must change the
+# written output of base + context, or its exit code.  Each context puts the
+# option where it acts; {state}, {tensor} and {logs} name files the fixture
+# writes
+_ACTS = {
+    ("gen", "--N"): ([], ["--N", "4"]),
+    ("gen", "--lambda"): ([], ["--lambda", "0.9"]),
+    ("gen", "--seed"): ([], ["--seed", "2"]),
+    ("gen", "--format"): ([], ["--format", "binary"]),
+    ("gen", "--ensemble"): ([], ["--ensemble", "complex"]),
+    ("gen", "--unspiked"): ([], ["--unspiked"]),
+    ("detect", "--N"): ([], ["--N", "4"]),
+    ("detect", "--nbos"): ([], ["--nbos", "8"]),
+    ("detect", "--lambda"): ([], ["--lambda", "0.9"]),
+    ("detect", "--zeta"): ([], ["--zeta", "0.3"]),
+    ("detect", "--seed"): ([], ["--seed", "2"]),
+    ("detect", "--trials"): ([], ["--trials", "2"]),
+    ("detect", "--format"): ([], ["--format", "csv"]),
+    ("detect", "--dense-limit"): ([], ["--dense-limit", "0"]),
+    ("detect", "--method"): ([], ["--method", "spectral"]),
+    ("detect", "--cprime"): ([], ["--cprime", "0.5"]),
+    ("detect", "--slack"): ([], ["--slack", "1"]),
+    # the retry budget exists only in the unamplified simulator, and tol
+    # only off the dense path
+    ("detect", "--cdoubleprime"): (["--method", "q-unamp"], ["--cdoubleprime", "2"]),
+    ("detect", "--tol"): (["--dense-limit", "0"], ["--tol", "1e-3"]),
+    ("detect", "--k"): (["--nbos", "8"], ["--k", "1"]),
+    ("dos", "--N"): ([], ["--N", "4"]),
+    ("dos", "--nbos"): ([], ["--nbos", "8"]),
+    ("dos", "--seed"): ([], ["--seed", "2"]),
+    ("dos", "--trials"): ([], ["--trials", "3"]),
+    ("dos", "--format"): ([], ["--format", "csv"]),
+    ("dos", "--dense-limit"): ([], ["--dense-limit", "10"]),
+    ("dos", "--xgrid"): ([], ["--xgrid", "0.5"]),
+    ("recover", "--N"): ([], ["--N", "4"]),
+    ("recover", "--nbos"): ([], ["--nbos", "8"]),
+    ("recover", "--lambda"): ([], ["--lambda", "2.5"]),
+    ("recover", "--zeta"): ([], ["--zeta", "0.3"]),
+    ("recover", "--seed"): ([], ["--seed", "2"]),
+    ("recover", "--trials"): ([], ["--trials", "2"]),
+    ("recover", "--dense-limit"): ([], ["--dense-limit", "0"]),
+    ("recover", "--method"): ([], ["--method", "spectral"]),
+    ("recover", "--cprime"): ([], ["--cprime", "0.5"]),
+    # draws near the threshold, some of whose verdicts the slack flips
+    ("recover", "--slack"): (["--lambda", "0.4", "--trials", "6", "--seed", "40"],
+                             ["--slack", "1"]),
+    ("recover", "--mode"): ([], ["--mode", "randomized"]),
+    ("recover", "--unspiked"): ([], ["--unspiked"]),
+    ("recover", "--boost-with"): ([], ["--boost-with", "tplus"]),
+    ("recover", "--state"): (["--tensor", "{tensor}"], ["--state", "{state}"]),
+    ("recover", "--tensor"): (["--state", "{state}"], ["--tensor", "{tensor}"]),
+    ("exponents", "--N"): ([], ["--N", "6"]),
+    ("exponents", "--lambda"): ([], ["--lambda", "0.1"]),
+    ("exponents", "--ensemble"): ([], ["--ensemble", "complex"]),
+    ("exponents", "--logs"): ([], ["--logs", "{logs}"]),
+}
+
+# offered options that change no output, each with the reason it stays
+_EXEMPT = {
+    **{(name, "--out"): "names the report file, which the config echo leaves out"
+       for name in _BASE},
+    **{(name, "--threads"): "changes only wall time; test_threads_do_not_change_results"
+       for name in ("detect", "dos")},
+    **{(name, "--nbos"): "no output depends on n_bos, but test_12_determinism passes it"
+       for name in ("gen", "exponents")},
+    **{(name, "--format"): "json is the one format it writes, which --format json names"
+       for name in ("recover", "exponents")},
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Run a command once and return its exit code and what it wrote, less
+    the echoes of its settings.  Runs are shared between the options they
+    serve."""
+    from tensorpca import ModelParams, build_basis, embed_power_state
+    from tensorpca.fock import save_state
+    from tensorpca.instance import save_tensor
+
+    root = tmp_path_factory.mktemp("acts")
+    tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+    state, _ = embed_power_state(build_basis(3, 4), tensor.tensor)
+    files = {"state": root / "s.json", "tensor": root / "t.json", "logs": root / "d.json"}
+    save_state(files["state"], state)
+    save_tensor(files["tensor"], tensor)
+    assert run([*_BASE["detect"], "--out", files["logs"]]) == 0
+    cache = {}
+
+    def written(args):
+        args = tuple(a.format(**files) for a in args)
+        if args not in cache:
+            out = root / f"{len(cache)}.out"
+            code = run([*args, "--out", out])
+            content = out.read_bytes() if out.exists() else None
+            if content is not None and args[0] != "gen":
+                text = content.decode()
+                if text.startswith("# config:"):
+                    content = text.split("\n", 1)[1]
+                else:
+                    content = json.loads(text)
+                    content.pop("config")
+                    for row in content.get("trials", []):
+                        row.pop("config", None)  # the detection rows' own echoes
+                        row.pop("params", None)
+            cache[args] = (code, content)
+        return cache[args]
+
+    return written
+
+
+class TestEveryOptionActs:
+    def test_every_offered_option_is_covered(self):
+        offered = {(name, action.option_strings[0]) for name, parser in _subparsers().items()
+                   for action in parser._actions if not isinstance(action, argparse._HelpAction)}
+        assert not set(_ACTS) & set(_EXEMPT)
+        assert set(_ACTS) | set(_EXEMPT) == offered
+        assert len(offered) == 57
+
+    @pytest.mark.parametrize("name, flag", sorted(_ACTS), ids=lambda v: v)
+    def test_option_changes_the_output(self, written, name, flag):
+        context, option = _ACTS[name, flag]
+        base = written([*_BASE[name], *context])
+        assert base != written([*_BASE[name], *context, *option])
+
+
+class TestOneModelPoint:
+    @pytest.mark.parametrize("name", ["gen", "recover", "exponents"])
+    @pytest.mark.parametrize("flag, values", [("--N", "3,4"), ("--nbos", "4,8"),
+                                              ("--lambda", "0.5,0.9")])
+    def test_a_list_fails_before_any_trial(self, tmp_path, monkeypatch, name, flag, values):
+        # these subcommands run one model point, so a list is refused before any draw
+        import tensorpca.cli as cli
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "sample_instance", no_trial)
+        out = tmp_path / "o.out"
+        assert run([*_BASE[name], flag, values, "--out", out]) == 2
+        assert not out.exists()
