@@ -328,9 +328,9 @@ def cmd_recover(config: RunConfig) -> dict:
             "--boost-with tplus needs a projection method and no --state: "
             "only a projection detector draws the decorrelated pair"
         )
+    if bool(config.state_file) != bool(config.tensor_file):
+        raise InvalidParameterError("--state and --tensor go together: the snapshot and its tensor")
     if config.state_file:
-        if not config.tensor_file:
-            raise InvalidParameterError("--state also needs --tensor for the boosting stage")
         state = load_state(config.state_file).normalized()
         tensor = load_tensor(config.tensor_file)
         rep = recovery_chain(state, tensor, v_reference=None, mode=config.mode,
@@ -386,12 +386,19 @@ def cmd_exponents(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _comma_list(text: str, kind) -> list:
+    values = [kind(tok) for tok in text.split(",") if tok != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of values, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    return _comma_list(text, int)
 
 
 def _float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    return _comma_list(text, float)
 
 
 # every option, declared once: flag -> add_argument keywords; dests are RunConfig fields

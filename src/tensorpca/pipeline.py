@@ -230,7 +230,8 @@ class ProjectionOutcome:
     projected: StateVector
     input_state: StateVector
     pair: DecorrelatedPair
-    matvec_count: int
+    matvec_count: int  # every matvec of the step, the range probe's included
+    range_probe_matvecs: int
 
 
 def _make_pair(
@@ -245,9 +246,17 @@ def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     Deliberately independent of the projector method, so the realized
     filter window (and hence its midpoint cut) is identical whether the
     filter itself runs densely or iteratively.
+
+    The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
+    (or at 60 steps).  That is enough for a window width: the top Ritz
+    value is then within r of an eigenvalue, and within about r^2/gap of
+    it when the gap to the rest of the spectrum is wide (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz value is never
+    checked for convergence.  Ritz values interlace the spectrum, so the
+    estimate never exceeds 1.2 * (lambda_max - lambda_min).
     """
     probe = derived_rng(seed, "range-probe").standard_normal(h.dim)
-    ritz = lanczos(h, probe, max_iters=min(h.dim, 60), tol=1e-6)
+    ritz = lanczos(h, probe, max_iters=min(h.dim, 60), tol=1e-3)
     lo, hi = float(ritz.ritz_values.min()), float(ritz.ritz_values.max())
     return 1.2 * (hi - lo)
 
@@ -265,6 +274,7 @@ def _project_step(
     basis, and fold in its symmetric-projection weight when configured."""
     h = HamiltonianOperator(pair.t_plus, state.basis)
     gap = max(_spectral_range(h, seed) / params.N, 1e-9 * max(abs(cutoff), 1.0))
+    range_probe_matvecs = h.matvec_count  # h is fresh: every matvec so far is the probe's
     projected, weight, _ = project_above(
         h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
     )
@@ -279,6 +289,7 @@ def _project_step(
         input_state=state,
         pair=pair,
         matvec_count=h.matvec_count,
+        range_probe_matvecs=range_probe_matvecs,
     )
 
 
@@ -345,7 +356,11 @@ def _projection_report(
         params=_params_echo(params),
         config=asdict(cfg),
         separation=outcome.statistic / thr if thr else None,
-        query_counts={"matvec": outcome.matvec_count, "projector_applications": applications},
+        query_counts={
+            "matvec": outcome.matvec_count,
+            "range_probe": outcome.range_probe_matvecs,
+            "projector_applications": applications,
+        },
         state=outcome.projected,
         pair=outcome.pair,
         **extra,

@@ -378,6 +378,17 @@ class TestRecover:
         assert run(["recover", "--state", tmp_path / "missing.json", "--out",
                     tmp_path / "r.json"]) == 2
 
+    def test_tensor_without_snapshot_is_a_validation_error(self, tmp_path):
+        # the tensor file feeds only the snapshot route; a sweep would ignore it
+        from tensorpca import ModelParams
+        from tensorpca.instance import save_tensor
+
+        tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+        save_tensor(tmp_path / "t.json", tensor)
+        out = tmp_path / "r.json"
+        assert run([*_BASE["recover"], "--tensor", tmp_path / "t.json", "--out", out]) == 2
+        assert not out.exists()
+
     def test_memory_error_becomes_an_error_row(self, tmp_path, monkeypatch):
         import tensorpca.pipeline as pipeline
 
@@ -631,6 +642,18 @@ class TestEveryOptionActs:
         context, option = _ACTS[name, flag]
         base = written([*_BASE[name], *context])
         assert base != written([*_BASE[name], *context, *option])
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [("detect", "--N"), ("detect", "--nbos"), ("detect", "--lambda"),
+     ("dos", "--N"), ("dos", "--nbos"), ("dos", "--xgrid")],
+)
+def test_empty_list_is_a_usage_error(tmp_path, name, flag):
+    # a list with no value would sweep nothing and still write a report
+    out = tmp_path / "o.out"
+    assert run([*_BASE[name], flag, ",", "--out", out]) == 2
+    assert not out.exists()
 
 
 class TestOneModelPoint:
