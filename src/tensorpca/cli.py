@@ -9,9 +9,11 @@ starts from.  Reports embed their effective configuration and are
 byte-identical across reruns with the same seed; wall-clock time is
 never serialized.
 
-A subcommand offers only the options it reads, so none is echoed in a
-report without having acted; gen, recover and exponents take one value
-each of --N, --nbos and --lambda.
+A subcommand offers only the options it reads.  A report's config echoes
+every RunConfig field, and the fields a subcommand does not offer keep
+their defaults there.  gen, recover and exponents take one value each of
+--N, --nbos and --lambda, and a recover --state run refuses the options
+that only the sampled route reads.
 
 Exit codes: 0 success, 2 validation error, 3 capacity error,
 4 convergence error.
@@ -319,18 +321,27 @@ def cmd_recover(config: RunConfig) -> dict:
 
     Unspiked-verdict trials report detection_failed and skip recovery.
     With --state (plus --tensor for the boosting stage) the chain starts
-    from a saved post-projection snapshot instead of detecting afresh.
-    Boosting with t_plus needs the decorrelated pair of a projection
-    detector, which neither the snapshot nor the spectral detector has.
+    from a saved post-projection snapshot instead of detecting afresh, and
+    refuses every option of the sampled route that is set away from its
+    default.  Boosting with t_plus needs the decorrelated pair of a
+    projection detector, which neither the snapshot nor the spectral
+    detector has.
     """
-    if config.boost_with == "tplus" and (config.state_file or config.method == "spectral"):
-        raise InvalidParameterError(
-            "--boost-with tplus needs a projection method and no --state: "
-            "only a projection detector draws the decorrelated pair"
-        )
     if bool(config.state_file) != bool(config.tensor_file):
         raise InvalidParameterError("--state and --tensor go together: the snapshot and its tensor")
+    if config.boost_with == "tplus" and config.method == "spectral":
+        raise InvalidParameterError(
+            "--boost-with tplus needs a projection method: "
+            "only a projection detector draws the decorrelated pair"
+        )
     if config.state_file:
+        default = RunConfig(config.subcommand)
+        unread = [flag for flag in _SAMPLED_ONLY.split()
+                  if getattr(config, _dest(flag)) != getattr(default, _dest(flag))]
+        if unread:
+            raise InvalidParameterError(
+                f"{', '.join(unread)}: a --state run reads only --seed, --mode and its files"
+            )
         state = load_state(config.state_file).normalized()
         tensor = load_tensor(config.tensor_file)
         rep = recovery_chain(state, tensor, v_reference=None, mode=config.mode,
@@ -427,6 +438,16 @@ _OPTIONS = {
     "--tensor": dict(dest="tensor_file", help="instance tensor file for boosting (with --state)"),
     "--logs": dict(type=lambda s: s.split(","), help="detection reports to harvest counts from"),
 }
+
+# recover options that only the sampled route reads; a --state run refuses them
+_SAMPLED_ONLY = ("--N --nbos --lambda --zeta --trials --dense-limit --method --cprime --slack "
+                 "--unspiked --boost-with")
+
+
+def _dest(flag: str) -> str:
+    """The RunConfig field an option sets."""
+    return _OPTIONS[flag].get("dest", flag[2:].replace("-", "_"))
+
 
 # subcommand -> (handler, help, the formats it writes, the options it reads)
 _SUBCOMMANDS = {

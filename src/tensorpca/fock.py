@@ -14,14 +14,17 @@ with per-sequence amplitude c_n therefore has occupation amplitude
 sqrt(|S_n|) * c_n.  Oracles for that isometry and a brute-force
 permutation symmetrizer live at the bottom of the module.
 
-lowering_map caches, per basis, the maps that remove one boson (a_mu,
-used by the density matrix) or a pair (a_rho a_sigma, the factor the
-operator H(T) is applied through).
+Every table that depends only on (N, n_bos) is built once: build_basis
+and lowering_map (the maps that remove one boson, a_mu, used by the
+density matrix, or a pair, a_rho a_sigma, the factor the operator H(T) is
+applied through) call functools.cache builders, and the 4-boson power
+table is cached per N the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
@@ -58,7 +61,6 @@ class OccupationBasis:
         self.dim = dim
         self._binom = binom_table(n_modes + n_bos + 1)
         self.states = _enumerate_colex(n_modes, n_bos)
-        self._log_seq_count = None
 
     # -- ranking --------------------------------------------------------
     def rank(self, occ) -> int:
@@ -102,13 +104,11 @@ class OccupationBasis:
                 f"malformed occupation vector {occ!r} for N={self.n_modes}, n_bos={self.n_bos}"
             )
 
-    @property
+    @cached_property
     def log_seq_count(self) -> np.ndarray:
         """log |S_n| per basis state, |S_n| = n_bos!/prod(n_mu!)."""
-        if self._log_seq_count is None:
-            lf = log_factorials(self.n_bos)
-            self._log_seq_count = lf[self.n_bos] - np.sum(lf[self.states], axis=1)
-        return self._log_seq_count
+        lf = log_factorials(self.n_bos)
+        return lf[self.n_bos] - np.sum(lf[self.states], axis=1)
 
     def same_space(self, other: "OccupationBasis") -> bool:
         return self.n_modes == other.n_modes and self.n_bos == other.n_bos
@@ -140,20 +140,18 @@ def _enumerate_colex(n_modes: int, n_bos: int) -> np.ndarray:
     return table[n_bos]
 
 
-_BASIS_CACHE: dict[tuple[int, int], OccupationBasis] = {}
-
-
 def build_basis(n_modes: int, n_bos: int, max_dim: int = MAX_BASIS_DIM) -> OccupationBasis:
-    """Construct (and memoize) the occupation basis for (N, n_bos)."""
-    key = (n_modes, n_bos)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None or basis.dim > max_dim:
-        basis = OccupationBasis(n_modes, n_bos, max_dim=max_dim)
-        _BASIS_CACHE[key] = basis
-    return basis
+    """Construct (and memoize) the occupation basis for (N, n_bos).
+
+    A plain function, so that tracers which wrap module functions see every
+    call; the positional call keys the cache the same however the caller
+    passed max_dim.  A refused request raises and is not memoized."""
+    return _basis(n_modes, n_bos, max_dim)
 
 
-_LOWERING_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+@cache
+def _basis(n_modes: int, n_bos: int, max_dim: int) -> OccupationBasis:
+    return OccupationBasis(n_modes, n_bos, max_dim=max_dim)
 
 
 def lowering_map(basis: OccupationBasis, bosons: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,20 +166,20 @@ def lowering_map(basis: OccupationBasis, bosons: int) -> tuple[np.ndarray, np.nd
     rows, row block p is a_rho a_sigma onto the (n_bos-2)-boson basis, for
     the P = N(N+1)/2 mode pairs (rho, sigma) in np.triu_indices(N) order;
     it is composed from the bosons=1 maps.  With fewer than `bosons` bosons
-    the map has no rows.  Keyed by (N, n_bos) like build_basis.
+    the map has no rows.  Keyed by (N, n_bos, bosons).
     """
     if bosons not in (1, 2):
         raise InvalidParameterError(f"lowering maps remove 1 or 2 bosons, not {bosons}")
-    n_modes, n_bos = basis.n_modes, basis.n_bos
-    key = (n_modes, n_bos, bosons)
-    lowering = _LOWERING_CACHE.get(key)
-    if lowering is not None:
-        return lowering
+    return _lowering(basis.n_modes, basis.n_bos, bosons)
+
+
+@cache
+def _lowering(n_modes: int, n_bos: int, bosons: int) -> tuple[np.ndarray, np.ndarray]:
     if n_bos < bosons:
-        sources = np.zeros(0, dtype=np.int64)
-        coefs = np.zeros(0)
-    elif bosons == 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    if bosons == 1:
         # row (mu, r) reads the state with one more boson in mu than state r below
+        basis = build_basis(n_modes, n_bos)
         occ = build_basis(n_modes, n_bos - 1).states.astype(np.int64)
         source_blocks, coef_blocks = [], []
         for mu in range(n_modes):
@@ -189,20 +187,16 @@ def lowering_map(basis: OccupationBasis, bosons: int) -> tuple[np.ndarray, np.nd
             source_blocks.append(basis.rank_array(occ))
             coef_blocks.append(np.sqrt(occ[:, mu]))
             occ[:, mu] -= 1
-        sources = np.concatenate(source_blocks)
-        coefs = np.concatenate(coef_blocks)
-    else:
-        first = lowering_map(basis, 1)  # a_sigma: n_bos -> n_bos - 1
-        second = lowering_map(build_basis(n_modes, n_bos - 1), 1)  # a_rho: -> n_bos - 2
-        rho, sigma = np.triu_indices(n_modes)
-        first_sources, first_coefs = (a.reshape(n_modes, -1) for a in first)
-        second_sources, second_coefs = (a.reshape(n_modes, -1) for a in second)
-        mid = second_sources[rho]
-        sources = first_sources[sigma[:, None], mid].ravel()
-        coefs = (second_coefs[rho] * first_coefs[sigma[:, None], mid]).ravel()
-    lowering = (sources, coefs)
-    _LOWERING_CACHE[key] = lowering
-    return lowering
+        return np.concatenate(source_blocks), np.concatenate(coef_blocks)
+    first = _lowering(n_modes, n_bos, 1)  # a_sigma: n_bos -> n_bos - 1
+    second = _lowering(n_modes, n_bos - 1, 1)  # a_rho: -> n_bos - 2
+    rho, sigma = np.triu_indices(n_modes)
+    first_sources, first_coefs = (a.reshape(n_modes, -1) for a in first)
+    second_sources, second_coefs = (a.reshape(n_modes, -1) for a in second)
+    mid = second_sources[rho]
+    sources = first_sources[sigma[:, None], mid].ravel()
+    coefs = (second_coefs[rho] * first_coefs[sigma[:, None], mid]).ravel()
+    return sources, coefs
 
 
 class StateVector:
@@ -281,29 +275,22 @@ def tensor_occupation_amplitudes(t: SymmetricTensor4) -> StateVector:
     sqrt(|S|) * T_{ijkl} with |S| the number of distinct orderings.
     """
     basis4 = build_basis(t.n_modes, 4)
-    ranks, sqrt_orbits = _power_table(basis4)
+    ranks, sqrt_orbits = _power_table(t.n_modes)
     amps = np.zeros(basis4.dim, dtype=t.values.dtype)
     amps[ranks] = sqrt_orbits * t.values
     return StateVector(basis4, amps)
 
 
-_POWER_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _power_table(basis4: OccupationBasis) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _power_table(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Memoized (ranks, sqrt(orbit_sizes)) of the canonical tensor slots on
     the 4-boson basis: slot i, the sorted tuple {i,j,k,l}, is the occupation
-    state of rank ranks[i].  Keyed by N, as lowering_map is by basis."""
-    n = basis4.n_modes
-    table = _POWER_TABLES.get(n)
-    if table is None:
-        lay = layout(n)
-        occs = np.zeros((lay.size, n), dtype=np.int64)
-        rows = np.repeat(np.arange(lay.size), 4)
-        np.add.at(occs, (rows, lay.tuples_array.ravel()), 1)
-        table = (basis4.rank_array(occs), np.sqrt(lay.orbit_sizes))
-        _POWER_TABLES[n] = table
-    return table
+    state of rank ranks[i]."""
+    lay = layout(n_modes)
+    occs = np.zeros((lay.size, n_modes), dtype=np.int64)
+    rows = np.repeat(np.arange(lay.size), 4)
+    np.add.at(occs, (rows, lay.tuples_array.ravel()), 1)
+    return build_basis(n_modes, 4).rank_array(occs), np.sqrt(lay.orbit_sizes)
 
 
 # Rows of x per block of the pair table in _convolve_raw

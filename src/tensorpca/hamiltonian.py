@@ -30,6 +30,8 @@ The dense matrix is assembled from the same factors.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ._util import (
@@ -43,9 +45,7 @@ from .fock import OccupationBasis, StateVector, _bincount, _full_space_ranks, lo
 from .symtensor import SymmetricTensor4, layout
 
 
-_PAIR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _pair_table(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Memoized (slots, mult) for the P x P pair-weight matrix W of H(T).
 
@@ -56,14 +56,10 @@ def _pair_table(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     dense view's size limit applies), and mult the product mult_c * mult_a;
     W is then mult * values[slots].
     """
-    table = _PAIR_TABLES.get(n_modes)
-    if table is None:
-        pa, pb = np.triu_indices(n_modes)
-        single = np.where(pa == pb, 1.0, 2.0)
-        slots = layout(n_modes).dense_index[pa[:, None], pb[:, None], pa[None, :], pb[None, :]]
-        table = (slots, single[:, None] * single[None, :])
-        _PAIR_TABLES[n_modes] = table
-    return table
+    pa, pb = np.triu_indices(n_modes)
+    single = np.where(pa == pb, 1.0, 2.0)
+    slots = layout(n_modes).dense_index[pa[:, None], pb[:, None], pa[None, :], pb[None, :]]
+    return slots, single[:, None] * single[None, :]
 
 
 class HamiltonianOperator:

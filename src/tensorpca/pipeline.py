@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from math import asin, ceil, inf, pi, sin, sqrt
 
 import numpy as np
@@ -571,12 +572,15 @@ def multistep_run(
     success probability at each level (conditional on the children), q_j
     the unconditioned success of a fresh unspiked draw at the same size.
     The final verdict compares the level-0 conditional statistic to the
-    threshold adjusted for survival of the deeper levels.
+    threshold adjusted for survival of the deeper levels.  A subsystem
+    whose projected state is annihilated leaves p = 0 to each of its
+    ancestors; the other subsystems are computed as usual.
 
-    Leaves of equal size and cutoff, and merges of identical children, run
-    the same computation (same pair, seed and basis), so each distinct
-    subsystem is computed once: k=1 at n_bos=8 takes 5 projection steps,
-    not 6.  A per-cascade query count should count a shared subsystem once.
+    A subsystem is fixed by its size and the number of levels below it:
+    equal ones run the same computation (same pair, seed and basis), so
+    each distinct subsystem is computed once: k=1 at n_bos=8 takes 5
+    projection steps, not 6.  A per-cascade query count should count a
+    shared subsystem once.
     The q_j draws are independent per subsystem and never shared.
     """
     cfg = cfg or DetectionConfig()
@@ -586,39 +590,32 @@ def multistep_run(
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
 
-    # leaves embed the power input state, internal levels merge pairs of
-    # children; once a state is annihilated the success probabilities of
-    # the levels above are 0.  A subsystem is keyed by its leaf (size,
-    # cutoff) or by its children's keys and cutoff: equal keys mean the same
-    # computation, so each distinct key is run once
+    # the plan's cutoff depends on the size alone
+    cutoffs = dict(zip(sum(plan.level_sizes, ()), sum(plan.cutoffs_per_level, ())))
+
+    @cache
+    def subsystem(size: int, below: int) -> tuple[float, StateVector | None]:
+        """(statistic, normalized projected state or None if annihilated) of
+        the subsystem of `size` bosons with `below` levels under it: a leaf
+        embeds the power input state, an internal one merges its children."""
+        if below == 0:
+            out = _filtered_statistic(pair, params, cfg, cutoffs[size], seed, n_bos=size)
+        else:
+            children = [subsystem(half, below - 1)[1] for half in _split_size(size)]
+            if any(state is None for state in children):
+                return 0.0, None
+            merged, w_merge = symmetrized_product(*children)
+            out = _project_step(pair, merged, w_merge, params, cfg, cutoffs[size], seed)
+        return out.statistic, out.projected.normalized() if out.proj_weight > 0.0 else None
+
     k_levels = plan.k
-    done = {}  # key -> (statistic, normalized projected state or None)
-    p_j, keys, annihilated = [], [], False
-    for j in range(k_levels, -1, -1):
-        children, keys, probs = keys, [], []
-        for idx, size in enumerate(plan.level_sizes[j]):
-            cutoff = plan.cutoffs_per_level[j][idx]
-            if j == k_levels:
-                key = (size, cutoff)
-            elif annihilated:
-                keys.append(None)
-                probs.append(0.0)
-                continue
-            else:
-                key = (children[2 * idx], children[2 * idx + 1], cutoff)
-            if key not in done:
-                if j == k_levels:
-                    out = _filtered_statistic(pair, params, cfg, cutoff, seed, n_bos=size)
-                else:
-                    merged, w_merge = symmetrized_product(done[key[0]][1], done[key[1]][1])
-                    out = _project_step(pair, merged, w_merge, params, cfg, cutoff, seed)
-                alive = out.proj_weight > 0.0
-                done[key] = (out.statistic, out.projected.normalized() if alive else None)
-            statistic, state = done[key]
-            probs.append(statistic)
-            annihilated = annihilated or state is None
-            keys.append(key)
-        p_j.insert(0, probs)
+    p_j = [
+        [subsystem(size, k_levels - j)[0] for size in level]
+        for j, level in enumerate(plan.level_sizes)
+    ]
+    # subsystem reaches itself through its closure; breaking that cycle
+    # frees its cache now rather than at the next full garbage collection
+    del subsystem
 
     # unconditioned unspiked probabilities at every level size
     q_j = []

@@ -19,7 +19,7 @@ from ._util import (
     derived_rng,
     run_trials,
 )
-from .fock import OccupationBasis, StateVector, build_basis
+from .fock import StateVector, build_basis
 from .hamiltonian import HamiltonianOperator
 from .instance import ModelParams, sample_gaussian_tensor
 
@@ -62,7 +62,6 @@ class RitzDecomposition:
     iterations: int
     start_coeffs: np.ndarray  # expansion of the start vector on the Ritz pairs
     invariant_subspace: bool
-    basis: OccupationBasis | None = None
     _krylov: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x D
     _eigvecs: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x k
 
@@ -98,7 +97,7 @@ _RESERVED_STEPS = 64
 
 def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     """Krylov tridiagonalization with full reorthogonalization, returned as
-    a RitzDecomposition (without a basis).
+    a RitzDecomposition.
 
     After step k, stop_check(tridiag, beta) -> bool decides early
     termination.  tridiag is the k x k Lanczos tridiagonal so far, a view
@@ -235,10 +234,8 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
     """
     if num_wanted < 1:
         raise InvalidParameterError(f"num_wanted must be at least 1, got {num_wanted}")
-    matvec, dim, basis = _as_operator(op)
-    v0, vec_basis = _as_vector(start)
-    if basis is None:
-        basis = vec_basis
+    matvec, dim, _ = _as_operator(op)
+    v0, _ = _as_vector(start)
     if max_iters is None:
         max_iters = dim
 
@@ -246,9 +243,7 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
         residuals, scale = _top_residuals(tridiag, beta, num_wanted)
         return all(r <= tol * scale for r in residuals)
 
-    ritz = _lanczos_sweep(matvec, v0, max_iters, stop)
-    ritz.basis = basis
-    return ritz
+    return _lanczos_sweep(matvec, v0, max_iters, stop)
 
 
 def leading_eigenvalue(

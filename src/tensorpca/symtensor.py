@@ -9,12 +9,13 @@ contract the full tensor (boosting, rotations, the first-quantized oracle).
 The dense view is not on the path to H(T): the operator reads its P x P
 pair weights through a per-N slot table taken once from dense_index.  Every
 per-N table (sorted tuples, orbit sizes, dense index) is a numpy build done
-once per N.
+once per N: layout is a functools.cache builder, and the tables it does
+not need at once are cached properties.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from math import factorial
 
@@ -54,7 +55,6 @@ class _IndexLayout:
             run = np.where(tuples[:, c] == tuples[:, c - 1], run + 1, 1)
             denom *= run
         self.orbit_sizes = factorial(_ORDER) // denom
-        self._dense_index = None
 
     @cached_property
     def tuples(self) -> list[tuple[int, ...]]:
@@ -64,37 +64,31 @@ class _IndexLayout:
     def index(self) -> dict[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.tuples)}
 
-    @property
+    @cached_property
     def dense_index(self) -> np.ndarray:
         """(N, N, N, N) map from an arbitrary index tuple to its slot."""
-        if self._dense_index is None:
-            n = self.n_modes
-            if n > DENSE_TENSOR_LIMIT:
-                raise InvalidParameterError(
-                    f"dense order-4 view limited to N <= {DENSE_TENSOR_LIMIT}, got N={n}"
-                )
-            # scatter each slot to every ordering of its tuple; orderings
-            # that coincide (repeated indices) write the same slot.  The
-            # ordering perm of tuple t sits at flat position
-            # sum_c t[perm[c]] * n**(3 - c) = t @ strides[argsort(perm)].
-            flat = np.empty(n**_ORDER, dtype=np.int64)
-            strides = n ** np.arange(_ORDER - 1, -1, -1)
-            slots = np.arange(self.size)
-            for perm in permutations(range(_ORDER)):
-                flat[self.tuples_array @ strides[np.argsort(perm)]] = slots
-            self._dense_index = flat.reshape((n,) * _ORDER)
-        return self._dense_index
+        n = self.n_modes
+        if n > DENSE_TENSOR_LIMIT:
+            raise InvalidParameterError(
+                f"dense order-4 view limited to N <= {DENSE_TENSOR_LIMIT}, got N={n}"
+            )
+        # scatter each slot to every ordering of its tuple; orderings
+        # that coincide (repeated indices) write the same slot.  The
+        # ordering perm of tuple t sits at flat position
+        # sum_c t[perm[c]] * n**(3 - c) = t @ strides[argsort(perm)].
+        flat = np.empty(n**_ORDER, dtype=np.int64)
+        strides = n ** np.arange(_ORDER - 1, -1, -1)
+        slots = np.arange(self.size)
+        for perm in permutations(range(_ORDER)):
+            flat[self.tuples_array @ strides[np.argsort(perm)]] = slots
+        return flat.reshape((n,) * _ORDER)
 
 
-_LAYOUTS: dict[int, _IndexLayout] = {}
-
-
+@cache
 def layout(n_modes: int) -> _IndexLayout:
     if n_modes < 1:
         raise InvalidParameterError(f"need at least one mode, got N={n_modes}")
-    if n_modes not in _LAYOUTS:
-        _LAYOUTS[n_modes] = _IndexLayout(n_modes)
-    return _LAYOUTS[n_modes]
+    return _IndexLayout(n_modes)
 
 
 class SymmetricTensor4:

@@ -374,6 +374,30 @@ class TestRecover:
                     "--boost-with", "tplus", "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--N", "5"], ["--nbos", "8"], ["--lambda", "0.1"], ["--zeta", "0.3"],
+         ["--trials", "3"], ["--dense-limit", "10"], ["--method", "spectral"],
+         ["--cprime", "0.5"], ["--slack", "2"], ["--unspiked"], ["--boost-with", "tplus"]],
+        ids=lambda option: option[0],
+    )
+    def test_snapshot_refuses_sampled_route_options(self, tmp_path, option):
+        # a snapshot run reads none of these, so setting one is a validation error
+        from tensorpca import ModelParams, build_basis, embed_power_state
+        from tensorpca.fock import save_state
+        from tensorpca.instance import save_tensor
+
+        tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+        state, _ = embed_power_state(build_basis(3, 4), tensor.tensor)
+        save_state(tmp_path / "s.json", state)
+        save_tensor(tmp_path / "t.json", tensor)
+        snapshot = ["recover", "--state", tmp_path / "s.json", "--tensor", tmp_path / "t.json",
+                    "--seed", "12", "--mode", "randomized"]
+        assert run([*snapshot, "--out", tmp_path / "ok.json"]) == 0
+        out = tmp_path / "r.json"
+        assert run([*snapshot, *option, "--out", out]) == 2
+        assert not out.exists()
+
     def test_snapshot_without_tensor_is_a_validation_error(self, tmp_path):
         assert run(["recover", "--state", tmp_path / "missing.json", "--out",
                     tmp_path / "r.json"]) == 2
@@ -576,6 +600,10 @@ _ACTS = {
     ("exponents", "--logs"): ([], ["--logs", "{logs}"]),
 }
 
+# options whose runs start from another command than _BASE: a --state run
+# refuses the sampled route's options that _BASE["recover"] sets
+_START = {("recover", flag): ["recover", "--seed", "1"] for flag in ("--state", "--tensor")}
+
 # offered options that change no output, each with the reason it stays
 _EXEMPT = {
     **{(name, "--out"): "names the report file, which the config echo leaves out"
@@ -640,8 +668,9 @@ class TestEveryOptionActs:
     @pytest.mark.parametrize("name, flag", sorted(_ACTS), ids=lambda v: v)
     def test_option_changes_the_output(self, written, name, flag):
         context, option = _ACTS[name, flag]
-        base = written([*_BASE[name], *context])
-        assert base != written([*_BASE[name], *context, *option])
+        start = _START.get((name, flag), _BASE[name])
+        base = written([*start, *context])
+        assert base != written([*start, *context, *option])
 
 
 @pytest.mark.parametrize(

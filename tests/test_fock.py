@@ -82,6 +82,22 @@ class TestBasis:
         with pytest.raises(CapacityError):
             build_basis(8, 8, max_dim=100)
 
+    def test_memoized_and_a_refused_request_is_retried(self):
+        from tensorpca import fock
+
+        basis = build_basis(3, 5)
+        assert build_basis(3, 5) is basis
+        assert lowering_map(basis, 2) is lowering_map(build_basis(3, 5), 2)
+        before = fock._basis.cache_info()
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                build_basis(8, 8, max_dim=100)
+            with pytest.raises(InvalidParameterError):
+                build_basis(0, 3)
+        after = fock._basis.cache_info()
+        assert after.misses == before.misses + 4
+        assert after.currsize == before.currsize
+
     def test_colex_table_matches_recursion(self):
         grid = [(n_modes, n_bos) for n_modes in range(1, 9) for n_bos in range(8)]
         for n_modes, n_bos in grid + [(16, 2), (16, 3), (16, 4), (30, 1)]:

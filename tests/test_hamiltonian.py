@@ -171,6 +171,17 @@ class TestMatvec:
         with pytest.raises(InvalidParameterError, match="dense order-4 view"):
             HamiltonianOperator(t, build_basis(n_modes, 1))
 
+    def test_pair_table_memoized_and_a_refused_request_is_retried(self):
+        from tensorpca.hamiltonian import _pair_table
+
+        assert _pair_table(5) is _pair_table(5)
+        before = _pair_table.cache_info()
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="dense order-4 view"):
+                _pair_table(DENSE_TENSOR_LIMIT + 1)
+        after = _pair_table.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
+
 
 class TestFirstQuantizedOracle:
     def test_single_boson_gives_zero(self):

@@ -601,6 +601,42 @@ class TestMultistep:
                ms.cost_estimate)
         assert got == expected
 
+    def test_annihilation_zeroes_only_the_ancestors(self, monkeypatch):
+        # levels (20,), (12, 8), (8, 4, 4, 4): the size-8 leaf below the 12
+        # is annihilated, so the 12 and the root get p = 0 while their
+        # cousin, the internal 8 merged from two 4s, is still computed
+        import dataclasses
+
+        params = ModelParams(N=2, n_bos=20, lambda_bar=0.5, seed=3)
+        cfg = DetectionConfig()
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(3, "cascade"))
+        pair = pipeline._make_pair(t0, params, cfg, derived_rng(3, "decorrelate"))
+        clean = multistep_run(t0, params, cfg, seed=3, k=2, pair=pair)
+        filtered, step = pipeline._filtered_statistic, pipeline._project_step
+        steps = []
+
+        def annihilating(pair_arg, *args, n_bos=None):
+            out = filtered(pair_arg, *args, n_bos=n_bos)
+            if pair_arg is pair and n_bos == 8:
+                return dataclasses.replace(out, statistic=0.0, proj_weight=0.0)
+            return out
+
+        def counting(*args):
+            steps.append(args[1].basis.n_bos)
+            return step(*args)
+
+        monkeypatch.setattr(pipeline, "_filtered_statistic", annihilating)
+        monkeypatch.setattr(pipeline, "_project_step", counting)
+        ms = multistep_run(t0, params, cfg, seed=3, k=2, pair=pair)
+        assert ms.plan.level_sizes == ((20,), (12, 8), (8, 4, 4, 4))
+        assert ms.p_j[0] == (0.0,)
+        assert ms.p_j[1] == (0.0, clean.p_j[1][1]) and clean.p_j[1][1] > 0.0
+        assert ms.p_j[2] == (0.0, *clean.p_j[2][1:])
+        assert ms.chain_product == 0.0
+        assert ms.verdict == "unspiked"
+        # leaves 8 and 4, the merge into the internal 8, then 1 + 2 + 4 q_j draws
+        assert len(steps) == 3 + 7
+
     def test_cost_estimate_formula(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=14)
         t0, _ = sample_instance(params, spiked=False)

@@ -64,6 +64,17 @@ def test_python_tuples_are_built_on_demand():
     assert t[3, 1, 2, 1] == t[1, 1, 2, 3] == float(lay.index[(1, 1, 2, 3)])
 
 
+def test_layout_memoized_and_a_refused_request_is_retried():
+    assert layout(7) is layout(7)
+    assert layout(7).dense_index is layout(7).dense_index
+    before = layout.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError):
+            layout(0)
+    after = layout.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
+
+
 def test_dense_index_refused_above_limit():
     lay = _IndexLayout(DENSE_TENSOR_LIMIT + 1)
     with pytest.raises(InvalidParameterError, match="dense order-4 view"):
