@@ -3,7 +3,7 @@
 The package is organized around the lifecycle of one experiment:
 
     instance    -- signal vectors, Gaussian tensors, spikes, noise splits
-    fock        -- occupation basis, state vectors, embeddings, oracles
+    fock        -- occupation basis, state vectors, embeddings
     hamiltonian -- the implicit operator H(T) and its dense oracles
     spectral    -- Lanczos, filtered projectors, spectra, analytic bounds
     pipeline    -- detection algorithms and the multistep cascade
@@ -13,7 +13,6 @@ The package is organized around the lifecycle of one experiment:
 
 from ._util import CapacityError, ConvergenceError, InvalidParameterError, derived_rng
 from .fock import (
-    FullSpaceVector,
     OccupationBasis,
     StateVector,
     build_basis,

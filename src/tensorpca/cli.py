@@ -326,6 +326,11 @@ def cmd_recover(config: RunConfig) -> dict:
     default.  Boosting with t_plus needs the decorrelated pair of a
     projection detector, which neither the snapshot nor the spectral
     detector has.
+
+    The spike is planted only up to sign, so the aggregates score |corr|:
+    mean_corr_boosted averages it over the boosted trials, and
+    boosted_win_rate is the share of sampled trials boosted to
+    |corr| >= 0.9 (None for a snapshot, which has no planted direction).
     """
     if bool(config.state_file) != bool(config.tensor_file):
         raise InvalidParameterError("--state and --tensor go together: the snapshot and its tensor")
@@ -362,7 +367,8 @@ def cmd_recover(config: RunConfig) -> dict:
         cfg = config.detection_config()
         params = config.single_params()
         rows = [_recover_one(config, cfg, params, trial) for trial in range(config.trials)]
-    corrs = [r["corr_boosted"] for r in rows if "corr_boosted" in r]
+    corrs = [abs(r["corr_boosted"]) for r in rows if "corr_boosted" in r]
+    sampled = bool(rows) and not config.state_file
     return _emit(
         config,
         trials=rows,
@@ -370,6 +376,7 @@ def cmd_recover(config: RunConfig) -> dict:
             "detected": sum(1 for r in rows if r.get("detected")),
             "trials": len(rows),
             "mean_corr_boosted": float(np.mean(corrs)) if corrs else None,
+            "boosted_win_rate": sum(c >= 0.9 for c in corrs) / len(rows) if sampled else None,
         },
     )
 

@@ -11,8 +11,9 @@ The orthonormal occupation basis state for occupation n corresponds in
 the full space to the normalized average of the |S_n| = n_bos!/prod(n_mu!)
 distinct mode sequences with that content; a symmetric full-space vector
 with per-sequence amplitude c_n therefore has occupation amplitude
-sqrt(|S_n|) * c_n.  Oracles for that isometry and a brute-force
-permutation symmetrizer live at the bottom of the module.
+sqrt(|S_n|) * c_n.  _full_space_ranks, at the bottom of the module,
+maps every full-space sequence to the rank of its content, for the dense
+first-quantized oracle in hamiltonian.
 
 Every table that depends only on (N, n_bos) is built once: build_basis
 and lowering_map (the maps that remove one boson, a_mu, used by the
@@ -23,9 +24,7 @@ table is cached per N the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
-from math import factorial
 
 import numpy as np
 
@@ -374,85 +373,20 @@ def embed_power_state(basis: OccupationBasis, t: SymmetricTensor4) -> tuple[Stat
     return StateVector(basis, raw.amps / pre_norm), float(pre_norm)
 
 
-# ---------------------------------------------------------------------------
-# Full-space oracles (brute force; small sizes only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FullSpaceVector:
-    """Amplitudes over the full (C^N)^{x n_bos} product basis, row-major."""
-
-    n_modes: int
-    n_bos: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        full_dim = self.n_modes**self.n_bos
-        if full_dim > MAX_FULL_DIM:
-            raise CapacityError(f"full space of dimension {full_dim} exceeds {MAX_FULL_DIM}")
-        self.amps = np.asarray(self.amps).reshape(full_dim)
-
-
-def symmetrize_full(vec: FullSpaceVector) -> FullSpaceVector:
-    """Average the amplitudes over all n_bos! leg permutations (projector).
-
-    Deliberately brute force: this is the oracle the occupation-basis
-    machinery is validated against, so it shares none of its code paths.
-    """
-    n, nb = vec.n_modes, vec.n_bos
-    if factorial(nb) > 50000:
-        raise CapacityError(f"permutation symmetrizer limited to n_bos <= 8, got {nb}")
-    from itertools import permutations
-
-    tensor = vec.amps.reshape((n,) * nb)
-    acc = np.zeros_like(tensor, dtype=np.result_type(tensor, np.float64))
-    count = 0
-    for perm in permutations(range(nb)):
-        acc += np.transpose(tensor, perm)
-        count += 1
-    return FullSpaceVector(n, nb, (acc / count).reshape(-1))
-
-
-def full_space_sequences(n_modes: int, n_bos: int) -> np.ndarray:
-    """(N^n_bos, n_bos) array: row f holds the mode sequence of flat index f."""
+def _full_space_ranks(basis: OccupationBasis) -> np.ndarray:
+    """Occupation rank of the content of every full-space sequence, in
+    flat-index order: flat index f of (C^N)^{x n_bos}, read row-major, is
+    the mode sequence of the base-N digits of f."""
+    n_modes, n_bos = basis.n_modes, basis.n_bos
     full_dim = n_modes**n_bos
     if full_dim > MAX_FULL_DIM:
         raise CapacityError(f"full space of dimension {full_dim} exceeds {MAX_FULL_DIM}")
-    flat = np.arange(full_dim)
     powers = n_modes ** np.arange(n_bos - 1, -1, -1)
-    return (flat[:, None] // powers) % n_modes
-
-
-def _full_space_ranks(basis: OccupationBasis) -> np.ndarray:
-    """Occupation rank of the content of every full-space sequence, in
-    flat-index order."""
-    seqs = full_space_sequences(basis.n_modes, basis.n_bos)
-    occs = np.zeros((seqs.shape[0], basis.n_modes), dtype=np.int64)
-    rows = np.repeat(np.arange(seqs.shape[0]), basis.n_bos)
+    seqs = (np.arange(full_dim)[:, None] // powers) % n_modes
+    occs = np.zeros((full_dim, n_modes), dtype=np.int64)
+    rows = np.repeat(np.arange(full_dim), n_bos)
     np.add.at(occs, (rows, seqs.ravel()), 1)
     return basis.rank_array(occs)
-
-
-def full_to_occupation(vec: FullSpaceVector, basis: OccupationBasis) -> StateVector:
-    """Components of a full-space vector on the occupation basis.
-
-    For occupation n the component is |S_n|^{-1/2} times the sum of the
-    amplitudes over all sequences with content n (this is <n|psi> and does
-    not require psi to be symmetric).
-    """
-    if basis.n_modes != vec.n_modes or basis.n_bos != vec.n_bos:
-        raise InvalidParameterError("basis does not match the full-space vector")
-    sums = _bincount(_full_space_ranks(basis), vec.amps, basis.dim)
-    return StateVector(basis, sums * np.exp(-0.5 * basis.log_seq_count))
-
-
-def occupation_to_full(state: StateVector) -> FullSpaceVector:
-    """Isometric embedding of an occupation-basis state into the full space."""
-    basis = state.basis
-    ranks = _full_space_ranks(basis)
-    amps = state.amps[ranks] * np.exp(-0.5 * basis.log_seq_count[ranks])
-    return FullSpaceVector(basis.n_modes, basis.n_bos, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ threshold quantities, and density-of-states estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import ceil, erf, inf, log, sqrt
+from functools import cache, cached_property
+from math import ceil, erf, hypot, inf, log, sqrt
 
 import numpy as np
 
@@ -103,8 +103,9 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     termination.  tridiag is the k x k Lanczos tridiagonal so far, a view
     into storage that later steps overwrite or regrow, and beta the norm of
     the next Krylov residual, so the residual of the Ritz pair (theta, u)
-    of tridiag is beta * |u[k-1]|.  Breakdown (invariant subspace) always
-    terminates.
+    of tridiag is beta * |u[k-1]|.  stop_check=None runs a fixed length:
+    max_iters steps, or fewer on breakdown (invariant subspace), which
+    always terminates.
     """
     dim = v0.shape[0]
     start_norm = np.linalg.norm(v0)
@@ -189,8 +190,8 @@ def _ritz_from_tridiag(tridiag, beta_last):
 
 def _top_residuals(tridiag, beta_last, num_wanted):
     """Residuals of the num_wanted largest Ritz pairs of a Lanczos
-    tridiagonal, and the scale max(1, |Ritz values|), as a rule from the
-    Ritz values alone.
+    tridiagonal, and its largest and smallest Ritz values, as a rule from
+    the Ritz values alone.
 
     The residual of the Ritz pair (theta, u) is beta_last * |u[k-1]|
     (Parlett, The Symmetric Eigenvalue Problem, ch. 13).  u is found up to
@@ -203,7 +204,8 @@ def _top_residuals(tridiag, beta_last, num_wanted):
     recurrence amplifies rounding; then the full decomposition decides.
     """
     values = np.linalg.eigvalsh(tridiag)[::-1]
-    scale = max(1.0, abs(float(values[0])), abs(float(values[-1])))
+    top, bottom = float(values[0]), float(values[-1])
+    scale = max(1.0, abs(top), abs(bottom))
     diag = tridiag.diagonal().tolist()
     off = tridiag.diagonal(1).tolist() + [0.0]
     m = min(num_wanted, values.size)
@@ -220,27 +222,86 @@ def _top_residuals(tridiag, beta_last, num_wanted):
         norm = norm_sq**0.5
         if not abs((diag[0] - theta) * lower + off[0] * upper) <= 1e-12 * scale * norm:
             values, full, _, _ = _ritz_from_tridiag(tridiag, beta_last)
-            return full[:m], max(1.0, float(np.abs(values).max()))
+            return full[:m], float(values[0]), float(values[-1])
         residuals.append(abs(beta_last) * last / norm)
-    return np.array(residuals), scale
+    return np.array(residuals), top, bottom
+
+
+def _interlace(bound, tridiag, beta):
+    """Enclosures of step k's extreme Ritz values and a floor on its top
+    Ritz residual, from those of step k-1.
+
+    bound is (a_lo, a_hi, b_lo, b_hi, rho): theta_max in [a_lo, a_hi],
+    theta_min in [b_lo, b_hi] and 0 < rho <= the top residual at step k-1.
+    tridiag is step k's tridiagonal, whose off-diagonals are positive, and
+    beta the norm of its next Krylov residual.  See lanczos for the proof.
+    """
+    a_lo, a_hi, b_lo, b_hi, rho = bound
+    k = tridiag.shape[0]
+    alpha, coupling = float(tridiag[k - 1, k - 1]), float(tridiag[k - 1, k - 2])
+    a_hi = 0.5 * (a_hi + alpha) + hypot(0.5 * (a_hi - alpha), coupling)
+    b_lo = 0.5 * (b_lo + alpha) - hypot(0.5 * (b_lo - alpha), coupling)
+    return a_lo, a_hi, b_lo, b_hi, beta * rho / hypot(rho, a_hi - alpha)
 
 
 def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wanted: int = 1):
     """Lanczos with full reorthogonalization from a given start vector.
 
     Stops once the num_wanted largest Ritz pairs have residual below
-    tol * scale, on Krylov breakdown (exact invariant subspace, flagged,
-    not an error), or at max_iters.
+    tol * scale, where scale = max(1, |theta_max|, |theta_min|) over the
+    Ritz values, on Krylov breakdown (exact invariant subspace, flagged,
+    not an error), or at max_iters.  tol must lie in (0, 1); a sweep of
+    fixed length is _lanczos_sweep with stop_check=None.
+
+    With num_wanted == 1 a bound rejects most steps without the stop
+    check's eigensolve, and never rejects a step the rule would stop at.
+    Each exact check leaves theta_max in [a_lo, a_hi], theta_min in
+    [b_lo, b_hi] and a floor rho on the top residual r.  Step k borders
+    the tridiagonal with the diagonal alpha, coupled by the previous beta
+    b' > 0.  By Cauchy interlacing theta_max cannot fall nor theta_min
+    rise, so a_lo and b_hi stay; in the eigenbasis of the old block the
+    new matrix lies below [[a_hi I, b' z], [b' z^T, alpha]] with |z| = 1, so
+    a_hi becomes the top eigenvalue of [[a_hi, b'], [b', alpha]], and b_lo
+    the bottom one of [[b_lo, b'], [b', alpha]] (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 7).  With mu_i and z_i the old Ritz values and
+    last eigenvector components, the new top eigenvector has last
+    component s with 1/s^2 = 1 + b'^2 sum z_i^2 / (theta - mu_i)^2, and the
+    secular equation theta - alpha = b'^2 sum z_i^2 / (theta - mu_i) gives
+    b'^2 sum z_i^2 / (theta - mu_i)^2 <= (theta - alpha) / (theta - mu_1)
+    <= (theta - alpha)^2 / r^2 (ch. 13).  So the new residual beta |s| is
+    at least rho <- beta rho / hypot(rho, a_hi - alpha).  A floor above
+    1.01 tol * max(1, |a_lo|, |a_hi|, |b_lo|, |b_hi|) proves the rule
+    fails; otherwise the exact check decides and resets the enclosures to
+    its Ritz values and residual.  The 1% margin covers rounding: a
+    computed residual is accurate to about eps * beta, not relatively, and
+    that is near 1e-6 of the threshold at the default tol.
     """
     if num_wanted < 1:
         raise InvalidParameterError(f"num_wanted must be at least 1, got {num_wanted}")
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
     matvec, dim, _ = _as_operator(op)
     v0, _ = _as_vector(start)
     if max_iters is None:
         max_iters = dim
+    bound = None  # (a_lo, a_hi, b_lo, b_hi, rho) since the last exact check
 
     def stop(tridiag, beta):
-        residuals, scale = _top_residuals(tridiag, beta, num_wanted)
+        nonlocal bound
+        if tridiag.shape[0] == 1:
+            # the exact check in closed form: one Ritz pair, (alpha, [1])
+            top = bottom = float(tridiag[0, 0])
+            residuals = [abs(beta)]
+        else:
+            if bound is not None:
+                bound = _interlace(bound, tridiag, beta)
+                a_lo, a_hi, b_lo, b_hi, rho = bound
+                if rho > tol * max(1.0, abs(a_lo), abs(a_hi), abs(b_lo), abs(b_hi)) * 1.01:
+                    return False
+            residuals, top, bottom = _top_residuals(tridiag, beta, num_wanted)
+        if num_wanted == 1:
+            bound = (top, top, bottom, bottom, float(residuals[0]))
+        scale = max(1.0, abs(top), abs(bottom))
         return all(r <= tol * scale for r in residuals)
 
     return _lanczos_sweep(matvec, v0, max_iters, stop)
@@ -531,6 +592,7 @@ def analytic_bounds(params: ModelParams) -> AnalyticBounds:
     )
 
 
+@cache
 def _solve_nbos_eq(N: int, lambda_bar: float, ensemble: str, hi: float = 64.0) -> float:
     """Smallest real n in [2, hi] where the spiked bound crosses the
     unspiked bound, by bisection; inf if no crossing."""

@@ -1,9 +1,23 @@
-"""Oracles that only the tests use: basis rotations of a symmetric tensor
-and both sides of the spike-energy bound."""
+"""Oracles that only the tests use: basis rotations of a symmetric tensor,
+both sides of the spike-energy bound, and brute-force full-space vectors
+with their permutation symmetrizer."""
+
+from dataclasses import dataclass
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 
-from tensorpca import HamiltonianOperator, InvalidParameterError, StateVector, spdm
+from tensorpca import (
+    CapacityError,
+    HamiltonianOperator,
+    InvalidParameterError,
+    OccupationBasis,
+    StateVector,
+    spdm,
+)
+from tensorpca._util import MAX_FULL_DIM
+from tensorpca.fock import _bincount, _full_space_ranks
 from tensorpca.symtensor import SymmetricTensor4, rank_one
 
 
@@ -51,3 +65,57 @@ def recovery_energy_bound_check(
     rhs = lambda_plus * n_modes * (x.basis.n_bos - 1) * quad
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
     return float(lhs), float(rhs), bool(holds)
+
+
+@dataclass
+class FullSpaceVector:
+    """Amplitudes over the full (C^N)^{x n_bos} product basis, row-major."""
+
+    n_modes: int
+    n_bos: int
+    amps: np.ndarray
+
+    def __post_init__(self):
+        full_dim = self.n_modes**self.n_bos
+        if full_dim > MAX_FULL_DIM:
+            raise CapacityError(f"full space of dimension {full_dim} exceeds {MAX_FULL_DIM}")
+        self.amps = np.asarray(self.amps).reshape(full_dim)
+
+
+def symmetrize_full(vec: FullSpaceVector) -> FullSpaceVector:
+    """Average the amplitudes over all n_bos! leg permutations (projector).
+
+    Deliberately brute force: this is the oracle the occupation-basis
+    machinery is validated against, so it shares none of its code paths.
+    """
+    n, nb = vec.n_modes, vec.n_bos
+    if factorial(nb) > 50000:
+        raise CapacityError(f"permutation symmetrizer limited to n_bos <= 8, got {nb}")
+    tensor = vec.amps.reshape((n,) * nb)
+    acc = np.zeros_like(tensor, dtype=np.result_type(tensor, np.float64))
+    count = 0
+    for perm in permutations(range(nb)):
+        acc += np.transpose(tensor, perm)
+        count += 1
+    return FullSpaceVector(n, nb, (acc / count).reshape(-1))
+
+
+def full_to_occupation(vec: FullSpaceVector, basis: OccupationBasis) -> StateVector:
+    """Components of a full-space vector on the occupation basis.
+
+    For occupation n the component is |S_n|^{-1/2} times the sum of the
+    amplitudes over all sequences with content n (this is <n|psi> and does
+    not require psi to be symmetric).
+    """
+    if basis.n_modes != vec.n_modes or basis.n_bos != vec.n_bos:
+        raise InvalidParameterError("basis does not match the full-space vector")
+    sums = _bincount(_full_space_ranks(basis), vec.amps, basis.dim)
+    return StateVector(basis, sums * np.exp(-0.5 * basis.log_seq_count))
+
+
+def occupation_to_full(state: StateVector) -> FullSpaceVector:
+    """Isometric embedding of an occupation-basis state into the full space."""
+    basis = state.basis
+    ranks = _full_space_ranks(basis)
+    amps = state.amps[ranks] * np.exp(-0.5 * basis.log_seq_count[ranks])
+    return FullSpaceVector(basis.n_modes, basis.n_bos, amps)

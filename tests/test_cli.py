@@ -294,6 +294,19 @@ class TestRecover:
         assert row["detected"]
         assert abs(row["corr_boosted"]) >= 0.99
 
+    def test_aggregates_score_unsigned_correlations(self, tmp_path):
+        # the two trials recover the spike with opposite signs (-0.996 and
+        # +0.998); averaging signed correlations reported 0.001
+        out = tmp_path / "r.json"
+        assert run(["recover", "--N", "8", "--nbos", "4", "--lambda", "0.3",
+                    "--trials", "2", "--seed", "3", "--out", out]) == 0
+        data = json.loads(out.read_text())
+        corrs = [row["corr_boosted"] for row in data["trials"]]
+        assert min(corrs) < -0.9 and max(corrs) > 0.9
+        aggregates = data["aggregates"]
+        assert aggregates["mean_corr_boosted"] == pytest.approx(np.mean(np.abs(corrs)), rel=1e-15)
+        assert aggregates["boosted_win_rate"] == 1.0
+
     def test_unspiked_chain_skips_recovery(self, tmp_path):
         out = tmp_path / "u.json"
         assert run(["recover", "--N", "4", "--nbos", "4", "--lambda", "1.0",
@@ -341,6 +354,8 @@ class TestRecover:
         data = json.loads(out.read_text())
         row = data["trials"][0]
         assert row["source"] == "snapshot"
+        assert data["aggregates"]["mean_corr_boosted"] is None
+        assert data["aggregates"]["boosted_win_rate"] is None
         boosted = np.asarray(row["boosted"])
         assert abs(boosted @ v / (np.linalg.norm(boosted) * np.linalg.norm(v))) > 0.9
 

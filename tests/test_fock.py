@@ -8,11 +8,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from oracles import FullSpaceVector, full_to_occupation, occupation_to_full, symmetrize_full
 from scipy.special import gammaln
 
 from tensorpca import (
     CapacityError,
-    FullSpaceVector,
     InvalidParameterError,
     build_basis,
     embed_power_state,
@@ -27,12 +27,9 @@ from tensorpca.fock import (
     _bincount,
     _convolve_raw,
     _enumerate_colex,
-    full_to_occupation,
     load_state,
     lowering_map,
-    occupation_to_full,
     save_state,
-    symmetrize_full,
     tensor_occupation_amplitudes,
 )
 from tensorpca.symtensor import SymmetricTensor4, layout, rank_one

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import recovery_energy_bound_check, rotate_tensor
+from oracles import occupation_to_full, recovery_energy_bound_check, rotate_tensor
 
 from tensorpca import (
     HamiltonianOperator,
@@ -22,7 +22,7 @@ from tensorpca import (
     spdm,
 )
 from tensorpca._util import derived_rng
-from tensorpca.fock import StateVector, occupation_to_full
+from tensorpca.fock import StateVector
 from tensorpca.recovery import DegenerateIterationError, SingleParticleDensityMatrix
 from tensorpca.symtensor import SymmetricTensor4
 

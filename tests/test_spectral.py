@@ -33,11 +33,12 @@ from tensorpca import (
     sample_instance,
     sample_signal,
 )
-from tensorpca import spectral
+from tensorpca import pipeline, spectral
 from tensorpca._util import derived_rng
 from tensorpca.spectral import (
     _e_max_at,
     _e_zero_at,
+    _interlace,
     _lanczos_sweep,
     _ritz_from_tridiag,
     _solve_nbos_eq,
@@ -123,6 +124,17 @@ class TestLanczos:
         with pytest.raises(InvalidParameterError):
             lanczos(np.diag(np.linspace(0.0, 10.0, 50)), np.ones(50), num_wanted=num_wanted)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # with tol = 0 the rule passed as soon as the top residual underflowed
+        # to 0, so the sweep stopped short of max_iters
+        with pytest.raises(InvalidParameterError):
+            lanczos(np.diag(np.linspace(0.0, 10.0, 50)), np.ones(50), tol=tol)
+
+    def test_sweep_without_stop_check_runs_max_iters(self):
+        a = np.diag(np.linspace(0.0, 10.0, 50))
+        assert _lanczos_sweep(a.dot, np.ones(50), 40, None).iterations == 40
+
     def test_operator_types(self):
         # scipy matrices pass through the duck-typed (shape, dot, toarray) view
         m = rng(7).standard_normal((30, 30))
@@ -164,10 +176,11 @@ def _recorded_tridiagonals(matvec, start, max_iters):
 
 
 def _assert_matches_full_decomposition(tridiag, beta, num_wanted):
-    residuals, scale = _top_residuals(tridiag, beta, num_wanted)
+    residuals, top, bottom = _top_residuals(tridiag, beta, num_wanted)
     values, full_residuals, _, _ = _ritz_from_tridiag(tridiag, beta)
     full_scale = max(1.0, float(np.abs(values).max()))
-    assert abs(scale - full_scale) <= 1e-12 * full_scale
+    assert abs(top - values[0]) <= 1e-12 * full_scale
+    assert abs(bottom - values[-1]) <= 1e-12 * full_scale
     m = min(num_wanted, values.size)
     assert residuals.shape == (m,)
     assert np.all(np.abs(residuals - full_residuals[:m]) <= 1e-12 * full_scale)
@@ -236,6 +249,115 @@ class TestStopCheck:
         assert not out.invariant_subspace and out.iterations < 60
         assert out.residuals[0] <= 1e-10 * max(1.0, float(np.abs(out.ritz_values).max()))
         assert out.ritz_values[0] == pytest.approx(np.linalg.eigvalsh(t)[-1], rel=1e-12)
+
+
+def _exact_stop(tol):
+    """The stop rule of lanczos with num_wanted=1, decided by the exact
+    check at every step."""
+
+    def stop(tridiag, beta):
+        residuals, top, bottom = _top_residuals(tridiag, beta, 1)
+        return residuals[0] <= tol * max(1.0, abs(top), abs(bottom))
+
+    return stop
+
+
+class TestStopBound:
+    """The interlacing bound that lets lanczos skip the stop check's
+    eigensolve: it must hold on every tridiagonal and never change what
+    the exact rule decides."""
+
+    @pytest.mark.parametrize("kind", ["general", "tiny_betas", "clustered_top", "negative"])
+    def test_bound_holds_on_random_tridiagonals(self, kind):
+        # residuals come from the stop check's recurrence, as in lanczos.
+        # Inside a cluster the full decomposition's eigenvectors are
+        # accurate only to about eps * |T| / gap: on clustered draws like
+        # these its top residual fell 35% below a 50-digit reference and
+        # below the floor, while the recurrence's matched the reference to
+        # 1e-8.  The slack allowed here is about eps * beta
+        r = rng(["general", "tiny_betas", "clustered_top", "negative"].index(kind) + 60)
+        for _ in range(8):
+            n = int(r.integers(2, 40))
+            alphas = r.standard_normal(n + 1)
+            betas = r.uniform(0.05, 1.0, n)
+            if kind == "tiny_betas":
+                betas[r.random(n) < 0.3] = 1e-9
+            elif kind == "clustered_top":
+                alphas[: n // 2] = 8.0 + 1e-7 * r.random(n // 2)
+                betas[: n // 2] = 1e-6 * r.random(n // 2) + 1e-8
+            elif kind == "negative":
+                alphas = -100.0 * r.random(n + 1)
+            tridiag = _tridiag(alphas, betas)
+            steps = []
+            for k in range(1, n + 1):
+                values, _, _, _ = _ritz_from_tridiag(tridiag[:k, :k], betas[k - 1])
+                residuals, top, bottom = _top_residuals(tridiag[:k, :k], betas[k - 1], 1)
+                steps.append((values, residuals[0], top, bottom))
+            # chain from the exact check of every step to every later step;
+            # lanczos chains only from a residual above tol * scale > 0
+            for start in range(1, n):
+                _, residual, top, bottom = steps[start - 1]
+                if residual == 0.0:
+                    continue
+                bound = (top, top, bottom, bottom, residual)
+                for k in range(start + 1, n + 1):
+                    bound = _interlace(bound, tridiag[:k, :k], betas[k - 1])
+                    a_lo, a_hi, b_lo, b_hi, floor = bound
+                    values, residual, _, _ = steps[k - 1]
+                    slack = 1e-13 * max(1.0, float(np.abs(values).max()))
+                    assert a_lo - slack <= values[0] <= a_hi + slack
+                    assert b_lo - slack <= values[-1] <= b_hi + slack
+                    assert floor <= residual * (1.0 + 1e-12) + 1e-13 * betas[k - 1]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("N, n_bos", [(6, 4), (3, 8), (16, 4)])
+    def test_same_decisions_on_h_t_plus(self, N, n_bos, tol):
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.3, seed=5)
+        for spiked in (True, False):
+            t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(5, "bound", spiked))
+            pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(5, "pair"))
+            h = HamiltonianOperator(pair.t_plus, build_basis(N, n_bos))
+            start = derived_rng(5, "bound-start", spiked).standard_normal(h.dim)
+            max_iters = min(h.dim, 200)
+            out = lanczos(h, start, max_iters=max_iters, tol=tol)
+            reference = _lanczos_sweep(h.matvec, start, max_iters, _exact_stop(tol))
+            assert out.iterations == reference.iterations
+            assert out.ritz_values.tobytes() == reference.ritz_values.tobytes()
+
+    @pytest.mark.parametrize("N, n_bos, seed", [(5, 4, 1), (6, 4, 2), (4, 6, 3)])
+    def test_same_decisions_on_pinned_draws(self, N, n_bos, seed):
+        h = HamiltonianOperator(sample_gaussian_tensor(N, rng(seed)), build_basis(N, n_bos))
+        start = derived_rng(seed, "pin-start").standard_normal(h.dim)
+        out = lanczos(h, start, tol=1e-10)
+        reference = _lanczos_sweep(h.matvec, start, h.dim, _exact_stop(1e-10))
+        assert out.iterations == reference.iterations
+        assert out.ritz_values.tobytes() == reference.ritz_values.tobytes()
+
+    def test_most_steps_skip_the_exact_check(self, monkeypatch):
+        # one draw of the ROC operating point (N=6, n_bos=4), both detectors
+        # the exact check ran at 37 of the 37 Lanczos steps before the bound
+        # and runs at 7 now
+        counts = {"exact": 0, "steps": 0}
+        exact_check, sweep = spectral._top_residuals, spectral._lanczos_sweep
+
+        def counted_check(*args):
+            counts["exact"] += 1
+            return exact_check(*args)
+
+        def counted_sweep(*args):
+            out = sweep(*args)
+            counts["steps"] += out.iterations
+            return out
+
+        monkeypatch.setattr(spectral, "_top_residuals", counted_check)
+        monkeypatch.setattr(spectral, "_lanczos_sweep", counted_sweep)
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
+        tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(1000, "roc", 0))
+        detect_spectral(tensor, params, seed=0)
+        cfg = DetectionConfig(c_prime=0.2, slack=10.0)
+        pipeline.detect_projection(tensor, params, cfg, seed=0)
+        assert counts["steps"] > 0
+        assert counts["exact"] < 0.3 * counts["steps"]
 
 
 class TestPinnedIterations:
