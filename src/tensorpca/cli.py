@@ -76,9 +76,11 @@ class RunConfig:
     logs: list = field(default_factory=list)
 
     def detection_config(self) -> DetectionConfig:
-        """The detector knobs, validated together with the method name and
-        the cascade depth, so a bad option fails the command before any
-        trial runs."""
+        """The detector knobs, validated together with the method name, the
+        cascade depth and the trial count, so a bad option fails the command
+        before any trial runs."""
+        if self.trials < 1:
+            raise InvalidParameterError(f"--trials must be at least 1, got {self.trials}")
         if self.method not in DETECTORS:
             raise InvalidParameterError(
                 f"unknown method {self.method!r}; choose from {', '.join(DETECTORS)}"
@@ -242,7 +244,6 @@ def _rate(rows: list) -> float | None:
 def cmd_dos(config: RunConfig) -> dict:
     """Density-of-states sweep over the N grid (unspiked instances)."""
     tables = []
-    csv_rows = []
     for N in config.N_list:
         for n_bos in config.nbos_list:
             params = config.model_params(N, n_bos, 0.0)
@@ -267,20 +268,11 @@ def cmd_dos(config: RunConfig) -> dict:
                     "g_hat": [None if not np.isfinite(g) else g for g in est.g_hat],
                 }
             )
-            for i, x in enumerate(est.x_grid):
-                g = est.g_hat[i]
-                csv_rows.append(
-                    [
-                        x,
-                        est.p_greater[i],
-                        est.stderr[i],
-                        "" if not np.isfinite(g) else g,
-                        N,
-                        n_bos,
-                        est.trials,
-                        config.seed,
-                    ]
-                )
+    csv_rows = [
+        [x, p, err, "" if g is None else g, t["N"], t["n_bos"], t["trials"], config.seed]
+        for t in tables
+        for x, p, err, g in zip(t["x"], t["p_greater"], t["stderr"], t["g_hat"])
+    ]
     return _emit(
         config,
         ["x", "p_greater", "stderr", "g_hat", "N", "n_bos", "trials", "seed"],

@@ -312,8 +312,7 @@ def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) ->
     # rows of x, so no more than a block of pairs and their occupations is
     # held at once.  np.add.at adds in index order, so every output bin
     # sees the same sequence of additions as one np.bincount over all pairs.
-    complex_out = np.iscomplexobj(x.amps) or np.iscomplexobj(y.amps)
-    sums = [np.zeros(out_basis.dim) for _ in range(2 if complex_out else 1)]
+    amps = np.zeros(out_basis.dim, dtype=np.result_type(x.amps, y.amps))
     for start in range(0, ba.dim, _CONVOLVE_ROWS):
         rows = np.arange(start, min(start + _CONVOLVE_ROWS, ba.dim))
         ia, ib = np.meshgrid(rows, np.arange(bb.dim), indexing="ij")
@@ -323,10 +322,7 @@ def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) ->
         log_w = 0.5 * (
             ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
         )
-        contrib = x.amps[ia] * y.amps[ib] * np.exp(log_w)
-        for acc, part in zip(sums, (contrib.real, contrib.imag)):
-            np.add.at(acc, ranks, part)
-    amps = sums[0] + 1j * sums[1] if complex_out else sums[0]
+        np.add.at(amps, ranks, x.amps[ia] * y.amps[ib] * np.exp(log_w))
     return StateVector(out_basis, amps)
 
 

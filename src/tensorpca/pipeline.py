@@ -41,7 +41,7 @@ class DetectionConfig:
     c_prime: cutoff slack below the ideal-state energy (0 < c' < 1).
     slack: safety divisor applied to the success threshold.
     c_doubleprime: retry budget multiplier for the unamplified simulator.
-    tol: filtered-projector tolerance in the pass/stop bands.
+    tol: filtered-projector tolerance in the pass/stop bands (0 < tol < 1).
     use_symmetrize: include the symmetric-subspace projection weight in the
         success statistic (the measurement picture where symmetrization is
         itself a projective step).
@@ -66,6 +66,8 @@ class DetectionConfig:
             raise InvalidParameterError(f"slack must be >= 1, got {self.slack}")
         if self.c_doubleprime < 1.0:
             raise InvalidParameterError(f"c_doubleprime must be >= 1, got {self.c_doubleprime}")
+        if not 0.0 < self.tol < 1.0:
+            raise InvalidParameterError(f"tol must lie in (0, 1), got {self.tol}")
 
 
 @dataclass

@@ -51,6 +51,9 @@ def _wrap_vector(amps, basis):
 class RitzDecomposition:
     """Ritz pairs from a Krylov sweep, sorted by descending Ritz value.
 
+    converged is True when the sweep's stop check passed or the sweep broke
+    down (invariant_subspace), and False when it ran to max_iters.
+
     The Ritz vectors are built on the first read of ritz_vectors, as the
     product of the Krylov block and the tridiagonal's eigenvectors, and
     then replace the block.  A caller that reads only values, such as a
@@ -62,6 +65,7 @@ class RitzDecomposition:
     iterations: int
     start_coeffs: np.ndarray  # expansion of the start vector on the Ritz pairs
     invariant_subspace: bool
+    converged: bool
     _krylov: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x D
     _eigvecs: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x k
 
@@ -105,7 +109,8 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     the next Krylov residual, so the residual of the Ritz pair (theta, u)
     of tridiag is beta * |u[k-1]|.  stop_check=None runs a fixed length:
     max_iters steps, or fewer on breakdown (invariant subspace), which
-    always terminates.
+    always terminates.  The returned decomposition's converged flag is the
+    stop decision: a passed stop check or a breakdown.
     """
     dim = v0.shape[0]
     start_norm = np.linalg.norm(v0)
@@ -122,8 +127,7 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     size = max_iters if max_iters <= _RESERVED_STEPS else 8
     basis_vecs = np.empty((size, dim), dtype=q.dtype)
     tridiag = np.zeros((size, size))
-    invariant = False
-    exit_beta = beta = 0.0
+    beta, invariant, stopped = 0.0, False, False
     scale = 1.0  # running max of |alpha| and the beta of every completed step
     k = 0
     while k < max_iters:
@@ -154,25 +158,23 @@ def _lanczos_sweep(matvec, v0, max_iters, stop_check):
         k += 1
         scale = max(scale, abs(alpha))
         if beta <= 1e-13 * scale:
-            invariant = True
-            exit_beta = 0.0
+            invariant, beta = True, 0.0  # so every residual is 0
             break
-        exit_beta = beta
         if stop_check is not None and stop_check(tridiag[:k, :k], beta):
+            stopped = True
             break
         if k >= max_iters:
             break
         scale = max(scale, beta)
         q = w / beta
-    values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], exit_beta)
-    if invariant:
-        residuals = np.zeros_like(residuals)
+    values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], beta)
     return RitzDecomposition(
         ritz_values=values,
         residuals=residuals,
         iterations=k,
         start_coeffs=first_row * start_norm,
         invariant_subspace=invariant,
+        converged=invariant or stopped,
         _krylov=basis_vecs[:k],
         _eigvecs=eigvecs,
     )
@@ -188,10 +190,9 @@ def _ritz_from_tridiag(tridiag, beta_last):
     return vals, residuals, vecs[0, :].copy(), vecs
 
 
-def _top_residuals(tridiag, beta_last, num_wanted):
-    """Residuals of the num_wanted largest Ritz pairs of a Lanczos
-    tridiagonal, and its largest and smallest Ritz values, as a rule from
-    the Ritz values alone.
+def _top_residual(tridiag, beta_last):
+    """Residual of the top Ritz pair of a Lanczos tridiagonal, and its
+    largest and smallest Ritz values, as a rule from the Ritz values alone.
 
     The residual of the Ritz pair (theta, u) is beta_last * |u[k-1]|
     (Parlett, The Symmetric Eigenvalue Problem, ch. 13).  u is found up to
@@ -203,28 +204,24 @@ def _top_residuals(tridiag, beta_last, num_wanted):
     |u|, is large when u is negligible near the top of T, where the upward
     recurrence amplifies rounding; then the full decomposition decides.
     """
-    values = np.linalg.eigvalsh(tridiag)[::-1]
-    top, bottom = float(values[0]), float(values[-1])
+    values = np.linalg.eigvalsh(tridiag)
+    top, bottom = float(values[-1]), float(values[0])
     scale = max(1.0, abs(top), abs(bottom))
     diag = tridiag.diagonal().tolist()
     off = tridiag.diagonal(1).tolist() + [0.0]
-    m = min(num_wanted, values.size)
-    residuals = []
-    for theta in values[:m].tolist():
-        last, lower, upper, norm_sq = 1.0, 1.0, 0.0, 1.0
-        for j in range(len(diag) - 1, 0, -1):
-            lower, upper = -((diag[j] - theta) * lower + off[j] * upper) / off[j - 1], lower
-            norm_sq += lower * lower
-            if abs(lower) > 1e100:
-                shrink = 1.0 / abs(lower)
-                last, lower, upper = last * shrink, lower * shrink, upper * shrink
-                norm_sq *= shrink * shrink
-        norm = norm_sq**0.5
-        if not abs((diag[0] - theta) * lower + off[0] * upper) <= 1e-12 * scale * norm:
-            values, full, _, _ = _ritz_from_tridiag(tridiag, beta_last)
-            return full[:m], float(values[0]), float(values[-1])
-        residuals.append(abs(beta_last) * last / norm)
-    return np.array(residuals), top, bottom
+    last, lower, upper, norm_sq = 1.0, 1.0, 0.0, 1.0
+    for j in range(len(diag) - 1, 0, -1):
+        lower, upper = -((diag[j] - top) * lower + off[j] * upper) / off[j - 1], lower
+        norm_sq += lower * lower
+        if abs(lower) > 1e100:
+            shrink = 1.0 / abs(lower)
+            last, lower, upper = last * shrink, lower * shrink, upper * shrink
+            norm_sq *= shrink * shrink
+    norm = norm_sq**0.5
+    if not abs((diag[0] - top) * lower + off[0] * upper) <= 1e-12 * scale * norm:
+        values, residuals, _, _ = _ritz_from_tridiag(tridiag, beta_last)
+        return float(residuals[0]), float(values[0]), float(values[-1])
+    return abs(beta_last) * last / norm, top, bottom
 
 
 def _interlace(bound, tridiag, beta):
@@ -244,17 +241,18 @@ def _interlace(bound, tridiag, beta):
     return a_lo, a_hi, b_lo, b_hi, beta * rho / hypot(rho, a_hi - alpha)
 
 
-def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wanted: int = 1):
+def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10):
     """Lanczos with full reorthogonalization from a given start vector.
 
-    Stops once the num_wanted largest Ritz pairs have residual below
-    tol * scale, where scale = max(1, |theta_max|, |theta_min|) over the
-    Ritz values, on Krylov breakdown (exact invariant subspace, flagged,
-    not an error), or at max_iters.  tol must lie in (0, 1); a sweep of
-    fixed length is _lanczos_sweep with stop_check=None.
+    Stops once the top Ritz pair has residual below tol * scale, where
+    scale = max(1, |theta_max|, |theta_min|) over the Ritz values, on
+    Krylov breakdown (exact invariant subspace, flagged, not an error), or
+    at max_iters.  The first two set the result's converged flag.  tol
+    must lie in (0, 1); a sweep of fixed length is _lanczos_sweep with
+    stop_check=None.
 
-    With num_wanted == 1 a bound rejects most steps without the stop
-    check's eigensolve, and never rejects a step the rule would stop at.
+    A bound rejects most steps without the stop check's eigensolve, and
+    never rejects a step the rule would stop at.
     Each exact check leaves theta_max in [a_lo, a_hi], theta_min in
     [b_lo, b_hi] and a floor rho on the top residual r.  Step k borders
     the tridiagonal with the diagonal alpha, coupled by the previous beta
@@ -276,8 +274,6 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
     computed residual is accurate to about eps * beta, not relatively, and
     that is near 1e-6 of the threshold at the default tol.
     """
-    if num_wanted < 1:
-        raise InvalidParameterError(f"num_wanted must be at least 1, got {num_wanted}")
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
     matvec, dim, _ = _as_operator(op)
@@ -291,56 +287,40 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10, num_wan
         if tridiag.shape[0] == 1:
             # the exact check in closed form: one Ritz pair, (alpha, [1])
             top = bottom = float(tridiag[0, 0])
-            residuals = [abs(beta)]
+            residual = abs(beta)
         else:
             if bound is not None:
                 bound = _interlace(bound, tridiag, beta)
                 a_lo, a_hi, b_lo, b_hi, rho = bound
                 if rho > tol * max(1.0, abs(a_lo), abs(a_hi), abs(b_lo), abs(b_hi)) * 1.01:
                     return False
-            residuals, top, bottom = _top_residuals(tridiag, beta, num_wanted)
-        if num_wanted == 1:
-            bound = (top, top, bottom, bottom, float(residuals[0]))
-        scale = max(1.0, abs(top), abs(bottom))
-        return all(r <= tol * scale for r in residuals)
+            residual, top, bottom = _top_residual(tridiag, beta)
+        bound = (top, top, bottom, bottom, residual)
+        return residual <= tol * max(1.0, abs(top), abs(bottom))
 
     return _lanczos_sweep(matvec, v0, max_iters, stop)
 
 
-def leading_eigenvalue(
-    op,
-    restarts: int = 3,
-    tol: float = 1e-8,
-    seed: int = 0,
-    max_iters: int | None = None,
-):
-    """Largest eigenvalue and eigenvector, deterministic for a given seed.
+def leading_eigenvalue(op, tol: float = 1e-8, seed: int = 0, max_iters: int | None = None):
+    """Largest eigenvalue and eigenvector, deterministic for a given seed:
+    one lanczos sweep from a seeded start vector.
 
-    Raises ConvergenceError (carrying the best estimate, and the Krylov
-    steps summed over all restarts as its iterations) if no restart reaches
-    residual <= tol * spectral-scale.
+    Raises ConvergenceError (carrying the top Ritz value as its best
+    estimate, and the sweep's Krylov steps as its iterations) if the sweep
+    ends at max_iters without converging.
     """
-    matvec, dim, basis = _as_operator(op)
-    best = None
-    steps = 0
-    for attempt in range(max(1, restarts)):
-        v0 = derived_rng(seed, "leading-eigenvalue-start", attempt).standard_normal(dim)
-        ritz = lanczos(op, v0, max_iters=max_iters, tol=tol, num_wanted=1)
-        steps += ritz.iterations
-        lam = float(ritz.ritz_values[0])
-        res = float(ritz.residuals[0])
-        scale = max(1.0, float(np.abs(ritz.ritz_values).max()))
-        if best is None or lam > best[0]:
-            best = (lam, ritz.ritz_vectors[:, 0], res)
-        if res <= tol * scale or ritz.invariant_subspace:
-            vec = ritz.ritz_vectors[:, 0]
-            return lam, _wrap_vector(vec, basis)
-    raise ConvergenceError(
-        f"leading eigenvalue residual {best[2]:.3e} after {restarts} restarts "
-        f"({steps} Krylov steps in all)",
-        best=best[0],
-        iterations=steps,
-    )
+    _, dim, basis = _as_operator(op)
+    v0 = derived_rng(seed, "leading-eigenvalue-start", 0).standard_normal(dim)
+    ritz = lanczos(op, v0, max_iters=max_iters, tol=tol)
+    lam = float(ritz.ritz_values[0])
+    if not ritz.converged:
+        raise ConvergenceError(
+            f"leading eigenvalue residual {ritz.residuals[0]:.3e} after "
+            f"{ritz.iterations} Krylov steps",
+            best=lam,
+            iterations=ritz.iterations,
+        )
+    return lam, _wrap_vector(ritz.ritz_vectors[:, 0], basis)
 
 
 def full_spectrum(op, dense_limit: int = DENSE_LIMIT) -> SpectrumSummary:
@@ -417,25 +397,24 @@ def project_above(
 def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters):
     if max_iters is None:
         max_iters = dim
-    state = {"prev_weight": None, "stable": 0, "stopped": False}
+    prev, stable = None, 0  # the last weight, and how many steps it has held
 
     def stop(tridiag, beta):
+        nonlocal prev, stable
         values, residuals, first_row, _ = _ritz_from_tridiag(tridiag, beta)
         keep = values >= mid
         weight = float(np.sum(np.abs(first_row[keep]) ** 2))
-        prev = state["prev_weight"]
-        state["prev_weight"] = weight
         scale = max(1.0, float(np.abs(values).max()))
         # every pair near the cut must be resolved to its side of the cut
         boundary_ok = np.all(
             (residuals <= tol * scale) | (np.abs(values - mid) > residuals)
         )
         if prev is not None and abs(weight - prev) <= 0.1 * tol * max(weight, 1e-3):
-            state["stable"] += 1
+            stable += 1
         else:
-            state["stable"] = 0
-        state["stopped"] = bool(boundary_ok and state["stable"] >= 2)
-        return state["stopped"]
+            stable = 0
+        prev = weight
+        return bool(boundary_ok and stable >= 2)
 
     ritz = _lanczos_sweep(matvec, vec, max_iters, stop)
     values, residuals, start_coeffs, iters = (
@@ -445,7 +424,7 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
     coefs = start_coeffs[keep]
     projected = ritz.ritz_vectors[:, keep] @ coefs
     norm_sq = float(np.sum(np.abs(coefs) ** 2))
-    if ritz.invariant_subspace or state["stopped"]:
+    if ritz.converged:
         # a rule stop leaves no Ritz interval straddling the cut, because the
         # final decomposition is the one the stop rule checked; so 1e-14 is a
         # floor there, not a bound on the weight's error
@@ -482,7 +461,7 @@ def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
     """
     matvec, dim, _ = _as_operator(op)
     # spectral interval estimate with safety margin from a short sweep
-    probe = lanczos(op, vec, max_iters=min(dim, 60), tol=1e-6, num_wanted=1)
+    probe = lanczos(op, vec, max_iters=min(dim, 60), tol=1e-6)
     lo = float(probe.ritz_values.min())
     hi = float(probe.ritz_values.max())
     pad = 0.1 * max(hi - lo, 1e-12) + 1e-12

@@ -241,6 +241,15 @@ class TestDetect:
                     "--lambda", "0.5", "--cprime", "1.5", "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"),
+                                             ("--tol", "0"), ("--tol", "1")])
+    def test_invalid_trials_or_tol_fails_before_the_sweep(self, tmp_path, flag, value):
+        # one validation error, not a report of no trials or an error row per draw
+        out = tmp_path / "d.json"
+        assert run(["detect", "--N", "3", "--nbos", "4", "--lambda", "0.5", flag, value,
+                    "--out", out]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, k", [("q-amp", 1), ("q-unamp", 1), ("spectral", 2),
                                            ("projection", -1)])
     def test_cascade_depth_outside_projection_fails_before_any_trial(self, tmp_path, method, k):
@@ -454,6 +463,14 @@ class TestRecover:
                            lambda_list=[2.5], out=str(out))
         with pytest.raises(InvalidParameterError, match="bogus"):
             cmd_recover(config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_fail_before_any_trial(self, tmp_path, trials):
+        # one validation error, not a report of no trials
+        out = tmp_path / "r.json"
+        assert run(["recover", "--N", "3", "--nbos", "4", "--lambda", "2.0",
+                    "--trials", trials, "--out", out]) == 2
         assert not out.exists()
 
     def test_detected_exactly_where_detect_says_spiked(self, tmp_path):

@@ -218,6 +218,12 @@ class TestProjectionDetection:
         with pytest.raises(InvalidParameterError):
             detect_projection(t0, params, DetectionConfig())
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-8])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # project_above rejects it too, but only once a trial has drawn its pair
+        with pytest.raises(InvalidParameterError, match="tol"):
+            DetectionConfig(tol=tol)
+
 
 class TestPinnedRangeProbe:
     """The range probe and the Ritz projection on seeded H(t_plus) at the

@@ -42,7 +42,7 @@ from tensorpca.spectral import (
     _lanczos_sweep,
     _ritz_from_tridiag,
     _solve_nbos_eq,
-    _top_residuals,
+    _top_residual,
 )
 from tensorpca.symtensor import rank_one
 
@@ -118,12 +118,6 @@ class TestLanczos:
         reconstructed = out.ritz_vectors @ out.start_coeffs
         assert np.allclose(reconstructed, x, atol=1e-10)
 
-    @pytest.mark.parametrize("num_wanted", [0, -1])
-    def test_num_wanted_below_one_rejected(self, num_wanted):
-        # an empty wanted set would stop the sweep after one step
-        with pytest.raises(InvalidParameterError):
-            lanczos(np.diag(np.linspace(0.0, 10.0, 50)), np.ones(50), num_wanted=num_wanted)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0])
     def test_tol_outside_unit_interval_rejected(self, tol):
         # with tol = 0 the rule passed as soon as the top residual underflowed
@@ -134,6 +128,17 @@ class TestLanczos:
     def test_sweep_without_stop_check_runs_max_iters(self):
         a = np.diag(np.linspace(0.0, 10.0, 50))
         assert _lanczos_sweep(a.dot, np.ones(50), 40, None).iterations == 40
+
+    def test_converged_records_the_stop_decision(self):
+        a = np.diag(np.linspace(0.0, 10.0, 50))
+        cut = _lanczos_sweep(a.dot, np.ones(50), 40, None)
+        assert not cut.converged
+        broke = _lanczos_sweep(a.dot, np.eye(50)[7], 40, None)
+        assert broke.invariant_subspace and broke.converged and broke.iterations == 1
+        ruled = lanczos(a, np.ones(50), tol=1e-10)
+        assert ruled.converged and not ruled.invariant_subspace and ruled.iterations < 50
+        short = lanczos(a, np.ones(50), max_iters=3, tol=1e-10)
+        assert not short.converged and short.iterations == 3
 
     def test_operator_types(self):
         # scipy matrices pass through the duck-typed (shape, dot, toarray) view
@@ -175,20 +180,18 @@ def _recorded_tridiagonals(matvec, start, max_iters):
     return seen
 
 
-def _assert_matches_full_decomposition(tridiag, beta, num_wanted):
-    residuals, top, bottom = _top_residuals(tridiag, beta, num_wanted)
+def _assert_matches_full_decomposition(tridiag, beta):
+    residual, top, bottom = _top_residual(tridiag, beta)
     values, full_residuals, _, _ = _ritz_from_tridiag(tridiag, beta)
     full_scale = max(1.0, float(np.abs(values).max()))
     assert abs(top - values[0]) <= 1e-12 * full_scale
     assert abs(bottom - values[-1]) <= 1e-12 * full_scale
-    m = min(num_wanted, values.size)
-    assert residuals.shape == (m,)
-    assert np.all(np.abs(residuals - full_residuals[:m]) <= 1e-12 * full_scale)
+    assert abs(residual - full_residuals[0]) <= 1e-12 * full_scale
 
 
 class TestStopCheck:
-    """The values-only residuals of the Lanczos stop check against the full
-    decomposition of the same tridiagonal."""
+    """The values-only top residual of the Lanczos stop check against the
+    full decomposition of the same tridiagonal."""
 
     def test_random_tridiagonals(self):
         r = rng(40)
@@ -196,30 +199,27 @@ class TestStopCheck:
             k = int(r.integers(1, 81))
             size = 10.0 ** r.uniform(-2.0, 3.0)
             tridiag = size * _tridiag(r.standard_normal(k), r.uniform(0.05, 1.0, k - 1))
-            _assert_matches_full_decomposition(
-                tridiag, size * r.uniform(0.0, 1.0), int(r.integers(1, 5))
-            )
+            beta = size * r.uniform(0.0, 1.0)
+            r.integers(1, 5)  # a discarded draw, so seed 40 keeps its sequence of tridiagonals
+            _assert_matches_full_decomposition(tridiag, beta)
 
-    @pytest.mark.parametrize("num_wanted", [1, 3])
-    def test_single_step(self, num_wanted):
-        _assert_matches_full_decomposition(np.array([[-3.5]]), 0.25, num_wanted)
+    def test_single_step(self):
+        _assert_matches_full_decomposition(np.array([[-3.5]]), 0.25)
 
-    @pytest.mark.parametrize("num_wanted", [1, 3])
-    def test_sixty_steps_on_h(self, num_wanted):
+    def test_sixty_steps_on_h(self):
         h = HamiltonianOperator(sample_gaussian_tensor(6, rng(41)), build_basis(6, 4))
         seen = _recorded_tridiagonals(h.matvec, rng(42).standard_normal(h.dim), 60)
         assert [t.shape[0] for t, _ in seen] == list(range(1, 61))
         for tridiag, beta in seen:
-            _assert_matches_full_decomposition(tridiag, beta, num_wanted)
+            _assert_matches_full_decomposition(tridiag, beta)
 
     def test_clustered_top_ritz_values(self):
         diag = np.concatenate([[10.0, 10.0 - 1e-4, 10.0 - 2e-4], 5.0 * rng(43).random(200)])
         seen = _recorded_tridiagonals(lambda x: diag * x, rng(44).standard_normal(diag.size), 120)
         for tridiag, beta in seen:
-            _assert_matches_full_decomposition(tridiag, beta, 3)
+            _assert_matches_full_decomposition(tridiag, beta)
 
-    @pytest.mark.parametrize("num_wanted", [1, 4])
-    def test_tiny_betas_do_not_overflow(self, num_wanted, monkeypatch):
+    def test_tiny_betas_do_not_overflow(self, monkeypatch):
         # the top Ritz vectors live in the upper block; below it every beta
         # is 1e-12 of the scale, so the upward recurrence grows by about
         # 1e12 a row and overflows unless rescaled
@@ -227,14 +227,14 @@ class TestStopCheck:
         alphas = np.concatenate([8.0 + r.random(20), r.random(30)])
         betas = np.concatenate([0.5 + r.random(19), np.full(30, 9e-12)])
         tridiag = _tridiag(alphas, betas)
-        _assert_matches_full_decomposition(tridiag, 1.0, num_wanted)
+        _assert_matches_full_decomposition(tridiag, 1.0)
 
         def no_full_decomposition(*args):
             raise AssertionError("the recurrence alone must resolve these residuals")
 
         # an overflow would end in the full decomposition, correct but slow
         monkeypatch.setattr(spectral, "_ritz_from_tridiag", no_full_decomposition)
-        _top_residuals(tridiag, 1.0, num_wanted)
+        _top_residual(tridiag, 1.0)
 
     def test_lanczos_stops_only_once_resolved(self):
         # Lanczos from e_0 on a tridiagonal matrix reproduces it.  Its top
@@ -252,12 +252,11 @@ class TestStopCheck:
 
 
 def _exact_stop(tol):
-    """The stop rule of lanczos with num_wanted=1, decided by the exact
-    check at every step."""
+    """The stop rule of lanczos, decided by the exact check at every step."""
 
     def stop(tridiag, beta):
-        residuals, top, bottom = _top_residuals(tridiag, beta, 1)
-        return residuals[0] <= tol * max(1.0, abs(top), abs(bottom))
+        residual, top, bottom = _top_residual(tridiag, beta)
+        return residual <= tol * max(1.0, abs(top), abs(bottom))
 
     return stop
 
@@ -291,8 +290,8 @@ class TestStopBound:
             steps = []
             for k in range(1, n + 1):
                 values, _, _, _ = _ritz_from_tridiag(tridiag[:k, :k], betas[k - 1])
-                residuals, top, bottom = _top_residuals(tridiag[:k, :k], betas[k - 1], 1)
-                steps.append((values, residuals[0], top, bottom))
+                residual, top, bottom = _top_residual(tridiag[:k, :k], betas[k - 1])
+                steps.append((values, residual, top, bottom))
             # chain from the exact check of every step to every later step;
             # lanczos chains only from a residual above tol * scale > 0
             for start in range(1, n):
@@ -338,7 +337,7 @@ class TestStopBound:
         # the exact check ran at 37 of the 37 Lanczos steps before the bound
         # and runs at 7 now
         counts = {"exact": 0, "steps": 0}
-        exact_check, sweep = spectral._top_residuals, spectral._lanczos_sweep
+        exact_check, sweep = spectral._top_residual, spectral._lanczos_sweep
 
         def counted_check(*args):
             counts["exact"] += 1
@@ -349,7 +348,7 @@ class TestStopBound:
             counts["steps"] += out.iterations
             return out
 
-        monkeypatch.setattr(spectral, "_top_residuals", counted_check)
+        monkeypatch.setattr(spectral, "_top_residual", counted_check)
         monkeypatch.setattr(spectral, "_lanczos_sweep", counted_sweep)
         params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
         tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(1000, "roc", 0))
@@ -381,20 +380,19 @@ class TestPinnedIterations:
         assert rep.statistic == pytest.approx(statistic, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "N, n_bos, seed, num_wanted, iterations, top, last_wanted",
+        "N, n_bos, seed, iterations, top",
         [
-            (5, 4, 1, 1, 26, 34.71905699766534, 34.71905699766534),
-            (6, 4, 2, 3, 47, 44.864678289393815, 34.02360586109823),
-            (4, 6, 3, 2, 34, 102.26947286327875, 101.4541525807765),
+            (5, 4, 1, 26, 34.71905699766534),
+            (6, 4, 2, 33, 44.8646782893938),
+            (4, 6, 3, 34, 102.26947286327875),
         ],
     )
-    def test_lanczos(self, N, n_bos, seed, num_wanted, iterations, top, last_wanted):
+    def test_lanczos(self, N, n_bos, seed, iterations, top):
         h = HamiltonianOperator(sample_gaussian_tensor(N, rng(seed)), build_basis(N, n_bos))
         start = derived_rng(seed, "pin-start").standard_normal(h.dim)
-        out = lanczos(h, start, tol=1e-10, num_wanted=num_wanted)
+        out = lanczos(h, start, tol=1e-10)
         assert out.iterations == iterations
         assert out.ritz_values[0] == pytest.approx(top, rel=1e-12)
-        assert out.ritz_values[num_wanted - 1] == pytest.approx(last_wanted, rel=1e-12)
 
     def test_lanczos_complex_start(self):
         h = HamiltonianOperator(sample_gaussian_tensor(4, rng(6)), build_basis(4, 4))
@@ -495,15 +493,15 @@ class TestLeadingEigenvalue:
         m = rng(10).standard_normal((200, 200))
         m = (m + m.T) / 2
         with pytest.raises(ConvergenceError) as exc:
-            leading_eigenvalue(m, restarts=2, max_iters=3, tol=1e-14, seed=2)
+            leading_eigenvalue(m, max_iters=3, tol=1e-14, seed=2)
         assert exc.value.best is not None
 
-    def test_nonconvergence_reports_krylov_steps_over_all_restarts(self):
+    def test_nonconvergence_reports_krylov_steps(self):
         op = np.diag(np.linspace(0.0, 1.0, 50))
         with pytest.raises(ConvergenceError) as exc:
-            leading_eigenvalue(op, restarts=3, max_iters=2, tol=1e-12, seed=4)
-        assert exc.value.iterations == 6
-        assert "6 Krylov steps" in str(exc.value)
+            leading_eigenvalue(op, max_iters=2, tol=1e-12, seed=4)
+        assert exc.value.iterations == 2
+        assert "2 Krylov steps" in str(exc.value)
 
     def test_zero_operator(self):
         top, _ = leading_eigenvalue(np.zeros((5, 5)), seed=3)
