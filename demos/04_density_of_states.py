@@ -30,7 +30,7 @@ print("so the empirical switch keeps the grid populated):")
 params = tp.ModelParams(N=8, n_bos=4, seed=SEED)
 est = tp.density_of_states(params, x_grid=X_GRID, trials=TRIALS, emax_reference="empirical")
 print(f"{'x':>5} {'P>(x)':>10} {'stderr':>9} {'g_hat':>7}")
-for i, x in enumerate(est.x_grid):
+for i, x in enumerate(X_GRID):
     g = est.g_hat[i]
     gtxt = f"{g:7.3f}" if np.isfinite(g) else "  (all counts zero)"
     print(f"{x:>5.2f} {est.p_greater[i]:>10.5f} {est.stderr[i]:>9.5f} {gtxt}")

@@ -64,7 +64,6 @@ from .pipeline import (
 )
 from .recovery import (
     RecoveryReport,
-    SingleParticleDensityMatrix,
     boost,
     corr,
     randomized_recover,
@@ -76,7 +75,6 @@ from .spectral import (
     ApproxProjector,
     DosEstimate,
     RitzDecomposition,
-    SpectrumSummary,
     analytic_bounds,
     density_of_states,
     full_spectrum,

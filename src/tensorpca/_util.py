@@ -175,13 +175,16 @@ def load_record(path, magic: str, key: str, fields: tuple) -> tuple[dict, np.nda
     """Read a file written by save_record: (header, values).
 
     The header must carry format == magic and every name in fields.  A
-    malformed file -- not JSON, another format, a missing header field or
-    array, or a binary payload that is not a whole number of values --
-    raises InvalidParameterError.
+    file that cannot be read or is malformed -- not JSON, another format, a
+    missing header field or array, or a binary payload that is not a whole
+    number of values -- raises InvalidParameterError.
     """
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        rest = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+            rest = fh.read()
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from None
     try:
         # one line: the binary header, or a whole JSON file written compactly
         header, payload = json.loads(first), rest or None

@@ -16,14 +16,18 @@ their defaults there.  gen, recover and exponents take one value each of
 that only the sampled route reads.
 
 Exit codes: 0 success, 2 validation error, 3 capacity error,
-4 convergence error.
+4 convergence error.  An input file that cannot be read or parsed and
+an --out path outside a writable directory are validation errors too,
+found before any trial runs; a command that exits 2 writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -75,12 +79,20 @@ class RunConfig:
     tensor_file: str | None = None
     logs: list = field(default_factory=list)
 
+    def __post_init__(self):
+        """The checks that need no other option: the counts, and that --out
+        names a file in a writable directory."""
+        for flag, count in (("--trials", self.trials), ("--threads", self.threads)):
+            if count < 1:
+                raise InvalidParameterError(f"{flag} must be at least 1, got {count}")
+        folder = os.path.dirname(os.path.abspath(self.out))
+        if os.path.isdir(self.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise InvalidParameterError(f"--out {self.out}: not a file in a writable directory")
+
     def detection_config(self) -> DetectionConfig:
-        """The detector knobs, validated together with the method name, the
-        cascade depth and the trial count, so a bad option fails the command
-        before any trial runs."""
-        if self.trials < 1:
-            raise InvalidParameterError(f"--trials must be at least 1, got {self.trials}")
+        """The detector knobs, validated together with the method name and
+        the cascade depth, so a bad option fails the command before any
+        trial runs."""
         if self.method not in DETECTORS:
             raise InvalidParameterError(
                 f"unknown method {self.method!r}; choose from {', '.join(DETECTORS)}"
@@ -113,33 +125,25 @@ class RunConfig:
         return self.model_params(self.N_list[0], self.nbos_list[0], self.lambda_list[0])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return str(obj)
-
-
 def _emit(config: RunConfig, columns=(), csv_rows=(), **fields) -> dict:
     """Build the report envelope around `fields`, write it to `config.out`
     and return it.  A CSV report is one header comment holding the
-    configuration, then `columns` and `csv_rows`."""
+    configuration, then `columns` and `csv_rows`.  The report is encoded
+    in full before the file is opened, so a failure leaves no file."""
     echo = asdict(config)
     echo.pop("out")  # so a rerun into another file stays byte-identical
     payload = {"subcommand": config.subcommand, "version": __version__, "config": echo, **fields}
     if config.fmt == "csv":
-        with open(config.out, "w", newline="") as fh:
-            fh.write("# config: " + json.dumps(echo, sort_keys=True, default=_json_default) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(csv_rows)
+        buf = io.StringIO(newline="")
+        buf.write("# config: " + json.dumps(echo, sort_keys=True) + "\n")
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows(csv_rows)
+        text = buf.getvalue()
     else:
-        with open(config.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
-            fh.write("\n")
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    with open(config.out, "w", newline="") as fh:
+        fh.write(text)
     return payload
 
 
@@ -251,7 +255,6 @@ def cmd_dos(config: RunConfig) -> dict:
                 params,
                 x_grid=config.x_grid,
                 trials=config.trials,
-                seed=config.seed,
                 dense_limit=config.dense_limit,
                 threads=config.threads,
             )
@@ -259,10 +262,10 @@ def cmd_dos(config: RunConfig) -> dict:
                 {
                     "N": N,
                     "n_bos": n_bos,
-                    "trials": est.trials,
+                    "trials": config.trials,
                     "e_max_ref": est.e_max_ref,
                     "mean_lambda1": est.mean_lambda1,
-                    "x": est.x_grid.tolist(),
+                    "x": config.x_grid,
                     "p_greater": est.p_greater.tolist(),
                     "stderr": est.stderr.tolist(),
                     "g_hat": [None if not np.isfinite(g) else g for g in est.g_hat],
@@ -303,8 +306,8 @@ def _recover_one(config: RunConfig, cfg: DetectionConfig, params: ModelParams, t
         "corr_initial": rep.corr_initial,
         "corr_boosted": rep.corr_boosted,
         "iterations": rep.iterations_used,
-        "mode": rep.mode,
-        "seed": rep.seed,
+        "mode": config.mode,
+        "seed": trial_seed,
     }
 
 
@@ -349,8 +352,8 @@ def cmd_recover(config: RunConfig) -> dict:
                 "detected": True,
                 "source": "snapshot",
                 "iterations": rep.iterations_used,
-                "mode": rep.mode,
-                "seed": rep.seed,
+                "mode": config.mode,
+                "seed": config.seed,
                 "candidate": rep.candidate.tolist(),
                 "boosted": rep.boosted.tolist(),
             }
@@ -375,12 +378,19 @@ def cmd_recover(config: RunConfig) -> dict:
 
 def cmd_exponents(config: RunConfig) -> dict:
     """Emit the theoretical cost-exponent table plus measured query counts
-    harvested from previously written detection reports."""
+    harvested from previously written detect reports; a log that cannot be
+    read or is no detect report is a validation error."""
     params = config.single_params()
     rows = []
     for path in config.logs:
-        with open(path) as fh:
-            rows.extend(json.load(fh).get("trials", []))
+        try:
+            with open(path) as fh:
+                report = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidParameterError(f"--logs {path}: {exc}") from None
+        if not isinstance(report, dict) or report.get("subcommand") != "detect":
+            raise InvalidParameterError(f"--logs {path}: not a detect report")
+        rows.extend(report.get("trials", []))
     table = cost_exponents(params, rows)
     return _emit(
         config,
@@ -487,8 +497,8 @@ def main(argv: list | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(**vars(args))
     try:
+        config = RunConfig(**vars(args))
         _SUBCOMMANDS[config.subcommand][0](config)
     except InvalidParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -71,18 +71,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SpikedTensor:
-    """An order-4 instance tensor together with its generation metadata."""
+    """An order-4 instance tensor and the strength lam of its planted spike
+    (0 for pure noise)."""
 
     tensor: SymmetricTensor4
     lam: float
-    provenance: str  # "spiked" or "unspiked"
-    ensemble: str = "real"
 
-    def __post_init__(self):
-        if self.provenance not in ("spiked", "unspiked"):
-            raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "unspiked" and self.lam != 0.0:
-            raise InvalidParameterError("unspiked tensors must have lam = 0")
+    @property
+    def provenance(self) -> str:
+        return "spiked" if self.lam != 0.0 else "unspiked"
+
+    @property
+    def ensemble(self) -> str:
+        return "complex" if self.tensor.is_complex else "real"
 
 
 @dataclass(frozen=True)
@@ -157,9 +158,7 @@ def make_spiked(lam: float, v: np.ndarray, g: SymmetricTensor4) -> SpikedTensor:
             f"signal length {v.shape} does not match tensor modes {g.n_modes}"
         )
     tensor = g if lam == 0.0 else rank_one(v) * lam + g
-    provenance = "spiked" if lam != 0.0 else "unspiked"
-    ensemble = "complex" if g.is_complex else "real"
-    return SpikedTensor(tensor=tensor, lam=lam, provenance=provenance, ensemble=ensemble)
+    return SpikedTensor(tensor=tensor, lam=lam)
 
 
 def sample_instance(
@@ -260,10 +259,14 @@ def save_tensor(path, spiked: SpikedTensor, fmt: str = "json") -> None:
 
 
 def load_tensor(path) -> SpikedTensor:
+    """Read a tensor file; a provenance that contradicts its lambda, or an
+    ensemble that contradicts its complex flag, is malformed."""
     header, vals = load_record(path, _MAGIC, "entries", ("N", "lambda", "provenance"))
-    return SpikedTensor(
-        tensor=SymmetricTensor4(header["N"], vals),
-        lam=header["lambda"],
-        provenance=header["provenance"],
-        ensemble=header.get("ensemble", "real"),
-    )
+    spiked = SpikedTensor(tensor=SymmetricTensor4(header["N"], vals), lam=header["lambda"])
+    for name in ("provenance", "ensemble"):
+        derived = getattr(spiked, name)
+        if header.get(name, derived) != derived:
+            raise InvalidParameterError(
+                f"{path}: {name} {header[name]!r} contradicts the header's lambda and complex flag"
+            )
+    return spiked

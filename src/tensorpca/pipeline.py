@@ -626,7 +626,7 @@ def multistep_run(
         for idx, size in enumerate(level):
             rng_q = derived_rng(seed, f"multistep-unspiked-{j}", idx)
             g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
-            unsp = SpikedTensor(tensor=g, lam=0.0, provenance="unspiked")
+            unsp = SpikedTensor(tensor=g, lam=0.0)
             pair_q = _make_pair(unsp, params, cfg, rng_q)
             cutoff = plan.cutoffs_per_level[j][idx]
             qs.append(_filtered_statistic(pair_q, params, cfg, cutoff, seed, n_bos=size).statistic)
@@ -682,9 +682,8 @@ class CostExponentTable:
 def cost_exponents(params: ModelParams, reports: list | None = None) -> CostExponentTable:
     """Theoretical exponent table plus measured query counts.
 
-    `reports` holds reports or their serialized rows (as logged by the
-    CLI); the query counts are summed per algorithm, and error rows are
-    skipped.
+    `reports` holds serialized report rows, as the CLI logs them; the query
+    counts are summed per algorithm, and error rows are skipped.
     """
     bounds = analytic_bounds(params)
     ratios = {
@@ -698,8 +697,7 @@ def cost_exponents(params: ModelParams, reports: list | None = None) -> CostExpo
         for name, r in ratios.items()
     }
     measured = {}
-    for rep in reports or []:
-        row = rep if isinstance(rep, dict) else rep.row()
+    for row in reports or []:
         if "error" in row:
             continue
         agg = measured.setdefault(row.get("algorithm", "unknown"), {})

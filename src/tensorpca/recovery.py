@@ -19,16 +19,9 @@ class DegenerateIterationError(RuntimeError):
     """The power iteration produced a zero vector (stuck subspace)."""
 
 
-@dataclass
-class SingleParticleDensityMatrix:
-    """rho_{mu nu} = <x| adag_mu a_nu |x>, raw trace n_bos or per-boson trace 1."""
-
-    rho: np.ndarray
-    normalization: str  # "raw" or "per_boson"
-
-
-def spdm(x: StateVector, normalization: str = "per_boson") -> SingleParticleDensityMatrix:
-    """Single-particle density matrix of a normalized state."""
+def spdm(x: StateVector, normalization: str = "per_boson") -> np.ndarray:
+    """Single-particle density matrix rho_{mu nu} = <x| adag_mu a_nu |x> of
+    a normalized state: N x N, of trace n_bos ("raw") or 1 ("per_boson")."""
     if normalization not in ("raw", "per_boson"):
         raise InvalidParameterError(f"unknown normalization {normalization!r}")
     if abs(x.norm() - 1.0) > 1e-8:
@@ -38,9 +31,7 @@ def spdm(x: StateVector, normalization: str = "per_boson") -> SingleParticleDens
     sources, coefs = lowering_map(basis, 1)
     z = (coefs * x.amps[sources]).reshape(basis.n_modes, -1)
     rho = z.conj() @ z.T
-    if normalization == "per_boson":
-        rho = rho / basis.n_bos
-    return SingleParticleDensityMatrix(rho=rho, normalization=normalization)
+    return rho / basis.n_bos if normalization == "per_boson" else rho
 
 
 def corr(x: np.ndarray, y: np.ndarray) -> float:
@@ -64,7 +55,7 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 
 
 def randomized_recover(
-    rho: SingleParticleDensityMatrix | np.ndarray,
+    rho: np.ndarray,
     rng: np.random.Generator | None = None,
     mode: str = "eig",
 ) -> np.ndarray:
@@ -74,8 +65,7 @@ def randomized_recover(
     mode="eig" takes the top eigenvector; mode="randomized" applies rho to
     a standard normal probe.
     """
-    mat = rho.rho if isinstance(rho, SingleParticleDensityMatrix) else np.asarray(rho)
-    mat = np.real_if_close(mat, tol=1e6)
+    mat = np.real_if_close(np.asarray(rho), tol=1e6)
     n = mat.shape[0]
     if not np.any(np.abs(mat) > 0):
         raise InvalidParameterError("density matrix is zero")
@@ -139,8 +129,6 @@ class RecoveryReport:
     boosted: np.ndarray
     corr_boosted: float | None
     iterations_used: int
-    mode: str
-    seed: int
 
 
 def recovery_chain(
@@ -149,13 +137,11 @@ def recovery_chain(
     v_reference: np.ndarray | None = None,
     mode: str = "eig",
     seed: int = 0,
-    max_iters: int = 50,
-    tol: float = 1e-8,
 ) -> RecoveryReport:
     """spdm -> candidate -> boost, scoring against a reference direction."""
     rho = spdm(state, normalization="per_boson")
     cand = randomized_recover(rho, derived_rng(seed, "randomized-recover"), mode=mode)
-    boosted, iters = boost(boost_tensor, cand, max_iters=max_iters, tol=tol)
+    boosted, iters = boost(boost_tensor, cand)
     c0 = corr(cand, v_reference) if v_reference is not None else None
     cb = corr(boosted, v_reference) if v_reference is not None else None
     return RecoveryReport(
@@ -164,6 +150,4 @@ def recovery_chain(
         boosted=boosted,
         corr_boosted=cb,
         iterations_used=iters,
-        mode=mode,
-        seed=int(seed),
     )

@@ -79,20 +79,12 @@ class RitzDecomposition:
 
 @dataclass
 class ApproxProjector:
-    """Spectral filter with guaranteed pass band above e_upper and stop
-    band below e_lower; behavior between the cutoffs is unspecified."""
+    """How project_above realized its filter: the method, its Krylov steps
+    or polynomial degree (the dimension for dense), and the band error."""
 
-    e_lower: float
-    e_upper: float
     method: str
     degree_or_iters: int
     achieved_error: float
-
-
-@dataclass
-class SpectrumSummary:
-    eigenvalues: np.ndarray  # descending
-    source: str
 
 
 # A sweep capped at this many steps reserves its Krylov block up front
@@ -323,11 +315,9 @@ def leading_eigenvalue(op, tol: float = 1e-8, seed: int = 0, max_iters: int | No
     return lam, _wrap_vector(ritz.ritz_vectors[:, 0], basis)
 
 
-def full_spectrum(op, dense_limit: int = DENSE_LIMIT) -> SpectrumSummary:
-    """All eigenvalues through a dense symmetric eigensolve (descending)."""
-    dense = _dense_matrix(op, dense_limit)
-    vals = np.linalg.eigvalsh(dense)[::-1]
-    return SpectrumSummary(eigenvalues=vals, source="dense")
+def full_spectrum(op, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+    """All eigenvalues through a dense symmetric eigensolve, descending."""
+    return np.linalg.eigvalsh(_dense_matrix(op, dense_limit))[::-1]
 
 
 def _dense_matrix(op, dense_limit: int) -> np.ndarray:
@@ -382,11 +372,11 @@ def project_above(
         coefs = vecs.conj().T @ vec
         projected = vecs[:, keep] @ coefs[keep]
         norm_sq = float(np.sum(np.abs(coefs[keep]) ** 2))
-        proj = ApproxProjector(e_lower, e_upper, "dense", dim, achieved_error=1e-14)
+        proj = ApproxProjector("dense", dim, achieved_error=1e-14)
         return _wrap_vector(projected, basis), norm_sq, proj
 
     if method == "ritz":
-        return _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters)
+        return _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters)
 
     if method == "chebyshev":
         return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
@@ -394,7 +384,7 @@ def project_above(
     raise InvalidParameterError(f"unknown projector method {method!r}")
 
 
-def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters):
+def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters):
     if max_iters is None:
         max_iters = dim
     prev, stable = None, 0  # the last weight, and how many steps it has held
@@ -445,7 +435,7 @@ def _project_ritz(matvec, dim, basis, vec, e_lower, e_upper, mid, tol, max_iters
                 iterations=iters,
             )
         achieved = max(achieved, 1e-14)
-    proj = ApproxProjector(e_lower, e_upper, "ritz", iters, achieved_error=achieved)
+    proj = ApproxProjector("ritz", iters, achieved_error=achieved)
     return _wrap_vector(projected, basis), norm_sq, proj
 
 
@@ -510,7 +500,7 @@ def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
         acc = acc + coeffs[k] * tkp1
         tkm1, tk = tk, tkp1
     norm_sq = float(np.real(np.vdot(acc, acc)))
-    proj = ApproxProjector(e_lower, e_upper, "chebyshev", degree, achieved_error=achieved)
+    proj = ApproxProjector("chebyshev", degree, achieved_error=achieved)
     return _wrap_vector(acc, basis), norm_sq, proj
 
 
@@ -605,13 +595,12 @@ def _solve_nbos_eq(N: int, lambda_bar: float, ensemble: str, hi: float = 64.0) -
 
 @dataclass
 class DosEstimate:
-    """Estimated fraction of unspiked eigenvalues above x * e_max_ref."""
+    """Estimated fraction of unspiked eigenvalues above x * e_max_ref, one
+    entry per grid point x."""
 
-    x_grid: np.ndarray
     p_greater: np.ndarray
     stderr: np.ndarray
     g_hat: np.ndarray
-    trials: int
     e_max_ref: float
     mean_lambda1: float
 
@@ -620,7 +609,6 @@ def density_of_states(
     params: ModelParams,
     x_grid,
     trials: int,
-    seed: int | None = None,
     dense_limit: int = DENSE_LIMIT,
     emax_reference: str = "theorem",
     threads: int = 1,
@@ -628,27 +616,26 @@ def density_of_states(
     """Monte-Carlo estimate of the high-eigenvalue fraction of unspiked
     operators, with the per-boson base-N decay exponent.
 
-    For each trial an unspiked noise tensor is drawn, the full spectrum is
-    computed densely, and eigenvalues >= x * e_max_ref are counted for
-    every grid point x.  e_max_ref is the analytic bound ("theorem") or
-    the mean observed leading eigenvalue ("empirical").
+    For each trial an unspiked noise tensor is drawn from a params.seed
+    stream, the full spectrum is computed densely, and eigenvalues
+    >= x * e_max_ref are counted for every grid point x.  e_max_ref is the
+    analytic bound ("theorem") or the mean observed leading eigenvalue
+    ("empirical").
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     if emax_reference not in ("theorem", "empirical"):
         raise InvalidParameterError(f"unknown e_max reference {emax_reference!r}")
     x_grid = np.asarray(x_grid, dtype=float)
-    if seed is None:
-        seed = params.seed
     basis = build_basis(params.N, params.n_bos)
     if basis.dim > dense_limit:
         raise CapacityError(f"density of states needs dim <= {dense_limit}, got {basis.dim}")
 
     def one_trial(t: int) -> np.ndarray:
-        rng = derived_rng(seed, "dos-trial", t)
+        rng = derived_rng(params.seed, "dos-trial", t)
         g = sample_gaussian_tensor(params.N, rng, ensemble=params.ensemble)
         h = HamiltonianOperator(g, basis)
-        return full_spectrum(h, dense_limit=dense_limit).eigenvalues
+        return full_spectrum(h, dense_limit=dense_limit)
 
     spectra = np.array(run_trials(one_trial, trials, threads=threads))
     bounds = analytic_bounds(params)
@@ -669,11 +656,9 @@ def density_of_states(
             np.nan,
         )
     return DosEstimate(
-        x_grid=x_grid,
         p_greater=p_greater,
         stderr=stderr,
         g_hat=g_hat,
-        trials=trials,
         e_max_ref=float(e_ref),
         mean_lambda1=mean_lambda1,
     )

@@ -59,7 +59,7 @@ def recovery_energy_bound_check(
     spike = rank_one(v) * lambda_plus
     h = HamiltonianOperator(spike, x.basis)
     lhs = h.expectation(x)
-    rho = spdm(x, normalization="raw").rho
+    rho = spdm(x, normalization="raw")
     quad = float(np.real(v @ rho @ v))
     n_modes = x.basis.n_modes
     rhs = lambda_plus * n_modes * (x.basis.n_bos - 1) * quad

@@ -544,6 +544,110 @@ class TestExponents:
         assert None not in nbos_eq
         assert nbos_eq[0] != nbos_eq[1]
 
+    @pytest.mark.parametrize("name", ["recover", "dos", "exponents"])
+    def test_logs_other_than_detect_reports_are_refused(self, tmp_path, name):
+        # only detect rows carry query counts; other reports would read as none
+        log = tmp_path / "log.json"
+        assert run([*_BASE[name], "--out", log]) == 0
+        out = tmp_path / "e.json"
+        assert run([*_BASE["exponents"], "--logs", log, "--out", out]) == 2
+        assert not out.exists()
+
+
+@pytest.fixture
+def no_trial(monkeypatch):
+    """Fail the test if any trial, detection sweep or density-of-states
+    draw starts."""
+    import tensorpca.cli as cli
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    for name in ("sample_instance", "density_of_states", "recovery_chain"):
+        monkeypatch.setattr(cli, name, no_trial)
+
+
+class TestFileErrors:
+    """An unreadable input or output path is a validation error: exit 2, a
+    message, no file, and no trial run."""
+
+    def _refused(self, capsys, args, out):
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
+        assert not out.exists()
+
+    def test_missing_log(self, tmp_path, capsys, no_trial):
+        self._refused(capsys, [*_BASE["exponents"], "--logs", tmp_path / "missing.json"],
+                      tmp_path / "e.json")
+
+    def test_log_that_is_not_json(self, tmp_path, capsys, no_trial):
+        (tmp_path / "bad.json").write_text("not json {")
+        self._refused(capsys, [*_BASE["exponents"], "--logs", tmp_path / "bad.json"],
+                      tmp_path / "e.json")
+
+    def test_missing_snapshot_and_tensor(self, tmp_path, capsys, no_trial):
+        self._refused(capsys, ["recover", "--state", tmp_path / "missing.json",
+                               "--tensor", tmp_path / "missing2.json"], tmp_path / "r.json")
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, no_trial):
+        self._refused(capsys, _BASE["detect"], tmp_path / "nonexistent" / "dir" / "r.json")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("name, threads", [("detect", "-3"), ("dos", "0")])
+    def test_threads_below_one_fail_before_any_trial(self, tmp_path, no_trial, name, threads):
+        out = tmp_path / "o.json"
+        assert run([*_BASE[name], "--threads", threads, "--out", out]) == 2
+        assert not out.exists()
+
+
+class TestPayload:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *[[*_BASE["detect"], "--method", method] for method in DETECTORS],
+            [*_BASE["detect"], "--nbos", "8", "--k", "1"],
+            _BASE["dos"],
+            [*_BASE["dos"], "--format", "csv"],
+            _BASE["recover"],
+            [*_BASE["recover"], "--boost-with", "tplus", "--mode", "randomized"],
+            ["recover", "--state", "{state}", "--tensor", "{tensor}"],
+            [*_BASE["exponents"], "--logs", "{logs}"],
+            _BASE["gen"],
+        ],
+        ids=lambda args: "-".join(str(a).strip("-{}") for a in args[:1] + args[-2:]),
+    )
+    def test_every_payload_is_plain_json(self, tmp_path, args):
+        # reports hold only json-native values: no encoder hook is needed
+        from tensorpca import ModelParams, build_basis, embed_power_state
+        from tensorpca.cli import _SUBCOMMANDS
+        from tensorpca.fock import save_state
+        from tensorpca.instance import save_tensor
+
+        tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12),
+                                    spiked=True)
+        files = {name: str(tmp_path / f"{name}.json") for name in ("state", "tensor", "logs")}
+        save_state(files["state"], embed_power_state(build_basis(3, 4), tensor.tensor)[0])
+        save_tensor(files["tensor"], tensor)
+        assert run([*_BASE["detect"], "--out", files["logs"]]) == 0
+        argv = [a.format(**files) for a in args] + ["--out", str(tmp_path / "o.out")]
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
+        payload = _SUBCOMMANDS[config.subcommand][0](config)
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        if config.subcommand != "gen" and config.fmt == "json":
+            assert (tmp_path / "o.out").read_text() == text
+
+    def test_unencodable_report_leaves_no_file(self, tmp_path):
+        from tensorpca.cli import _emit
+
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"r.{fmt}"
+            config = RunConfig(subcommand="dos", fmt=fmt, out=str(out))
+            config.x_grid = np.arange(3)  # an array is not a json value
+            with pytest.raises(TypeError):
+                _emit(config, ["x"], [[0.0]], tables=[])
+            assert not out.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -182,7 +182,7 @@ class TestDecorrelate:
         plus, minus = np.empty(n_samples), np.empty(n_samples)
         for i in range(n_samples):
             noise = sample_gaussian_tensor(2, g)
-            t0 = SpikedTensor(tensor=noise, lam=0.0, provenance="unspiked")
+            t0 = SpikedTensor(tensor=noise, lam=0.0)
             pair = decorrelate(t0, zeta, g)
             plus[i] = pair.t_plus.values[idx].real
             minus[i] = pair.t_minus.values[idx].real
@@ -214,13 +214,13 @@ class TestDecorrelate:
 
     def test_add_imaginary_makes_complex_noise(self):
         g = rng(18)
-        t0 = SpikedTensor(tensor=sample_gaussian_tensor(2, g), lam=0.0, provenance="unspiked")
+        t0 = SpikedTensor(tensor=sample_gaussian_tensor(2, g), lam=0.0)
         pair = decorrelate(t0, 0.5, g, add_imaginary=True)
         assert pair.t_minus.is_complex
         assert not pair.t_plus.is_complex
 
     def test_bad_zeta_rejected(self):
-        t0 = SpikedTensor(tensor=sample_gaussian_tensor(2, rng(19)), lam=0.0, provenance="unspiked")
+        t0 = SpikedTensor(tensor=sample_gaussian_tensor(2, rng(19)), lam=0.0)
         with pytest.raises(InvalidParameterError):
             decorrelate(t0, 0.0, rng(20))
 
@@ -275,12 +275,46 @@ class TestTensorFiles:
 
     def test_complex_roundtrip(self, tmp_path):
         g = sample_gaussian_tensor(2, rng(23), ensemble="complex")
-        t = SpikedTensor(tensor=g, lam=0.0, provenance="unspiked", ensemble="complex")
+        t = SpikedTensor(tensor=g, lam=0.0)
         for fmt in ("json", "binary"):
             path = tmp_path / f"c.{fmt}"
             save_tensor(path, t, fmt=fmt)
             back = load_tensor(path)
             assert np.array_equal(back.tensor.values, g.values)
+
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize(
+        "lam, ensemble, provenance",
+        [(0.25, "real", "spiked"), (0.0, "real", "unspiked"),
+         (0.25, "complex", "spiked"), (0.0, "complex", "unspiked")],
+    )
+    def test_roundtrip_keeps_provenance_and_ensemble(self, tmp_path, fmt, lam, ensemble,
+                                                     provenance):
+        g = sample_gaussian_tensor(3, rng(27), ensemble=ensemble)
+        t = make_spiked(lam, sample_signal(3, rng(28)), g)
+        assert (t.provenance, t.ensemble) == (provenance, ensemble)
+        save_tensor(tmp_path / "t", t, fmt=fmt)
+        back = load_tensor(tmp_path / "t")
+        assert (back.provenance, back.ensemble) == (provenance, ensemble)
+
+    @pytest.mark.parametrize(
+        "lam, is_complex, field, value",
+        [(0.25, False, "provenance", "unspiked"), (0.0, False, "provenance", "spiked"),
+         (0.0, False, "ensemble", "complex"), (0.0, True, "ensemble", "real")],
+    )
+    def test_header_contradicting_its_data_is_refused(self, tmp_path, lam, is_complex,
+                                                      field, value):
+        # provenance follows from lambda and ensemble from the complex flag,
+        # so a header that states otherwise is malformed
+        g = sample_gaussian_tensor(3, rng(29), ensemble="complex" if is_complex else "real")
+        path = tmp_path / "t.json"
+        save_tensor(path, make_spiked(lam, sample_signal(3, rng(30)), g))
+        header = json.loads(path.read_text())
+        load_tensor(path)
+        header[field] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(InvalidParameterError, match=field):
+            load_tensor(path)
 
     def test_identical_seeds_identical_files(self, tmp_path):
         for name in ("a", "b"):
@@ -294,7 +328,7 @@ class TestTensorFiles:
     def _tensor(is_complex):
         if is_complex:
             g = sample_gaussian_tensor(3, rng(24), ensemble="complex")
-            return SpikedTensor(tensor=g, lam=0.0, provenance="unspiked", ensemble="complex")
+            return SpikedTensor(tensor=g, lam=0.0)
         return make_spiked(0.25, sample_signal(3, rng(25)), sample_gaussian_tensor(3, rng(26)))
 
     @pytest.mark.parametrize("is_complex", [False, True])

@@ -170,7 +170,7 @@ class TestSpectralDetection:
         assert rep.statistic == pytest.approx(2.0 * 16 * 6, abs=1e-8)
 
     def test_zero_instance_reports_unspiked(self):
-        t0 = SpikedTensor(tensor=SymmetricTensor4.zeros(4), lam=0.0, provenance="unspiked")
+        t0 = SpikedTensor(tensor=SymmetricTensor4.zeros(4), lam=0.0)
         params = ModelParams(N=4, n_bos=3, lambda_bar=0.5)
         rep = detect_spectral(t0, params)
         assert rep.verdict == "unspiked"
@@ -669,7 +669,7 @@ class TestCostExponents:
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.4, seed=15)
         t0, _ = sample_instance(params, spiked=True)
         rep = detect_projection(t0, params, DetectionConfig(), seed=15)
-        table = cost_exponents(params, reports=[rep])
+        table = cost_exponents(params, reports=[rep.row()])
         assert "projection" in table.measured
         assert table.measured["projection"]["matvec"] >= 1
 
@@ -679,7 +679,7 @@ class TestCostExponents:
         for trial in range(2):
             t0, _ = sample_instance(params, spiked=True, rng=derived_rng(15, "sum", trial))
             reps.append(detect_projection(t0, params, DetectionConfig(), seed=trial))
-        table = cost_exponents(params, reports=reps)
+        table = cost_exponents(params, reports=[rep.row() for rep in reps])
         assert table.measured["projection"] == {
             "matvec": reps[0].query_counts["matvec"] + reps[1].query_counts["matvec"],
             "range_probe": sum(rep.query_counts["range_probe"] for rep in reps),

@@ -23,7 +23,7 @@ from tensorpca import (
 )
 from tensorpca._util import derived_rng
 from tensorpca.fock import StateVector
-from tensorpca.recovery import DegenerateIterationError, SingleParticleDensityMatrix
+from tensorpca.recovery import DegenerateIterationError
 from tensorpca.symtensor import SymmetricTensor4
 
 
@@ -36,7 +36,7 @@ class TestDensityMatrix:
         n_modes, n_bos = 4, 3
         basis = build_basis(n_modes, n_bos)
         psi = embed_product_state(basis, np.sqrt(n_modes) * np.eye(n_modes)[0])
-        raw = spdm(psi, normalization="raw").rho
+        raw = spdm(psi, normalization="raw")
         expected = np.zeros((n_modes, n_modes))
         expected[0, 0] = n_bos
         assert np.allclose(raw, expected, atol=1e-12)
@@ -45,17 +45,17 @@ class TestDensityMatrix:
         n_modes, n_bos = 3, 3
         v = sample_signal(n_modes, rng(1))
         psi = embed_product_state(build_basis(n_modes, n_bos), v)
-        per = spdm(psi, normalization="per_boson").rho
+        per = spdm(psi, normalization="per_boson")
         assert np.allclose(per, np.outer(v, v) / n_modes, atol=1e-10)
 
     def test_trace_and_positivity(self):
         basis = build_basis(3, 4)
         x = StateVector(basis, rng(2).standard_normal(basis.dim)).normalized()
-        raw = spdm(x, normalization="raw").rho
+        raw = spdm(x, normalization="raw")
         assert np.trace(raw) == pytest.approx(4.0, abs=1e-9)
         assert np.abs(raw - raw.T.conj()).max() < 1e-10
         assert np.linalg.eigvalsh(raw).min() > -1e-9
-        per = spdm(x, normalization="per_boson").rho
+        per = spdm(x, normalization="per_boson")
         assert np.trace(per) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_full_space_oracle(self):
@@ -69,7 +69,7 @@ class TestDensityMatrix:
                 x = StateVector(basis, amps).normalized()
                 psi = occupation_to_full(x).amps.reshape(n_modes, -1)
                 oracle = n_bos * np.conj(psi) @ psi.T
-                assert np.abs(spdm(x, normalization="raw").rho - oracle).max() < 1e-12
+                assert np.abs(spdm(x, normalization="raw") - oracle).max() < 1e-12
 
     def test_rotation_equivariance(self):
         n_modes, n_bos = 3, 4
@@ -78,8 +78,8 @@ class TestDensityMatrix:
         basis = build_basis(n_modes, n_bos)
         state, _ = embed_power_state(basis, t)
         state_rot, _ = embed_power_state(basis, rotate_tensor(t, q))
-        rho = spdm(state).rho
-        rho_rot = spdm(state_rot).rho
+        rho = spdm(state)
+        rho_rot = spdm(state_rot)
         assert np.abs(rho_rot - q @ rho @ q.T).max() < 1e-8
 
     def test_unnormalized_rejected(self):
@@ -105,10 +105,10 @@ class TestCandidateExtraction:
         n = 5
         rho = np.zeros((n, n))
         rho[0, 0] = 1.0
-        cand = randomized_recover(SingleParticleDensityMatrix(rho, "per_boson"))
+        cand = randomized_recover(rho)
         assert np.allclose(cand, np.sqrt(n) * np.eye(n)[0], atol=1e-12)
         cand_r = randomized_recover(
-            SingleParticleDensityMatrix(rho, "per_boson"), rng(6), mode="randomized"
+            rho, rng(6), mode="randomized"
         )
         assert np.allclose(np.abs(cand_r), np.sqrt(n) * np.eye(n)[0], atol=1e-12)
 
@@ -134,7 +134,7 @@ class TestCandidateExtraction:
 
     def test_norm_and_sign_convention(self):
         rho = np.diag([0.1, 0.9, 0.0])
-        cand = randomized_recover(SingleParticleDensityMatrix(rho, "per_boson"))
+        cand = randomized_recover(rho)
         assert np.linalg.norm(cand) == pytest.approx(np.sqrt(3), abs=1e-12)
         first_big = cand[np.abs(cand) > 1e-12 * np.abs(cand).max()][0]
         assert first_big > 0
