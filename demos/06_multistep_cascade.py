@@ -16,9 +16,10 @@ N, N_BOS, LAM, SEED, TRIALS = 3, 8, 0.03, 909, 15
 params = tp.ModelParams(N=N, n_bos=N_BOS, lambda_bar=LAM, seed=SEED)
 cfg = tp.DetectionConfig()
 
-plan = tp.multistep_plan(params, 1, cfg)
-print(f"plan: level sizes {plan.level_sizes}")
-print(f"      level cutoffs {[tuple(round(c,2) for c in lvl) for lvl in plan.cutoffs_per_level]}\n")
+levels = tp.multistep_levels(N_BOS, 1)
+cutoffs = [tuple(round(tp.projection_cutoff(params, cfg, n_bos=s), 2) for s in lvl) for lvl in levels]
+print(f"plan: level sizes {levels}")
+print(f"      level cutoffs {cutoffs}\n")
 
 chain, q0, costs = [], [], []
 for trial in range(TRIALS):

@@ -46,14 +46,13 @@ from .pipeline import (
     CostExponentTable,
     DetectionConfig,
     DetectionReport,
-    MultistepPlan,
     MultistepReport,
     amplification_rounds,
     boosted_probability,
     cost_exponents,
     detect_projection,
     detect_spectral,
-    multistep_plan,
+    multistep_levels,
     multistep_run,
     p_threshold,
     projection_cutoff,

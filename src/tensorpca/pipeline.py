@@ -11,7 +11,6 @@ projector applications as the unit of query cost.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cache
@@ -138,20 +137,21 @@ def projection_cutoff(params: ModelParams, cfg: DetectionConfig, n_bos: int | No
     return (1.0 - cfg.c_prime) * lam_plus * params.N**2 * n * (n - 1)
 
 
-def p_threshold(params: ModelParams, cfg: DetectionConfig, n_bos: int | None = None) -> float:
+def p_threshold(params: ModelParams, cfg: DetectionConfig) -> float:
     """Success threshold for the projected input state.
 
     Per 4-boson block the squared overlap of the normalized input tensor
     with the signal direction concentrates at
     lam_minus^2 N^4 / (lam_minus^2 N^4 + s N^4); the threshold is that
-    ratio to the power n_bos/4, divided by the safety slack.
+    ratio to the power n_bos/4, divided by the safety slack.  With no
+    signal on the route (lambda_bar_minus = 0) it is 0, which every
+    detector reads as unspiked.
     """
-    n = params.n_bos if n_bos is None else n_bos
+    n = params.n_bos
     if n % 4 != 0:
         raise InvalidParameterError(f"threshold needs n_bos divisible by 4, got {n}")
     _, lam_minus = lambda_effective(params.lambda_bar, params.effective_zeta)
     if lam_minus == 0.0:
-        warnings.warn("lambda_bar_minus is zero: projection detection impossible", stacklevel=2)
         return 0.0
     s = noise_power_per_entry(params.N)
     if cfg.add_imaginary:
@@ -161,7 +161,7 @@ def p_threshold(params: ModelParams, cfg: DetectionConfig, n_bos: int | None = N
     return ratio ** (n // 4) / cfg.slack
 
 
-def projection_nbos(params: ModelParams, minimum: int = 4) -> int:
+def projection_nbos(params: ModelParams) -> int:
     """Boson count for the projection route: half the bound-crossing point,
     rounded up to the smallest feasible multiple of four.
 
@@ -175,7 +175,7 @@ def projection_nbos(params: ModelParams, minimum: int = 4) -> int:
             "the spiked and unspiked bounds never cross; pick a larger lambda_bar"
         )
     half = bounds.nbos_eq / 2.0
-    return max(minimum, 4 * int(ceil(half / 4.0)))
+    return max(4, 4 * int(ceil(half / 4.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,6 @@ class ProjectionOutcome:
 
     statistic: float
     proj_weight: float
-    sym_weight: float
     cutoff: float
     e_lower: float
     projected: StateVector
@@ -270,11 +269,12 @@ def _project_step(
     sym_weight: float,
     params: ModelParams,
     cfg: DetectionConfig,
-    cutoff: float,
     seed: int,
 ) -> ProjectionOutcome:
-    """Filter a prepared state above the cutoff under H(t_plus) on its own
-    basis, and fold in its symmetric-projection weight when configured."""
+    """Filter a prepared state above the projection cutoff of its own size
+    under H(t_plus) on its own basis, and fold in its symmetric-projection
+    weight when configured."""
+    cutoff = projection_cutoff(params, cfg, n_bos=state.basis.n_bos)
     h = HamiltonianOperator(pair.t_plus, state.basis)
     gap = max(_spectral_range(h, seed) / params.N, 1e-9 * max(abs(cutoff), 1.0))
     range_probe_matvecs = h.matvec_count  # h is fresh: every matvec so far is the probe's
@@ -285,7 +285,6 @@ def _project_step(
     return ProjectionOutcome(
         statistic=float(statistic),
         proj_weight=float(weight),
-        sym_weight=float(sym_weight),
         cutoff=float(cutoff),
         e_lower=float(cutoff - gap),
         projected=projected,
@@ -300,7 +299,6 @@ def _filtered_statistic(
     pair: DecorrelatedPair,
     params: ModelParams,
     cfg: DetectionConfig,
-    cutoff: float,
     seed: int,
     n_bos: int | None = None,
 ) -> ProjectionOutcome:
@@ -308,7 +306,7 @@ def _filtered_statistic(
     n = params.n_bos if n_bos is None else n_bos
     state, pre_norm = embed_power_state(build_basis(params.N, n), pair.t_minus)
     sym_weight = pre_norm / pair.t_minus.norm() ** (n // 4)
-    return _project_step(pair, state, sym_weight, params, cfg, cutoff, seed)
+    return _project_step(pair, state, sym_weight, params, cfg, seed)
 
 
 def projection_statistic(
@@ -324,7 +322,7 @@ def projection_statistic(
         seed = params.seed
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
-    return _filtered_statistic(pair, params, cfg, projection_cutoff(params, cfg), seed)
+    return _filtered_statistic(pair, params, cfg, seed)
 
 
 def _projection_report(
@@ -481,17 +479,6 @@ DETECTORS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultistepPlan:
-    """Halving schedule: level_sizes[j] lists subsystem boson counts at
-    depth j (level 0 is the full system); every size is a multiple of 4 and
-    sibling sizes are equal or differ by four."""
-
-    k: int
-    level_sizes: tuple
-    cutoffs_per_level: tuple
-
-
 def _split_size(n: int) -> tuple[int, int]:
     if n % 4 != 0 or n < 8:
         raise InvalidParameterError(f"cannot split a subsystem of {n} bosons")
@@ -500,34 +487,26 @@ def _split_size(n: int) -> tuple[int, int]:
     return ((n + 4) // 2, (n - 4) // 2)  # larger half first
 
 
-def multistep_plan(params: ModelParams, k: int, cfg: DetectionConfig | None = None) -> MultistepPlan:
-    """Build the level sizes and per-level projection cutoffs for k halvings."""
-    cfg = cfg or DetectionConfig()
-    params.require_input_state()
+def multistep_levels(n_bos: int, k: int) -> tuple:
+    """Subsystem boson counts at each depth of k halvings, level 0 being the
+    full system: multistep_levels(16, 2) == ((16,), (8, 8), (4, 4, 4, 4)).
+    Every size is a multiple of 4, and sibling sizes are equal or differ
+    by four."""
     if k < 0:
         raise InvalidParameterError(f"k must be nonnegative, got {k}")
-    sizes = [[params.n_bos]]
+    levels = [(n_bos,)]
     for _ in range(k):
-        nxt = []
-        for s in sizes[-1]:
-            nxt.extend(_split_size(s))
-        sizes.append(nxt)
-    cutoffs = [
-        [projection_cutoff(params, cfg, n_bos=s) for s in level] for level in sizes
-    ]
-    return MultistepPlan(
-        k=k,
-        level_sizes=tuple(tuple(level) for level in sizes),
-        cutoffs_per_level=tuple(tuple(c) for c in cutoffs),
-    )
+        levels.append(tuple(half for size in levels[-1] for half in _split_size(size)))
+    return tuple(levels)
 
 
 @dataclass
 class MultistepReport:
     """Cascade outcome: per-level conditional success probabilities p_j,
     unconditioned unspiked probabilities q_j, the survival-chain product
-    to compare against q_j[0], and the unit-query cost estimate.  row()
-    is the serialized summary."""
+    to compare against q_j[0], and the unit-query cost estimate, over the
+    subsystem sizes of multistep_levels.  row() is the serialized
+    summary."""
 
     verdict: str
     statistic: float
@@ -537,7 +516,7 @@ class MultistepReport:
     chain_product: float
     cost_estimate: float
     p_threshold: float
-    plan: MultistepPlan
+    level_sizes: tuple
     seed: int
 
     @property
@@ -547,7 +526,7 @@ class MultistepReport:
     def row(self) -> dict:
         """The serialized summary of the cascade."""
         return {
-            "algorithm": f"multistep-k{self.plan.k}",
+            "algorithm": f"multistep-k{len(self.level_sizes) - 1}",
             "verdict": self.verdict,
             "statistic": self.statistic,
             "threshold": self.threshold,
@@ -586,14 +565,12 @@ def multistep_run(
     The q_j draws are independent per subsystem and never shared.
     """
     cfg = cfg or DetectionConfig()
+    params.require_input_state()
     if seed is None:
         seed = params.seed
-    plan = multistep_plan(params, k, cfg)
+    level_sizes = multistep_levels(params.n_bos, k)
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
-
-    # the plan's cutoff depends on the size alone
-    cutoffs = dict(zip(sum(plan.level_sizes, ()), sum(plan.cutoffs_per_level, ())))
 
     @cache
     def subsystem(size: int, below: int) -> tuple[float, StateVector | None]:
@@ -601,51 +578,46 @@ def multistep_run(
         the subsystem of `size` bosons with `below` levels under it: a leaf
         embeds the power input state, an internal one merges its children."""
         if below == 0:
-            out = _filtered_statistic(pair, params, cfg, cutoffs[size], seed, n_bos=size)
+            out = _filtered_statistic(pair, params, cfg, seed, n_bos=size)
         else:
             children = [subsystem(half, below - 1)[1] for half in _split_size(size)]
             if any(state is None for state in children):
                 return 0.0, None
             merged, w_merge = symmetrized_product(*children)
-            out = _project_step(pair, merged, w_merge, params, cfg, cutoffs[size], seed)
+            out = _project_step(pair, merged, w_merge, params, cfg, seed)
         return out.statistic, out.projected.normalized() if out.proj_weight > 0.0 else None
 
-    k_levels = plan.k
-    p_j = [
-        [subsystem(size, k_levels - j)[0] for size in level]
-        for j, level in enumerate(plan.level_sizes)
-    ]
+    p_j = [[subsystem(size, k - j)[0] for size in level] for j, level in enumerate(level_sizes)]
     # subsystem reaches itself through its closure; breaking that cycle
     # frees its cache now rather than at the next full garbage collection
     del subsystem
 
     # unconditioned unspiked probabilities at every level size
     q_j = []
-    for j, level in enumerate(plan.level_sizes):
+    for j, level in enumerate(level_sizes):
         qs = []
         for idx, size in enumerate(level):
             rng_q = derived_rng(seed, f"multistep-unspiked-{j}", idx)
             g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
             unsp = SpikedTensor(tensor=g, lam=0.0)
             pair_q = _make_pair(unsp, params, cfg, rng_q)
-            cutoff = plan.cutoffs_per_level[j][idx]
-            qs.append(_filtered_statistic(pair_q, params, cfg, cutoff, seed, n_bos=size).statistic)
+            qs.append(_filtered_statistic(pair_q, params, cfg, seed, n_bos=size).statistic)
         # one scalar per level: geometric mean over subsystems (equal for
         # equal-size halves, which is the tested configuration)
-        q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))) if qs else 0.0)
+        q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))))
 
     chain_product = float(np.prod([np.prod(level) for level in p_j]))
 
     base_threshold = p_threshold(params, cfg)
-    survival_below = float(np.prod([np.prod(level) for level in p_j[1:]])) if k_levels else 1.0
+    survival_below = float(np.prod([np.prod(level) for level in p_j[1:]]))
     tiny = np.finfo(float).tiny
     threshold = base_threshold / max(survival_below, tiny)
     statistic = p_j[0][0]
     verdict = _verdict(statistic, threshold)
 
     cost = sqrt(1.0 / max(base_threshold, tiny))
-    for j in range(1, k_levels + 1):
-        cost *= sqrt(1.0 / max(q_j[j], tiny))
+    for q in q_j[1:]:
+        cost *= sqrt(1.0 / max(q, tiny))
 
     return MultistepReport(
         verdict=verdict,
@@ -656,7 +628,7 @@ def multistep_run(
         chain_product=chain_product,
         cost_estimate=float(cost),
         p_threshold=float(base_threshold),
-        plan=plan,
+        level_sizes=level_sizes,
         seed=int(seed),
     )
 

@@ -4,6 +4,7 @@ reproducibility."""
 import argparse
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -329,7 +330,8 @@ class TestRecover:
         # lambda = 0, the CLI default, gives a zero success threshold: as in
         # detect, pure noise must not be reported as detected and boosted
         out = tmp_path / "z.json"
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(["recover", "--N", "4", "--nbos", "4", "--lambda", "0",
                         "--trials", "2", "--seed", "3", "--out", out]) == 0
         data = json.loads(out.read_text())

@@ -3,6 +3,7 @@ cascade."""
 
 import inspect
 import tracemalloc
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 from math import asin, ceil, pi, sin, sqrt
@@ -27,7 +28,7 @@ from tensorpca import (
     lambda_effective,
     leading_eigenvalue,
     make_spiked,
-    multistep_plan,
+    multistep_levels,
     multistep_run,
     p_threshold,
     projection_cutoff,
@@ -98,9 +99,11 @@ class TestThresholds:
         cfg = DetectionConfig(slack=10.0)
         assert p_threshold(params, cfg) == pytest.approx(16.0 / 210.0, abs=1e-12)
 
-    def test_success_threshold_zero_signal_warns(self):
+    def test_success_threshold_zero_signal_is_silent(self):
+        # a zero threshold is the documented no-signal route, not a fault
         params = ModelParams(N=4, n_bos=4, lambda_bar=0.0)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert p_threshold(params, DetectionConfig()) == 0.0
 
     def test_zero_claimed_strength_never_detects(self):
@@ -108,10 +111,12 @@ class TestThresholds:
         # degenerate threshold must not flag pure noise
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.0, seed=19)
         t0, _ = sample_instance(params, spiked=False)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = detect_projection(t0, params, DetectionConfig(), seed=19)
         assert rep.verdict == "unspiked"
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ms = multistep_run(t0, params, cfg=DetectionConfig(), seed=19, k=0)
         assert ms.verdict == "unspiked"
 
@@ -138,7 +143,8 @@ class TestThresholds:
     def test_zero_threshold_report_fields(self, detector, fields):
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.0, seed=19)
         t0, _ = sample_instance(params, spiked=False)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = detector(t0, params, DetectionConfig(), seed=19)
         # any statistic clears a zero threshold; the verdict must still be unspiked
         assert rep.threshold == 0.0 and rep.statistic >= rep.threshold
@@ -467,31 +473,31 @@ class TestQuantumSimulators:
 
 class TestMultistep:
     def test_plan_shapes(self):
-        cfg = DetectionConfig()
-        p8 = multistep_plan(ModelParams(N=3, n_bos=8, lambda_bar=0.1), 1, cfg)
-        assert p8.level_sizes == ((8,), (4, 4))
-        p12 = multistep_plan(ModelParams(N=3, n_bos=12, lambda_bar=0.1), 1, cfg)
-        assert p12.level_sizes == ((12,), (8, 4))
-        p16 = multistep_plan(ModelParams(N=3, n_bos=16, lambda_bar=0.1), 2, cfg)
-        assert p16.level_sizes == ((16,), (8, 8), (4, 4, 4, 4))
-        for plan in (p8, p12, p16):
-            for level in plan.level_sizes:
+        l8 = multistep_levels(8, 1)
+        assert l8 == ((8,), (4, 4))
+        l12 = multistep_levels(12, 1)
+        assert l12 == ((12,), (8, 4))
+        l16 = multistep_levels(16, 2)
+        assert l16 == ((16,), (8, 8), (4, 4, 4, 4))
+        for levels in (l8, l12, l16):
+            for level in levels:
                 assert all(s % 4 == 0 for s in level)
-                assert sum(level) == plan.level_sizes[0][0]
+                assert sum(level) == levels[0][0]
 
     def test_infeasible_split_rejected(self):
         with pytest.raises(InvalidParameterError):
-            multistep_plan(ModelParams(N=3, n_bos=4, lambda_bar=0.1), 1)
+            multistep_levels(4, 1)
         with pytest.raises(InvalidParameterError):
-            multistep_plan(ModelParams(N=3, n_bos=8, lambda_bar=0.1), 2)
+            multistep_levels(8, 2)
+        with pytest.raises(InvalidParameterError):
+            multistep_levels(8, -1)
 
     def test_cutoffs_follow_level_sizes(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.2, zeta=0.5)
         cfg = DetectionConfig(c_prime=0.2)
-        plan = multistep_plan(params, 1, cfg)
         lam_plus = lambda_effective(0.2, 0.5)[0]
-        assert plan.cutoffs_per_level[0][0] == pytest.approx(0.8 * lam_plus * 9 * 56)
-        assert plan.cutoffs_per_level[1][0] == pytest.approx(0.8 * lam_plus * 9 * 12)
+        assert projection_cutoff(params, cfg, n_bos=8) == pytest.approx(0.8 * lam_plus * 9 * 56)
+        assert projection_cutoff(params, cfg, n_bos=4) == pytest.approx(0.8 * lam_plus * 9 * 12)
 
     def test_depth_zero_reproduces_projection_detector(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.05, seed=11)
@@ -534,7 +540,7 @@ class TestMultistep:
         params = ModelParams(N=2, n_bos=12, lambda_bar=0.1, seed=22)
         t0, _ = sample_instance(params, spiked=True)
         ms = multistep_run(t0, params, cfg=DetectionConfig(), seed=22, k=1)
-        assert ms.plan.level_sizes == ((12,), (8, 4))
+        assert ms.level_sizes == ((12,), (8, 4))
         for level in ms.p_j:
             for p in level:
                 assert 0.0 <= p <= 1.0 + 1e-12
@@ -554,6 +560,13 @@ class TestMultistep:
         assert np.mean(chains) <= 1.15 * np.mean(q0s)
         t0, _ = sample_instance(params, spiked=True, rng=derived_rng(66, "k2s", 0))
         assert multistep_run(t0, params, cfg=cfg, seed=0, k=2).verdict == "spiked"
+
+    def test_report_names_its_depth(self):
+        params = ModelParams(N=2, n_bos=16, lambda_bar=0.05, seed=66)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(66, "k2s", 0))
+        ms = multistep_run(t0, params, cfg=DetectionConfig(), seed=0, k=2)
+        assert ms.row()["algorithm"] == "multistep-k2"
+        assert ms.level_sizes == multistep_levels(16, 2)
 
     @pytest.mark.parametrize(
         "n_bos, k, spiked, steps, expected",
@@ -634,7 +647,7 @@ class TestMultistep:
         monkeypatch.setattr(pipeline, "_filtered_statistic", annihilating)
         monkeypatch.setattr(pipeline, "_project_step", counting)
         ms = multistep_run(t0, params, cfg, seed=3, k=2, pair=pair)
-        assert ms.plan.level_sizes == ((20,), (12, 8), (8, 4, 4, 4))
+        assert ms.level_sizes == ((20,), (12, 8), (8, 4, 4, 4))
         assert ms.p_j[0] == (0.0,)
         assert ms.p_j[1] == (0.0, clean.p_j[1][1]) and clean.p_j[1][1] > 0.0
         assert ms.p_j[2] == (0.0, *clean.p_j[2][1:])
