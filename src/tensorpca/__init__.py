@@ -53,6 +53,7 @@ from .pipeline import (
     detect_projection,
     detect_spectral,
     multistep_levels,
+    multistep_q_j,
     multistep_run,
     p_threshold,
     projection_cutoff,

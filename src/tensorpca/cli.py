@@ -172,12 +172,23 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _run_one_detection(
-    config: RunConfig, cfg: DetectionConfig, params: ModelParams, spiked: bool, trial: int
+    config: RunConfig,
+    cfg: DetectionConfig,
+    params: ModelParams,
+    spiked: bool,
+    trial: int,
+    shared: dict,
 ):
+    """One row of a trial.  shared holds what the trial's two rows have in
+    common: a cascade's q_j, which depend on the trial seed, not on the
+    instance, so the second row reuses those of the first."""
     tensor, _ = sample_instance(params, spiked=spiked, rng=derived_rng(params.seed, "instance", trial))
     trial_seed = _trial_seed(params.seed, trial)
     if config.method == "projection" and config.k > 0:
-        rep = multistep_run(tensor, params, cfg=cfg, seed=trial_seed, k=config.k)
+        rep = multistep_run(
+            tensor, params, cfg=cfg, seed=trial_seed, k=config.k, q_j=shared.get("q_j")
+        )
+        shared["q_j"] = rep.q_j
     else:
         rep = DETECTORS[config.method](tensor, params, cfg, seed=trial_seed)
     return {**rep.row(), "lambda": tensor.lam}
@@ -203,10 +214,10 @@ def cmd_detect(config: RunConfig) -> dict:
                 params = config.model_params(N, n_bos, lam)
 
                 def one(trial: int, params=params):
-                    out = []
+                    out, shared = [], {}
                     for spiked in (True, False):
                         try:
-                            row = _run_one_detection(config, cfg, params, spiked, trial)
+                            row = _run_one_detection(config, cfg, params, spiked, trial, shared)
                         except _TRIAL_ERRORS as exc:
                             row = {
                                 "error": type(exc).__name__,

@@ -537,6 +537,26 @@ class MultistepReport:
         }
 
 
+def multistep_q_j(params: ModelParams, cfg: DetectionConfig, seed: int, k: int) -> tuple:
+    """The cascade's unconditioned unspiked success probabilities q_j: at
+    every level of multistep_levels(params.n_bos, k), the filtered
+    statistic of a fresh unspiked draw per subsystem, drawn from seed and
+    the subsystem's place, never from the cascaded instance."""
+    q_j = []
+    for j, level in enumerate(multistep_levels(params.n_bos, k)):
+        qs = []
+        for idx, size in enumerate(level):
+            rng_q = derived_rng(seed, f"multistep-unspiked-{j}", idx)
+            g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
+            unsp = SpikedTensor(tensor=g, lam=0.0)
+            pair_q = _make_pair(unsp, params, cfg, rng_q)
+            qs.append(_filtered_statistic(pair_q, params, cfg, seed, n_bos=size).statistic)
+        # one scalar per level: geometric mean over subsystems (equal for
+        # equal-size halves, which is the tested configuration)
+        q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))))
+    return tuple(q_j)
+
+
 def multistep_run(
     t0: SpikedTensor,
     params: ModelParams,
@@ -544,6 +564,7 @@ def multistep_run(
     seed: int | None = None,
     k: int = 0,
     pair: DecorrelatedPair | None = None,
+    q_j: tuple | None = None,
 ) -> MultistepReport:
     """Run the cascade bottom-up.
 
@@ -562,7 +583,10 @@ def multistep_run(
     each distinct subsystem is computed once: k=1 at n_bos=8 takes 5
     projection steps, not 6.  A per-cascade query count should count a
     shared subsystem once.
-    The q_j draws are independent per subsystem and never shared.
+    The q_j draws are independent per subsystem and never shared.  They
+    do not depend on t0, so a caller that cascades several instances under
+    one seed can pass the q_j of an earlier report (or of multistep_q_j)
+    instead of computing them again.
     """
     cfg = cfg or DetectionConfig()
     params.require_input_state()
@@ -592,19 +616,10 @@ def multistep_run(
     # frees its cache now rather than at the next full garbage collection
     del subsystem
 
-    # unconditioned unspiked probabilities at every level size
-    q_j = []
-    for j, level in enumerate(level_sizes):
-        qs = []
-        for idx, size in enumerate(level):
-            rng_q = derived_rng(seed, f"multistep-unspiked-{j}", idx)
-            g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
-            unsp = SpikedTensor(tensor=g, lam=0.0)
-            pair_q = _make_pair(unsp, params, cfg, rng_q)
-            qs.append(_filtered_statistic(pair_q, params, cfg, seed, n_bos=size).statistic)
-        # one scalar per level: geometric mean over subsystems (equal for
-        # equal-size halves, which is the tested configuration)
-        q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))))
+    if q_j is None:
+        q_j = multistep_q_j(params, cfg, seed, k)
+    elif len(q_j) != len(level_sizes):
+        raise InvalidParameterError(f"need one q_j per level ({len(level_sizes)}), got {len(q_j)}")
 
     chain_product = float(np.prod([np.prod(level) for level in p_j]))
 

@@ -349,6 +349,25 @@ def project_above(
     midpoint: exactly (dense), via Ritz pairs from a Lanczos sweep
     started at x (ritz), or by the Chebyshev series of an erf smooth step
     whose steepness and degree follow from tol and the window (chebyshev).
+
+    The dense route first tries to prove that no eigenvalue of H reaches
+    the midpoint, and then returns what its eigensolve would return with
+    nothing kept (a zero vector and weight 0.0) without running it.  Let
+    delta = 1e-6 (|mid| + ||H||), with ||H|| bounded by the largest
+    absolute row sum, shift = mid - delta and M = shift I - H.  If M has
+    a Cholesky factor, every eigenvalue of H lies below shift up to
+    rounding.  The computed factor L of a D x D matrix satisfies
+    L L^* = M + E with ||E||_2 <= about D^2 u ||M||_2, u the unit roundoff
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 10.1); this covers the rounding of M's diagonal too.  L L^*
+    is positive definite, so lambda_max(H) <= shift + ||E||.  With
+    ||M|| <= |mid| + delta + ||H||, ||E|| is at most 1.8e-3 delta at
+    D = 4000 (the default dense limit) and 0.1 delta at D = 30000, so
+    lambda_max(H) < mid - 0.9 delta.  eigh is backward stable: its
+    eigenvalues are within a small multiple of D u ||H|| of the exact
+    ones, far inside delta, so it would keep none.  A diagonal entry of H is a Rayleigh
+    quotient, so when one reaches shift the factorization must fail and
+    is not tried.  The certificate is only tried in double precision.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
@@ -367,12 +386,15 @@ def project_above(
 
     if method == "dense":
         dense = _dense_matrix(op, dense_limit)
+        proj = ApproxProjector("dense", dim, achieved_error=1e-14)
+        if _spectrum_below(dense, mid):
+            projected = np.zeros(dim, dtype=np.result_type(dense, vec))
+            return _wrap_vector(projected, basis), 0.0, proj
         vals, vecs = np.linalg.eigh(dense)
         keep = vals >= mid
         coefs = vecs.conj().T @ vec
         projected = vecs[:, keep] @ coefs[keep]
         norm_sq = float(np.sum(np.abs(coefs[keep]) ** 2))
-        proj = ApproxProjector("dense", dim, achieved_error=1e-14)
         return _wrap_vector(projected, basis), norm_sq, proj
 
     if method == "ritz":
@@ -382,6 +404,30 @@ def project_above(
         return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
 
     raise InvalidParameterError(f"unknown projector method {method!r}")
+
+
+def _spectrum_below(dense, cut: float) -> bool:
+    """True when a Cholesky factor of (cut - delta) I - dense proves that
+    dense's eigensolve finds no eigenvalue at or above cut; see
+    project_above for delta and the argument.  The shifted matrix and its
+    factor are freed on return."""
+    if dense.dtype not in (np.float64, np.complex128):
+        return False
+    # a diagonal entry is a Rayleigh quotient, so none may reach the shift;
+    # the cut, above the shift, is checked first, before the norm is taken
+    top_diag = float(dense.diagonal().real.max())
+    if not top_diag < cut:
+        return False
+    shift = cut - 1e-6 * (abs(cut) + float(np.linalg.norm(dense, np.inf)))
+    if not top_diag < shift:
+        return False
+    shifted = np.negative(dense)
+    shifted.flat[:: dense.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters):

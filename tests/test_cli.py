@@ -193,6 +193,41 @@ class TestDetect:
         data = json.loads(out.read_text())
         assert any(r["algorithm"] == "multistep-k1" for r in data["trials"] if "error" not in r)
 
+    def test_cascade_trial_computes_q_j_once(self, tmp_path, monkeypatch):
+        # both rows of a trial share its seed, so the unspiked row reuses the
+        # spiked row's q_j: 2 + 3 projection steps for the first row and 2
+        # for the second, against 5 + 5 when each row draws its own
+        import tensorpca.cli as cli
+        from tensorpca import pipeline
+
+        steps = []
+        project_step = pipeline._project_step
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            return project_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_project_step", counted_step)
+        args = ["detect", "--method", "projection", "--k", "1", "--N", "3", "--nbos", "8",
+                "--lambda", "0.03", "--trials", "1", "--seed", "55"]
+        shared = tmp_path / "shared.json"
+        assert run([*args, "--out", shared]) == 0
+        assert len(steps) == 7
+        steps.clear()
+        multistep_run = cli.multistep_run
+
+        def fresh_q_j(*args, q_j=None, **kwargs):
+            return multistep_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "multistep_run", fresh_q_j)
+        fresh = tmp_path / "fresh.json"
+        assert run([*args, "--out", fresh]) == 0
+        assert len(steps) == 10
+        assert shared.read_bytes() == fresh.read_bytes()
+        rows = json.loads(shared.read_text())["trials"]
+        assert [r["lambda"] for r in rows] == [0.03, 0.0]
+        assert rows[0]["q_j"] == rows[1]["q_j"]
+
     def test_quantum_methods_run(self, tmp_path):
         for method in ("q-unamp", "q-amp"):
             out = tmp_path / f"{method}.json"
@@ -215,10 +250,10 @@ class TestDetect:
 
         original = cli._run_one_detection
 
-        def spiked_runs_out_of_memory(config, cfg, params, spiked, trial):
+        def spiked_runs_out_of_memory(config, cfg, params, spiked, trial, shared):
             if spiked:
                 raise MemoryError("simulated allocation failure")
-            return original(config, cfg, params, spiked, trial)
+            return original(config, cfg, params, spiked, trial, shared)
 
         monkeypatch.setattr(cli, "_run_one_detection", spiked_runs_out_of_memory)
         out = tmp_path / "oom.json"

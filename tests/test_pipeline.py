@@ -29,6 +29,7 @@ from tensorpca import (
     leading_eigenvalue,
     make_spiked,
     multistep_levels,
+    multistep_q_j,
     multistep_run,
     p_threshold,
     projection_cutoff,
@@ -518,6 +519,22 @@ class TestMultistep:
             for p in level:
                 assert p == pytest.approx(1.0, abs=1e-8)
         assert ms.verdict == "spiked"
+
+    def test_q_j_depend_on_the_seed_not_the_instance(self):
+        # a cascade given the q_j of multistep_q_j reports exactly what it
+        # reports when it draws them itself, for any instance under the seed
+        params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=15)
+        cfg = DetectionConfig()
+        q_j = multistep_q_j(params, cfg, 15, 1)
+        assert len(q_j) == 2
+        for spiked in (True, False):
+            t0, _ = sample_instance(params, spiked=spiked)
+            drawn = multistep_run(t0, params, cfg=cfg, seed=15, k=1)
+            given = multistep_run(t0, params, cfg=cfg, seed=15, k=1, q_j=q_j)
+            assert drawn.q_j == q_j
+            assert given == drawn
+        with pytest.raises(InvalidParameterError, match="one q_j per level"):
+            multistep_run(t0, params, cfg=cfg, seed=15, k=0, q_j=q_j)
 
     def test_equal_leaves_have_equal_probabilities(self):
         params = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=13)

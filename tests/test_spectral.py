@@ -652,6 +652,166 @@ class TestProjectAbove:
         assert proj.degree_or_iters <= 1000
 
 
+def _symmetric_with_top(top: float, dim: int = 40, seed: int = 60, dtype=float) -> np.ndarray:
+    """Q diag(top, rest) Q^*, the rest spread over [-3, 0.5 top]; Q is a
+    random orthogonal (or unitary) matrix."""
+    g = rng(seed)
+    z = g.standard_normal((dim, dim))
+    if dtype is complex:
+        z = z + 1j * g.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    vals = np.concatenate([[top], np.linspace(-3.0, 0.5 * top, dim - 1)])
+    h = (q * vals) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def _certificate_delta(h: np.ndarray, mid: float) -> float:
+    return 1e-6 * (abs(mid) + float(np.abs(h).sum(axis=1).max()))
+
+
+class TestDenseCertificate:
+    """The dense projector skips its eigensolve where a Cholesky factor of
+    (mid - delta) I - H proves that no eigenvalue reaches the cut."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"eigh": 0, "cholesky": 0}
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+        def counted_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(a, *args, **kwargs)
+
+        def counted_cholesky(a, *args, **kwargs):
+            calls["cholesky"] += 1
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        return calls
+
+    @staticmethod
+    def _eigh_route(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_spectrum_below", lambda dense, cut: False)
+            return project_above(*args, **kwargs)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "place, skips",
+        [("ten-delta-below", True), ("tenth-delta-below", False), ("just-above", False)],
+    )
+    def test_only_a_clear_gap_skips_eigh(self, monkeypatch, place, skips, dtype):
+        top = 7.0
+        h = _symmetric_with_top(top, dtype=dtype)
+        norm_inf = float(np.abs(h).sum(axis=1).max())
+        # mid solves top = mid - c * delta(mid), delta = 1e-6 (mid + ||H||_inf)
+        if place == "just-above":
+            mid = top - 1e-9
+        else:
+            c = 10.0 if place == "ten-delta-below" else 0.1
+            mid = (top + c * 1e-6 * norm_inf) / (1.0 - c * 1e-6)
+            assert top == pytest.approx(mid - c * _certificate_delta(h, mid), abs=1e-12)
+        x = rng(61).standard_normal(h.shape[0])
+        x /= np.linalg.norm(x)
+        calls = self._spy(monkeypatch)
+        projected, w, proj = project_above(h, x, mid - 1.0, mid + 1.0, method="dense")
+        assert calls["cholesky"] == 1  # no diagonal entry reaches the shift
+        assert calls["eigh"] == (0 if skips else 1)
+        expected, w_eigh, proj_eigh = self._eigh_route(
+            monkeypatch, h, x, mid - 1.0, mid + 1.0, method="dense"
+        )
+        assert w == w_eigh
+        assert projected.dtype == expected.dtype
+        assert np.array_equal(projected, expected)
+        assert proj == proj_eigh
+        assert (w == 0.0) == (place != "just-above")
+
+    @pytest.mark.parametrize(
+        "top, mid",
+        [(9.15, 5.0), (5.0, (5.0 + 0.5e-6 * 5.0) / (1.0 - 0.5e-6))],
+        ids=["above-the-cut", "half-delta-below-the-cut"],
+    )
+    def test_diagonal_at_the_shift_skips_the_factorization(self, monkeypatch, top, mid):
+        # a diagonal entry is a Rayleigh quotient: with one at or above
+        # mid - delta no factorization can prove the spectrum below it
+        a = np.diag(np.concatenate([[top], np.zeros(15)]))
+        assert top >= mid - _certificate_delta(a, mid)
+        calls = self._spy(monkeypatch)
+        _, w, _ = project_above(a, np.eye(16)[8], mid - 1.0, mid + 1.0, method="dense")
+        assert w == 0.0
+        assert calls == {"eigh": 1, "cholesky": 0}
+
+    def test_complex_state_on_a_certified_operator(self, monkeypatch):
+        h = _symmetric_with_top(2.0, seed=62)
+        g = rng(63)
+        x = g.standard_normal(40) + 1j * g.standard_normal(40)
+        x /= np.linalg.norm(x)
+        calls = self._spy(monkeypatch)
+        projected, w, proj = project_above(h, x, 4.0, 6.0, method="dense")
+        assert calls["eigh"] == 0
+        expected, w_eigh, proj_eigh = self._eigh_route(monkeypatch, h, x, 4.0, 6.0, method="dense")
+        assert projected.dtype == expected.dtype == np.complex128
+        assert np.array_equal(projected, expected)
+        assert w == w_eigh == 0.0
+        assert proj == proj_eigh == spectral.ApproxProjector("dense", 40, 1e-14)
+
+    def test_single_precision_is_never_certified(self, monkeypatch):
+        h = _symmetric_with_top(2.0, seed=64).astype(np.float32)
+        calls = self._spy(monkeypatch)
+        _, w, _ = project_above(h, np.eye(40)[0], 4.0, 6.0, method="dense")
+        assert w == 0.0
+        assert calls == {"eigh": 1, "cholesky": 0}
+
+    def test_certificate_holds_the_shifted_matrix_and_its_factor_only(self):
+        # at most two D x D buffers at once, (mid - delta) I - H and its
+        # factor, on top of H; the eigh route holds more (measured at
+        # D = 4000: 379 MB above H for the certificate, 500 MB for eigh)
+        dim = 400
+        h = _symmetric_with_top(2.0, dim=dim, seed=65)
+        x = np.eye(dim)[0]
+        tracemalloc.start()
+        try:
+            _, w, _ = project_above(h, x, 4.0, 6.0, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w == 0.0
+        assert peak < 2.5 * dim * dim * 8
+
+    def test_roc_draws_match_the_eigh_route_bit_for_bit(self, monkeypatch):
+        # the ROC operating point (projection at N=6, n_bos=4, D=126): every
+        # unspiked draw is certified and every spiked one runs eigh
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
+        cfg = DetectionConfig(c_prime=0.2, slack=10.0)
+        dim = build_basis(6, 4).dim
+        dense_eighs = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            dense_eighs[-1] += a.shape[0] == dim
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        for pair in range(12):
+            rng_pair = derived_rng(1000, "roc", pair)
+            for spiked in (True, False):
+                tensor, _ = sample_instance(params, spiked=spiked, rng=rng_pair)
+                dense_eighs.append(0)
+                out = projection_statistic(tensor, params, cfg, seed=pair)
+                assert dense_eighs[-1] == (1 if spiked else 0)
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_spectrum_below", lambda dense, cut: False)
+                    ref = projection_statistic(tensor, params, cfg, seed=pair)
+                assert (out.statistic == 0.0) == (not spiked)
+                assert out.statistic == ref.statistic
+                assert out.proj_weight == ref.proj_weight
+                assert out.projected.amps.dtype == ref.projected.amps.dtype
+                assert np.array_equal(out.projected.amps, ref.projected.amps)
+                assert out.matvec_count == ref.matvec_count
+                assert out.range_probe_matvecs == ref.range_probe_matvecs
+
+
 class TestFullSpectrum:
     def test_trace_preserved(self):
         t = sample_gaussian_tensor(3, rng(14))
