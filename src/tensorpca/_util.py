@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from math import comb, log
 
 import numpy as np
@@ -62,17 +61,22 @@ def run_trials(fn, n_trials: int, threads: int = 1) -> list:
     """
     if threads <= 1 or n_trials <= 1:
         return [fn(i) for i in range(n_trials)]
+    # imported here: concurrent.futures loads logging and queue, which a
+    # single-threaded run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_trials)))
 
 
-def binom_table(max_n: int) -> np.ndarray:
-    """Pascal triangle as an int64 array B[a, b] = C(a, b), a, b <= max_n."""
-    table = np.zeros((max_n + 1, max_n + 1), dtype=np.int64)
-    for a in range(max_n + 1):
-        table[a, 0] = 1
-        for b in range(1, a + 1):
-            table[a, b] = table[a - 1, b - 1] + table[a - 1, b]
+def binom_table(n_modes: int, n_bos: int) -> np.ndarray:
+    """Int64 array B[j, s] = C(j + s, j), j < n_modes, s <= n_bos: the
+    number of ways to put s bosons in j + 1 modes.  Row j is the running
+    sum of row j - 1.  Every entry is at most B[n_modes - 1, n_bos], the
+    basis dimension, so none can overflow where the basis itself fits."""
+    table = np.ones((n_modes, n_bos + 1), dtype=np.int64)
+    for j in range(1, n_modes):
+        np.cumsum(table[j - 1], out=table[j])
     return table
 
 

@@ -58,7 +58,7 @@ class OccupationBasis:
         self.n_modes = n_modes
         self.n_bos = n_bos
         self.dim = dim
-        self._binom = binom_table(n_modes + n_bos + 1)
+        self._binom = binom_table(n_modes, n_bos)
         self.states = _enumerate_colex(n_modes, n_bos)
 
     # -- ranking --------------------------------------------------------
@@ -74,8 +74,8 @@ class OccupationBasis:
             return np.zeros(occs.shape[0], dtype=np.int64)
         pre = np.cumsum(occs, axis=1)
         j = np.arange(1, self.n_modes)
-        hi = self._binom[j + pre[:, 1:], j]
-        lo = self._binom[j + pre[:, :-1], j]
+        hi = self._binom[j, pre[:, 1:]]
+        lo = self._binom[j, pre[:, :-1]]
         return np.sum(hi - lo, axis=1)
 
     def unrank(self, index: int) -> np.ndarray:
@@ -87,7 +87,7 @@ class OccupationBasis:
         for j in range(self.n_modes - 1, 0, -1):
             m = 0
             while True:
-                block = int(self._binom[j - 1 + s - m, s - m])
+                block = int(self._binom[j - 1, s - m])
                 if remaining < block:
                     break
                 remaining -= block

@@ -12,7 +12,6 @@ projector applications as the unit of query cost.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 from functools import cache
 from math import asin, ceil, inf, pi, sin, sqrt
 
@@ -47,7 +46,8 @@ class DetectionConfig:
     add_imaginary: add pure-imaginary noise to t_minus (analysis setting;
         off by default); the threshold then counts twice the noise power.
     dense_limit: largest basis dimension the filter projects densely;
-        larger ones use the Ritz projector.
+        larger ones use the Ritz projector.  It picks the projector only:
+        the filter window, hence the cut, does not depend on it.
     """
 
     c_prime: float = 0.2
@@ -242,23 +242,31 @@ def _make_pair(
     return decorrelate(t0, params.effective_zeta, rng, add_imaginary=cfg.add_imaginary)
 
 
+# The range probe's Krylov step cap.  An operator of at most this dimension
+# takes its range from its exact spectrum instead: the probe could span the
+# whole space there, and one dense eigensolve costs less
+_RANGE_PROBE_STEPS = 60
+
+
 def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     """Padded spectral-range estimate from a short seeded Krylov probe.
 
-    Deliberately independent of the projector method, so the realized
-    filter window (and hence its midpoint cut) is identical whether the
-    filter itself runs densely or iteratively.
+    _project_step runs it on operators larger than _RANGE_PROBE_STEPS and
+    takes 1.2 * (lambda_max - lambda_min) of the exact spectrum on the
+    others.  Either way the range does not depend on the projector method,
+    so the realized filter window (and hence its midpoint cut) is
+    identical whether the filter itself runs densely or iteratively.
 
     The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
-    (or at 60 steps).  That is enough for a window width: the top Ritz
-    value is then within r of an eigenvalue, and within about r^2/gap of
-    it when the gap to the rest of the spectrum is wide (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz value is never
-    checked for convergence.  Ritz values interlace the spectrum, so the
-    estimate never exceeds 1.2 * (lambda_max - lambda_min).
+    (or at _RANGE_PROBE_STEPS steps).  That is enough for a window width:
+    the top Ritz value is then within r of an eigenvalue, and within about
+    r^2/gap of it when the gap to the rest of the spectrum is wide
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz
+    value is never checked for convergence.  Ritz values interlace the
+    spectrum, so the estimate never exceeds 1.2 * (lambda_max - lambda_min).
     """
     probe = derived_rng(seed, "range-probe").standard_normal(h.dim)
-    ritz = lanczos(h, probe, max_iters=min(h.dim, 60), tol=1e-3)
+    ritz = lanczos(h, probe, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=1e-3)
     lo, hi = float(ritz.ritz_values.min()), float(ritz.ritz_values.max())
     return 1.2 * (hi - lo)
 
@@ -273,13 +281,27 @@ def _project_step(
 ) -> ProjectionOutcome:
     """Filter a prepared state above the projection cutoff of its own size
     under H(t_plus) on its own basis, and fold in its symmetric-projection
-    weight when configured."""
+    weight when configured.
+
+    At most _RANGE_PROBE_STEPS states wide, one eigensolve of the dense
+    operator gives the window's range and, unless cfg.dense_limit sends
+    the step to the Ritz projector, the projection too.
+    range_probe_matvecs counts the matvecs spent on the range alone, so
+    none when the projector reuses the eigensystem.
+    """
     cutoff = projection_cutoff(params, cfg, n_bos=state.basis.n_bos)
     h = HamiltonianOperator(pair.t_plus, state.basis)
-    gap = max(_spectral_range(h, seed) / params.N, 1e-9 * max(abs(cutoff), 1.0))
-    range_probe_matvecs = h.matvec_count  # h is fresh: every matvec so far is the probe's
+    if h.dim <= _RANGE_PROBE_STEPS:
+        eig = np.linalg.eigh(h.materialize_dense())  # eigenvalues ascending
+        padded_range = 1.2 * float(eig[0][-1] - eig[0][0])
+        op = eig if h.dim <= cfg.dense_limit else h
+    else:
+        padded_range, op = _spectral_range(h, seed), h
+    gap = max(padded_range / params.N, 1e-9 * max(abs(cutoff), 1.0))
+    # h is fresh: every matvec so far was spent on the range
+    range_probe_matvecs = h.matvec_count if op is h else 0
     projected, weight, _ = project_above(
-        h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
+        op, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
     )
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(
@@ -672,6 +694,8 @@ def cost_exponents(params: ModelParams, reports: list | None = None) -> CostExpo
     `reports` holds serialized report rows, as the CLI logs them; the query
     counts are summed per algorithm, and error rows are skipped.
     """
+    from fractions import Fraction  # imported here: it loads decimal, which only this table needs
+
     bounds = analytic_bounds(params)
     ratios = {
         "original_classical": Fraction(1, 1),

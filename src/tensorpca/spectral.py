@@ -368,6 +368,10 @@ def project_above(
     ones, far inside delta, so it would keep none.  A diagonal entry of H is a Rayleigh
     quotient, so when one reaches shift the factorization must fail and
     is not tried.  The certificate is only tried in double precision.
+
+    op may also be an eigensystem (values, vectors), as np.linalg.eigh
+    returns it, for a caller that already solved the dense operator.  It is
+    projected densely with those eigenpairs, without another eigensolve.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
@@ -375,7 +379,13 @@ def project_above(
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
     if chebyshev_degree is not None and chebyshev_degree < 1:
         raise InvalidParameterError(f"chebyshev_degree must be at least 1, got {chebyshev_degree}")
-    matvec, dim, op_basis = _as_operator(op)
+    eig = op if isinstance(op, tuple) else None
+    if eig is not None:
+        if method not in ("auto", "dense"):
+            raise InvalidParameterError(f"an eigensystem is projected densely, not by {method!r}")
+        matvec, dim, op_basis, method = None, len(eig[0]), None, "dense"
+    else:
+        matvec, dim, op_basis = _as_operator(op)
     vec, vec_basis = _as_vector(x)
     basis = op_basis if op_basis is not None else vec_basis
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
@@ -385,12 +395,14 @@ def project_above(
     mid = 0.5 * (e_lower + e_upper)
 
     if method == "dense":
-        dense = _dense_matrix(op, dense_limit)
         proj = ApproxProjector("dense", dim, achieved_error=1e-14)
-        if _spectrum_below(dense, mid):
-            projected = np.zeros(dim, dtype=np.result_type(dense, vec))
-            return _wrap_vector(projected, basis), 0.0, proj
-        vals, vecs = np.linalg.eigh(dense)
+        if eig is None:
+            dense = _dense_matrix(op, dense_limit)
+            if _spectrum_below(dense, mid):
+                projected = np.zeros(dim, dtype=np.result_type(dense, vec))
+                return _wrap_vector(projected, basis), 0.0, proj
+            eig = np.linalg.eigh(dense)
+        vals, vecs = eig
         keep = vals >= mid
         coefs = vecs.conj().T @ vec
         projected = vecs[:, keep] @ coefs[keep]

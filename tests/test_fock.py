@@ -3,6 +3,7 @@ validated against."""
 
 import json
 import tracemalloc
+import warnings
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -21,8 +22,9 @@ from tensorpca import (
     sample_signal,
     symmetrized_product,
 )
-from tensorpca._util import log_factorials
+from tensorpca._util import binom_table, log_factorials
 from tensorpca.fock import (
+    OccupationBasis,
     StateVector,
     _bincount,
     _convolve_raw,
@@ -102,6 +104,24 @@ class TestBasis:
             states = _enumerate_colex(n_modes, n_bos)
             assert states.dtype == np.int32
             assert np.array_equal(states, expected), (n_modes, n_bos)
+
+    @pytest.mark.parametrize("n_modes, n_bos", [(3, 63), (64, 2)])
+    def test_ranking_table_does_not_overflow(self, n_modes, n_bos):
+        # a full Pascal triangle up to N + n_bos + 1 wrapped int64 from
+        # N + n_bos >= 66, with an overflow warning; the ranking table
+        # holds only entries up to the dimension
+        table = binom_table(n_modes, n_bos)
+        assert table.shape == (n_modes, n_bos + 1)
+        assert all(table[j, s] == comb(j + s, j) for j in range(n_modes) for s in range(n_bos + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = OccupationBasis(n_modes, n_bos)  # not the cached build
+        assert basis.dim == 2080
+        assert np.array_equal(basis.rank_array(basis.states), np.arange(basis.dim))
+        for i in rng(7).integers(0, basis.dim, 40).tolist():
+            x = basis.unrank(i)
+            assert np.array_equal(x, basis.states[i])
+            assert basis.unrank(basis.rank(x)).tolist() == x.tolist()
 
     def test_log_factorials_match_gammaln_bit_for_bit(self):
         k = np.arange(20001)

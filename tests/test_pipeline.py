@@ -41,6 +41,7 @@ from tensorpca import (
 )
 from tensorpca import pipeline
 from tensorpca._util import derived_rng
+from tensorpca.fock import StateVector
 from tensorpca.hamiltonian import HamiltonianOperator
 from tensorpca.pipeline import repeated_measurement
 from tensorpca.symtensor import SymmetricTensor4
@@ -309,6 +310,101 @@ class TestRangeProbeOracle:
         eigs = np.linalg.eigvalsh(h.materialize_dense())
         exact = 1.2 * (eigs[-1] - eigs[0])
         assert 0.85 * exact <= estimate <= exact * (1 + 1e-9)
+
+
+class TestExactRange:
+    """At most pipeline._RANGE_PROBE_STEPS states wide, the window range is
+    1.2 * (lambda_max - lambda_min) of the exact spectrum, whatever the
+    projector, and one eigensolve serves the range and a dense projector."""
+
+    @staticmethod
+    def _outcome(N, n_bos, spiked, cfg=None):
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.03, seed=5)
+        t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(5, "exact-range", spiked))
+        return projection_statistic(t0, params, cfg or DetectionConfig(), seed=5)
+
+    @staticmethod
+    def _range(outcome):
+        return outcome.pair.t_plus.n_modes * (outcome.cutoff - outcome.e_lower)
+
+    @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
+    @pytest.mark.parametrize(
+        "N, n_bos", [(3, 4), (4, 4), (3, 8), (2, 56)], ids=["D15", "D35", "D45", "D57"]
+    )
+    def test_range_is_the_exact_spread(self, N, n_bos, spiked):
+        out = self._outcome(N, n_bos, spiked)
+        h = HamiltonianOperator(out.pair.t_plus, build_basis(N, n_bos))
+        eigs = np.linalg.eigvalsh(h.materialize_dense())
+        assert self._range(out) == pytest.approx(1.2 * (eigs[-1] - eigs[0]), rel=1e-12, abs=0.0)
+        assert (out.matvec_count, out.range_probe_matvecs) == (h.dim, 0)
+
+    def test_cap_is_the_last_exact_dimension(self):
+        params = ModelParams(N=2, n_bos=60, lambda_bar=0.03, seed=5)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(5, "exact-range", True))
+        pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(5, "decorrelate"))
+        # D = 60 (59 bosons, a state no detector embeds) is solved exactly
+        basis = build_basis(2, 59)
+        amps = derived_rng(5, "exact-range-state").standard_normal(basis.dim)
+        state = StateVector(basis, amps / np.linalg.norm(amps))
+        out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+        eigs = np.linalg.eigvalsh(HamiltonianOperator(pair.t_plus, basis).materialize_dense())
+        assert basis.dim == pipeline._RANGE_PROBE_STEPS
+        assert self._range(out) == pytest.approx(1.2 * (eigs[-1] - eigs[0]), rel=1e-12, abs=0.0)
+        assert out.range_probe_matvecs == 0
+        # D = 61 takes the probe's estimate
+        out = projection_statistic(t0, params, DetectionConfig(), seed=5)
+        h = HamiltonianOperator(out.pair.t_plus, build_basis(2, 60))
+        assert self._range(out) == pytest.approx(pipeline._spectral_range(h, 5), rel=1e-12, abs=0.0)
+        assert out.range_probe_matvecs == h.matvec_count > 0
+
+    @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
+    def test_window_does_not_depend_on_the_projector(self, spiked):
+        dense = self._outcome(3, 8, spiked)
+        ritz = self._outcome(3, 8, spiked, DetectionConfig(dense_limit=10))
+        assert (ritz.cutoff, ritz.e_lower) == (dense.cutoff, dense.e_lower)
+        # the Ritz projector cannot reuse the eigensystem: the range alone
+        # cost the dense operator's 45 applications
+        assert (dense.range_probe_matvecs, dense.matvec_count) == (0, 45)
+        assert ritz.range_probe_matvecs == 45 < ritz.matvec_count
+
+    def test_reported_counts(self):
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=22)
+        t0, _ = sample_instance(params, spiked=True)
+        rep = detect_projection(t0, params, DetectionConfig(), seed=22)
+        assert rep.query_counts == {"matvec": 15, "range_probe": 0, "projector_applications": 1}
+
+
+class TestPinnedCascade:
+    """multistep_run(k=1) at N=3, n_bos=8, lambda_bar=0.03 on the unspiked
+    `cascade` draws derived_rng(55, "chain", t) with seed=t, as the
+    benchmark's cascade workload runs them.  Floats pinned to rtol 1e-12.
+    t=3 and t=134 moved when the window range became exact at D <= 60
+    (q_j[0] from 0.2088 and 0.2493), t=20 in its statistic and chain."""
+
+    PARAMS = ModelParams(N=3, n_bos=8, lambda_bar=0.03, seed=55)
+
+    @pytest.mark.parametrize(
+        "t, statistic, chain_product, q_j, cost_estimate",
+        [
+            (0, 0.37541511925641224, 0.17136993657909208,
+             (0.24455409384125057, 0.5738516214912958), 1899.8159844901568),
+            (3, 0.508725951040813, 0.30985807720289205,
+             (0.23790837546679983, 0.7228682351380343), 1692.7069346670933),
+            (20, 0.4342455614313436, 0.3758675080782158,
+             (0.2937886630464936, 0.5298574617285884), 1977.11447909616),
+            (134, 0.36498701903879316, 0.1986263502978904,
+             (0.28842830734785807, 0.2924353599364713), 2661.315735224752),
+        ],
+        ids=["t0", "t3", "t20", "t134"],
+    )
+    def test_cascade(self, t, statistic, chain_product, q_j, cost_estimate):
+        t0, _ = sample_instance(self.PARAMS, spiked=False, rng=derived_rng(55, "chain", t))
+        ms = multistep_run(t0, self.PARAMS, cfg=DetectionConfig(), seed=t, k=1)
+        assert ms.verdict == "spiked"
+        assert ms.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert ms.chain_product == pytest.approx(chain_product, rel=1e-12, abs=0.0)
+        assert ms.q_j == pytest.approx(q_j, rel=1e-12, abs=0.0)
+        assert ms.cost_estimate == pytest.approx(cost_estimate, rel=1e-12, abs=0.0)
 
 
 class TestDetectorTable:

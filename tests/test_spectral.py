@@ -35,6 +35,7 @@ from tensorpca import (
 )
 from tensorpca import pipeline, spectral
 from tensorpca._util import derived_rng
+from tensorpca.fock import StateVector
 from tensorpca.spectral import (
     _e_max_at,
     _e_zero_at,
@@ -432,6 +433,27 @@ def test_import_leaves_scipy_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_leaves_rarely_used_modules_out():
+    # concurrent.futures (with logging and queue) serves only threaded
+    # sweeps and fractions (with decimal) only the exponent table, so both
+    # load on first use, and give the same results there
+    code = """
+import sys, tensorpca
+print(sorted(m for m in ("concurrent.futures", "fractions", "decimal") if m in sys.modules))
+from fractions import Fraction
+from tensorpca import ModelParams, cost_exponents
+from tensorpca._util import run_trials
+assert run_trials(lambda i: i * i, 5, threads=2) == [0, 1, 4, 9, 16]
+ratios = cost_exponents(ModelParams(N=6, n_bos=4, lambda_bar=0.05)).ratios
+assert ratios == {"original_classical": Fraction(1), "accelerated_classical": Fraction(1, 2),
+                  "quantum_amplified": Fraction(1, 8), "quantum_multistep": Fraction(1, 12)}
+assert all(type(r) is Fraction for r in ratios.values())
+"""
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_runtime_without_scipy(tmp_path):
     # with scipy unimportable, the detectors, the density matrix, the dense
     # assembly, the power-state embedding and the CLI still run
@@ -810,6 +832,41 @@ class TestDenseCertificate:
                 assert np.array_equal(out.projected.amps, ref.projected.amps)
                 assert out.matvec_count == ref.matvec_count
                 assert out.range_probe_matvecs == ref.range_probe_matvecs
+
+
+class TestEigensystemOperator:
+    """project_above takes np.linalg.eigh's result in place of the matrix
+    and projects with it densely, as the dense route would."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("mid", [3.0, 7.5], ids=["eigenvalue-above", "none-above"])
+    def test_matches_the_dense_matrix_bit_for_bit(self, monkeypatch, dtype, mid):
+        h = _symmetric_with_top(7.0, dtype=dtype)
+        x = rng(62).standard_normal(h.shape[0])
+        x /= np.linalg.norm(x)
+        eig = np.linalg.eigh(h)
+        eighs = TestDenseCertificate._spy(monkeypatch)
+        projected, w, proj = project_above(eig, x, mid - 1.0, mid + 1.0)
+        assert eighs == {"eigh": 0, "cholesky": 0}
+        expected, w_dense, proj_dense = project_above(h, x, mid - 1.0, mid + 1.0)
+        assert w == w_dense
+        assert (w == 0.0) == (mid == 7.5)
+        assert projected.dtype == expected.dtype
+        assert np.array_equal(projected, expected)
+        assert proj == proj_dense
+
+    def test_keeps_the_state_basis(self):
+        h = HamiltonianOperator(sample_gaussian_tensor(3, rng(63)), build_basis(3, 4))
+        x = StateVector(h.basis, np.full(h.dim, h.dim**-0.5))
+        projected, _, _ = project_above(np.linalg.eigh(h.materialize_dense()), x, -1.0, 1.0)
+        assert projected.basis is h.basis
+
+    @pytest.mark.parametrize("method", ["ritz", "chebyshev"])
+    def test_only_the_dense_route_takes_it(self, method):
+        h = _symmetric_with_top(7.0)
+        x = np.ones(h.shape[0]) / np.sqrt(h.shape[0])
+        with pytest.raises(InvalidParameterError, match="densely"):
+            project_above(np.linalg.eigh(h), x, 2.0, 4.0, method=method)
 
 
 class TestFullSpectrum:
