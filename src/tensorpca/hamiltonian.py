@@ -91,6 +91,20 @@ class HamiltonianOperator:
     def dim(self) -> int:
         return self.basis.dim
 
+    @property
+    def pair_weights(self) -> np.ndarray:
+        """The symmetric P x P pair-weight matrix W (do not modify).
+
+        A^T A is diagonal: its entry at an occupation state is
+        sum_rho n_rho (n_rho - 1) + sum_{rho<sigma} n_rho n_sigma
+        = n(n-1) - sum_{rho<sigma} n_rho n_sigma, so its largest entry is
+        n(n-1), all bosons in one mode.  Since
+        <x, H x> = <A x, (W (x) I) A x>, every eigenvalue of H lies in
+        n(n-1) [min(lambda_min(W), 0), max(lambda_max(W), 0)], and
+        ||H||_2 <= n(n-1) ||W||_2.
+        """
+        return self._weights
+
     # -- application ---------------------------------------------------
     def apply(self, x: StateVector) -> StateVector:
         if not self.basis.same_space(x.basis):

@@ -11,13 +11,13 @@ projector applications as the unit of query cost.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from math import asin, ceil, inf, pi, sin, sqrt
 
 import numpy as np
 
-from ._util import DENSE_LIMIT, InvalidParameterError, derived_rng
+from ._util import DENSE_LIMIT, InvalidParameterError, derived_rng, falling_factorial
 from .fock import StateVector, build_basis, embed_power_state, symmetrized_product
 from .hamiltonian import HamiltonianOperator
 from .instance import (
@@ -29,7 +29,13 @@ from .instance import (
     noise_power_per_entry,
     sample_gaussian_tensor,
 )
-from .spectral import analytic_bounds, lanczos, leading_eigenvalue, project_above
+from .spectral import (
+    _spectrum_below,
+    analytic_bounds,
+    lanczos,
+    leading_eigenvalue,
+    project_above,
+)
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,13 @@ def _verdict(statistic: float, threshold: float) -> str:
     return "spiked" if threshold > 0.0 and statistic >= threshold else "unspiked"
 
 
+def _fields_dict(obj) -> dict:
+    """dataclasses.asdict for a dataclass of scalars, without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _params_echo(params: ModelParams) -> dict:
-    d = asdict(params)
+    d = _fields_dict(params)
     d["zeta"] = params.effective_zeta if params.N >= 2 else params.zeta
     return d
 
@@ -223,7 +234,15 @@ def detect_spectral(
 
 @dataclass(frozen=True)
 class ProjectionOutcome:
-    """The filtered input state and its success statistic."""
+    """The filtered input state and its success statistic.
+
+    [e_lower, cutoff] is the filter window; the realized cut is its
+    midpoint.  A step certified empty by its pair-weight matrix (see
+    _project_step) has proj_weight and statistic 0.0, a zero projected
+    vector, matvec_count and range_probe_matvecs 0, and as e_lower the
+    lower edge of the widest window its range probe could have set: every
+    eigenvalue of H lies below that window's midpoint.
+    """
 
     statistic: float
     proj_weight: float
@@ -246,6 +265,12 @@ def _make_pair(
 # takes its range from its exact spectrum instead: the probe could span the
 # whole space there, and one dense eigensolve costs less
 _RANGE_PROBE_STEPS = 60
+# The window's range is this multiple of the spread of the spectrum (or of
+# the probe's Ritz values)
+_RANGE_PAD = 1.2
+# The computed largest diagonal entry of A^T A exceeds n(n-1) by a few ulps
+# (56.000000000000014 at n = 4); the norm certificate allows this much more
+_GRAM_SLACK = 1e-12
 
 
 def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
@@ -268,7 +293,16 @@ def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     probe = derived_rng(seed, "range-probe").standard_normal(h.dim)
     ritz = lanczos(h, probe, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=1e-3)
     lo, hi = float(ritz.ritz_values.min()), float(ritz.ritz_values.max())
-    return 1.2 * (hi - lo)
+    return _RANGE_PAD * (hi - lo)
+
+
+def _norm_below(h: HamiltonianOperator, bound: float) -> bool:
+    """True when spectral._spectrum_below puts the spectra of W and -W
+    below sigma = bound / (n(n-1) (1 + _GRAM_SLACK)), which proves
+    ||H||_2 < bound; see _project_step."""
+    sigma = bound / (falling_factorial(h.basis.n_bos, 2) * (1.0 + _GRAM_SLACK))
+    w = h.pair_weights
+    return _spectrum_below(w, sigma) and _spectrum_below(np.negative(w), sigma)
 
 
 def _project_step(
@@ -288,21 +322,53 @@ def _project_step(
     the step to the Ritz projector, the projection too.
     range_probe_matvecs counts the matvecs spent on the range alone, so
     none when the projector reuses the eigensystem.
+
+    Wider, the step first tries to prove that no window the range probe
+    could set keeps anything, and then skips the probe and the projector:
+    - ||H||_2 <= n(n-1) ||W||_2 for the P x P pair-weight matrix W
+      (HamiltonianOperator.pair_weights).
+    - The probe's Ritz values lie between lambda_min(H) and lambda_max(H),
+      so its padded range is at most 2 _RANGE_PAD ||H||.  The gap is that
+      over N or its floor, so the window's midpoint, cutoff - gap / 2, is
+      at least cutoff - max(_RANGE_PAD ||H|| / N, floor / 2).
+    - With bound = min(cutoff / (1 + _RANGE_PAD / N), cutoff - floor / 2),
+      ||H|| < bound puts every eigenvalue below every such midpoint, so
+      every projector keeps nothing.
+    - _norm_below proves ||W|| < sigma = bound / (n(n-1) (1 + _GRAM_SLACK))
+      by two P x P Cholesky factorizations: spectral._spectrum_below puts
+      lambda_max(W) and lambda_max(-W) below sigma - 0.9 delta, with
+      delta >= 1e-6 sigma (see project_above).  _GRAM_SLACK covers the
+      rounded coefficients of A; the Krylov sweeps' own rounding, near
+      u ||H||, sits far inside delta.
+    A certified step returns what the projectors return with nothing kept:
+    weight and statistic 0.0 and a zero vector of dtype
+    result_type(W, state), with no matvec.  Its window is the widest the
+    probe could have set (padded range 2 _RANGE_PAD bound), so its
+    midpoint is at least bound.
     """
     cutoff = projection_cutoff(params, cfg, n_bos=state.basis.n_bos)
+    floor = 1e-9 * max(abs(cutoff), 1.0)
     h = HamiltonianOperator(pair.t_plus, state.basis)
+    bound = min(cutoff / (1.0 + _RANGE_PAD / params.N), cutoff - 0.5 * floor)
     if h.dim <= _RANGE_PROBE_STEPS:
         eig = np.linalg.eigh(h.materialize_dense())  # eigenvalues ascending
-        padded_range = 1.2 * float(eig[0][-1] - eig[0][0])
+        padded_range = _RANGE_PAD * float(eig[0][-1] - eig[0][0])
         op = eig if h.dim <= cfg.dense_limit else h
+    elif bound > 0.0 and _norm_below(h, bound):
+        # proven empty: no probe and no projector; op None marks it below
+        padded_range, op = 2.0 * _RANGE_PAD * bound, None
     else:
         padded_range, op = _spectral_range(h, seed), h
-    gap = max(padded_range / params.N, 1e-9 * max(abs(cutoff), 1.0))
+    gap = max(padded_range / params.N, floor)
     # h is fresh: every matvec so far was spent on the range
     range_probe_matvecs = h.matvec_count if op is h else 0
-    projected, weight, _ = project_above(
-        op, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
-    )
+    if op is None:
+        amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
+        projected, weight = StateVector(state.basis, amps), 0.0
+    else:
+        projected, weight, _ = project_above(
+            op, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
+        )
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(
         statistic=float(statistic),
@@ -377,7 +443,7 @@ def _projection_report(
         cutoff_energy=outcome.cutoff,
         seed=int(seed),
         params=_params_echo(params),
-        config=asdict(cfg),
+        config=_fields_dict(cfg),
         separation=outcome.statistic / thr if thr else None,
         query_counts={
             "matvec": outcome.matvec_count,

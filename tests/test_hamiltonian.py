@@ -22,8 +22,9 @@ from tensorpca import (
     sample_gaussian_tensor,
     sample_signal,
 )
+from tensorpca import pipeline
 from tensorpca._util import DENSE_TENSOR_LIMIT, derived_rng, falling_factorial
-from tensorpca.fock import StateVector
+from tensorpca.fock import StateVector, lowering_map
 from tensorpca.hamiltonian import symmetric_isometry
 from tensorpca.symtensor import SymmetricTensor4, rank_one
 
@@ -164,6 +165,21 @@ class TestMatvec:
         assert np.array_equal(h._weights, expected)
         again = HamiltonianOperator(t * 0.5, build_basis(n_modes, 3))
         assert np.array_equal(again._weights, 0.5 * expected)
+
+    @pytest.mark.parametrize("n_modes, n_bos", [(6, 4), (3, 8), (6, 8), (16, 4)])
+    def test_gram_diagonal_peaks_at_n_n_minus_1(self, n_modes, n_bos):
+        # A^T A is diagonal, (n^2 + sum_rho n_rho^2) / 2 - n at each state,
+        # largest with all bosons in one mode; the pair-weight bound on ||H||
+        # and pipeline._GRAM_SLACK rest on it
+        basis = build_basis(n_modes, n_bos)
+        sources, coefs = lowering_map(basis, 2)
+        gram = np.bincount(sources, coefs**2, minlength=basis.dim)
+        occ = basis.states.astype(float)
+        closed = 0.5 * (n_bos**2 + (occ**2).sum(axis=1)) - n_bos
+        np.testing.assert_allclose(gram, closed, rtol=1e-14, atol=0.0)
+        n_pairs = falling_factorial(n_bos, 2)
+        assert gram.max() == pytest.approx(n_pairs, rel=1e-14, abs=0.0)
+        assert gram.max() <= n_pairs * (1.0 + pipeline._GRAM_SLACK)
 
     def test_pair_table_keeps_the_dense_limit(self):
         n_modes = DENSE_TENSOR_LIMIT + 1

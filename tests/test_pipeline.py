@@ -4,7 +4,7 @@ cascade."""
 import inspect
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from math import asin, ceil, pi, sin, sqrt
 
@@ -32,6 +32,7 @@ from tensorpca import (
     multistep_q_j,
     multistep_run,
     p_threshold,
+    project_above,
     projection_cutoff,
     projection_statistic,
     sample_instance,
@@ -39,9 +40,9 @@ from tensorpca import (
     simulate_quantum_amplified,
     simulate_quantum_unamplified,
 )
-from tensorpca import pipeline
+from tensorpca import pipeline, spectral
 from tensorpca._util import derived_rng
-from tensorpca.fock import StateVector
+from tensorpca.fock import StateVector, embed_power_state
 from tensorpca.hamiltonian import HamiltonianOperator
 from tensorpca.pipeline import repeated_measurement
 from tensorpca.symtensor import SymmetricTensor4
@@ -267,7 +268,8 @@ class TestPinnedRangeProbe:
         "tag, statistic, weight, matvecs, probe_matvecs",
         [
             ("recov16", 0.023089314557111936, 0.023089314557111936, 22, 9),
-            ("recov16-null", 0.0, 0.0, 27, 24),
+            # certified empty by the pair-weight matrix: no probe, no sweep
+            ("recov16-null", 0.0, 0.0, 0, 0),
         ],
         ids=["recov16", "recov16-null"],
     )
@@ -310,6 +312,160 @@ class TestRangeProbeOracle:
         eigs = np.linalg.eigvalsh(h.materialize_dense())
         exact = 1.2 * (eigs[-1] - eigs[0])
         assert 0.85 * exact <= estimate <= exact * (1 + 1e-9)
+
+
+class TestNormBoundOracle:
+    """spec H(t_plus) lies in n(n-1) [min(lambda_min(W), 0),
+    max(lambda_max(W), 0)] for the pair-weight matrix W, checked against
+    the dense spectrum on seeded draws built as the pipeline builds them."""
+
+    @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
+    @pytest.mark.parametrize(
+        "N, n_bos, lam", [(6, 4, 0.2732336812165897), (3, 8, 0.03), (6, 8, 0.1), (16, 4, 0.12)]
+    )
+    def test_dense_spectrum_inside_the_bound(self, N, n_bos, lam, spiked):
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=7)
+        t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(7, "norm-oracle", spiked))
+        pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(7, "decorrelate"))
+        h = HamiltonianOperator(pair.t_plus, build_basis(N, n_bos))
+        w_eigs = np.linalg.eigvalsh(h.pair_weights)
+        eigs = np.linalg.eigvalsh(h.materialize_dense())
+        gram = n_bos * (n_bos - 1)
+        slack = 1e-12 * gram * np.abs(w_eigs).max()
+        assert eigs[0] >= gram * min(w_eigs[0], 0.0) - slack
+        assert eigs[-1] <= gram * max(w_eigs[-1], 0.0) + slack
+
+
+class TestNormCertificate:
+    """Above _RANGE_PROBE_STEPS, a step whose pair-weight matrix proves
+    ||H|| below every cut the range probe could set skips the probe and the
+    projector (pipeline._project_step).  Draws of the recovery operating
+    point (N=16, n_bos=4, D=3876, seed 99), as its benchmark workload and
+    TestPinnedRangeProbe draw them."""
+
+    PARAMS = ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99)
+    CFG = DetectionConfig(dense_limit=1500)
+
+    def _draw(self, t, spiked=False):
+        tag = "recov16" if spiked else "recov16-null"
+        t0, _ = sample_instance(self.PARAMS, spiked=spiked, rng=derived_rng(99, tag, t))
+        return t0
+
+    @pytest.mark.parametrize("add_imaginary", [False, True], ids=["real", "imaginary"])
+    @pytest.mark.parametrize("t", range(4))
+    def test_certified_step_equals_the_probe_route(self, t, add_imaginary):
+        cfg = DetectionConfig(dense_limit=1500, add_imaginary=add_imaginary)
+        out = projection_statistic(self._draw(t), self.PARAMS, cfg, seed=t)
+        assert (out.matvec_count, out.range_probe_matvecs) == (0, 0)
+        # the probe and project_above, run by hand on the same pair and state
+        h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+        gap = max(pipeline._spectral_range(h, t) / 16, 1e-9 * max(out.cutoff, 1.0))
+        projected, weight, proj = project_above(
+            h, out.input_state, out.cutoff - gap, out.cutoff, tol=cfg.tol, dense_limit=1500
+        )
+        assert proj.method == "ritz"
+        _, pre_norm = embed_power_state(build_basis(16, 4), out.pair.t_minus)
+        sym_weight = pre_norm / out.pair.t_minus.norm()
+        assert out.proj_weight == weight
+        assert out.statistic == weight * sym_weight**2
+        assert out.projected.amps.dtype == projected.amps.dtype
+        assert out.projected.amps.tobytes() == projected.amps.tobytes()
+        # the reported window is the widest the probe could have set
+        assert out.e_lower <= out.cutoff - gap
+
+    @pytest.mark.parametrize("t", range(4))
+    def test_spiked_draws_are_probed(self, t):
+        out = projection_statistic(self._draw(t, spiked=True), self.PARAMS, self.CFG, seed=t)
+        assert out.proj_weight > 0.0 and out.range_probe_matvecs > 0
+
+    def test_no_signal_is_probed(self):
+        # at D=126 (the roc point): a Ritz projection cut in the bulk at
+        # D=3876 runs towards D Krylov steps
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.0, seed=99)
+        t0, _ = sample_instance(params, spiked=False)
+        out = projection_statistic(t0, params, DetectionConfig(), seed=0)
+        assert out.cutoff == 0.0 and out.range_probe_matvecs > 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["W", "-W"])
+    def test_certificate_is_sharp_in_the_norm(self, sign):
+        # scale the draw's W to a norm just above and just below sigma, with
+        # its extreme eigenvalue on either side, so that each Cholesky binds
+        h = HamiltonianOperator(self._draw(0).tensor, build_basis(16, 4))
+        w_norm = float(np.abs(np.linalg.eigvalsh(h.pair_weights)).max())
+        bound = 100.0
+        sigma = bound / (12 * (1.0 + pipeline._GRAM_SLACK))
+
+        def scaled(norm):
+            return HamiltonianOperator(h.tensor * (sign * norm / w_norm), h.basis)
+
+        assert not pipeline._norm_below(scaled(sigma * (1.0 + 1e-6)), bound)
+        assert pipeline._norm_below(scaled(sigma * (1.0 - 1e-4)), bound)
+
+    @pytest.mark.parametrize("n_bos, certified", [(59, False), (60, True)], ids=["D60", "D61"])
+    def test_only_probed_steps_are_certified(self, n_bos, certified):
+        # H(0) = 0 lies below any positive cut; at D <= 60 the exact range
+        # is still taken from the dense eigensolve
+        zero = SymmetricTensor4.zeros(2)
+        pair = decorrelate(zero, 1.0, g_prime=zero)
+        basis = build_basis(2, n_bos)
+        amps = derived_rng(5, "zero-operator").standard_normal(basis.dim)
+        state = StateVector(basis, amps / np.linalg.norm(amps))
+        params = ModelParams(N=2, n_bos=n_bos, lambda_bar=0.03, seed=5)
+        out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+        assert out.proj_weight == 0.0 and not out.projected.amps.any()
+        assert out.matvec_count == (0 if certified else basis.dim)
+
+    def test_certified_step_runs_no_eigensolver(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "lanczos", spy("lanczos", pipeline.lanczos))
+        monkeypatch.setattr(spectral, "_lanczos_sweep", spy("sweep", spectral._lanczos_sweep))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        out = projection_statistic(self._draw(0), self.PARAMS, self.CFG, seed=0)
+        assert out.matvec_count == 0 and calls == []
+        # the same spies see the probe and the Ritz sweep of a spiked draw
+        projection_statistic(self._draw(0, spiked=True), self.PARAMS, self.CFG, seed=0)
+        assert {"lanczos", "sweep"} <= set(calls)
+
+
+class TestReportEcho:
+    """The report's params and config echoes equal dataclasses.asdict."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(N=1, n_bos=4),
+            ModelParams(N=3, n_bos=4),
+            ModelParams(N=16, n_bos=8, lambda_bar=0.12, zeta=0.5, seed=7, ensemble="complex"),
+        ],
+        ids=["N1-zeta-none", "default", "complex"],
+    )
+    def test_params_echo(self, params):
+        expected = asdict(params)
+        expected["zeta"] = params.effective_zeta if params.N >= 2 else None
+        assert pipeline._params_echo(params) == expected
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DetectionConfig(),
+            DetectionConfig(c_prime=0.3, slack=2.0, c_doubleprime=5.0, tol=1e-6,
+                            use_symmetrize=False, add_imaginary=True, dense_limit=10),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_config_echo(self, cfg):
+        assert pipeline._fields_dict(cfg) == asdict(cfg)
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=22)
+        t0, _ = sample_instance(params, spiked=True)
+        assert detect_projection(t0, params, cfg, seed=22).config == asdict(cfg)
 
 
 class TestExactRange:
