@@ -127,26 +127,14 @@ class HamiltonianOperator:
         prod *= coefs
         return _bincount(sources, prod, self.dim)
 
-    def _triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The operator's entries as (rows, cols, vals), each of shape
-        (P, P, D2) and read in C order; rows and cols are broadcast views.
-
-        For each lowered state and each pair of pair-blocks (p, q), entry
-        (s_p, s_q) gets c_p W[p, q] c_q, where row block p of A reads source
-        s_p with coefficient c_p; repeated coordinates add up.
-        """
-        n_pairs = self._weights.shape[0]
-        sources, coefs = (a.reshape(n_pairs, -1) for a in self._lowering)
-        vals = coefs[:, None, :] * self._weights[:, :, None] * coefs[None, :, :]
-        rows = np.broadcast_to(sources[:, None, :], vals.shape)
-        cols = np.broadcast_to(sources[None, :, :], vals.shape)
-        return rows, cols, vals
-
     # -- dense ----------------------------------------------------------
     def materialize_dense(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
         """Dense matrix of the operator, symmetrized against roundoff.
 
-        The entries are summed cell by cell in assembly order, as a COO
+        For each lowered state and each pair of pair-blocks (p, q), cell
+        (s_p, s_q) gets c_p W[p, q] c_q, where row block p of A reads source
+        s_p with coefficient c_p.  The entries are summed cell by cell in
+        assembly order (C order over (p, q, lowered state)), as a COO
         to-dense conversion would.  The raw assembly is already symmetric to
         machine precision; the cleanup (H + H^T)/2 is applied after checking
         the residue is below 1e-12 of the matrix scale.
@@ -154,11 +142,11 @@ class HamiltonianOperator:
         if self.dim > dense_limit:
             raise CapacityError(f"dense limit {dense_limit} < dimension {self.dim}")
         self.matvec_count += self.dim  # one application per column, however assembled
-        rows, cols, vals = self._triples()
-        cells = rows * self.dim
-        cells += cols
+        sources, coefs = (a.reshape(self._weights.shape[0], -1) for a in self._lowering)
+        cells = sources[:, None, :] * self.dim + sources[None, :, :]
+        vals = coefs[:, None, :] * self._weights[:, :, None] * coefs[None, :, :]
         dense = np.bincount(cells.ravel(), vals.ravel(), self.dim**2).reshape(self.dim, self.dim)
-        del rows, cols, vals, cells  # free the triples before the D x D buffer below
+        del cells, vals  # free the entries before the D x D buffer below
         scale = max(1.0, float(dense.max()), -float(dense.min()))
         # one D x D buffer holds |H - H^T|, then (H + H^T)/2
         out = np.subtract(dense, dense.T)

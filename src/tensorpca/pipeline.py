@@ -30,6 +30,7 @@ from .instance import (
     sample_gaussian_tensor,
 )
 from .spectral import (
+    _keep_above,
     _spectrum_below,
     analytic_bounds,
     lanczos,
@@ -318,10 +319,10 @@ def _project_step(
     weight when configured.
 
     At most _RANGE_PROBE_STEPS states wide, one eigensolve of the dense
-    operator gives the window's range and, unless cfg.dense_limit sends
-    the step to the Ritz projector, the projection too.
-    range_probe_matvecs counts the matvecs spent on the range alone, so
-    none when the projector reuses the eigensystem.
+    operator gives the window's range, and the step projects with that
+    eigensystem (spectral._keep_above) unless cfg.dense_limit sends it to
+    the Ritz projector.  range_probe_matvecs counts the matvecs spent on
+    the range alone: none on the eigensystem route, D on the Ritz route.
 
     Wider, the step first tries to prove that no window the range probe
     could set keeps anything, and then skips the probe and the projector:
@@ -337,9 +338,9 @@ def _project_step(
     - _norm_below proves ||W|| < sigma = bound / (n(n-1) (1 + _GRAM_SLACK))
       by two P x P Cholesky factorizations: spectral._spectrum_below puts
       lambda_max(W) and lambda_max(-W) below sigma - 0.9 delta, with
-      delta >= 1e-6 sigma (see project_above).  _GRAM_SLACK covers the
-      rounded coefficients of A; the Krylov sweeps' own rounding, near
-      u ||H||, sits far inside delta.
+      delta >= 1e-6 sigma (see spectral._spectrum_below).  _GRAM_SLACK
+      covers the rounded coefficients of A; the Krylov sweeps' own
+      rounding, near u ||H||, sits far inside delta.
     A certified step returns what the projectors return with nothing kept:
     weight and statistic 0.0 and a zero vector of dtype
     result_type(W, state), with no matvec.  Its window is the widest the
@@ -351,23 +352,29 @@ def _project_step(
     h = HamiltonianOperator(pair.t_plus, state.basis)
     bound = min(cutoff / (1.0 + _RANGE_PAD / params.N), cutoff - 0.5 * floor)
     if h.dim <= _RANGE_PROBE_STEPS:
-        eig = np.linalg.eigh(h.materialize_dense())  # eigenvalues ascending
-        padded_range = _RANGE_PAD * float(eig[0][-1] - eig[0][0])
-        op = eig if h.dim <= cfg.dense_limit else h
+        values, vectors = np.linalg.eigh(h.materialize_dense())  # eigenvalues ascending
+        gap = max(_RANGE_PAD * float(values[-1] - values[0]) / params.N, floor)
+        if h.dim <= cfg.dense_limit:
+            # cut where project_above would; no matvec went to the range alone
+            mid = 0.5 * ((cutoff - gap) + cutoff)
+            amps, weight = _keep_above(values, vectors, state.amps, mid)
+            projected, range_probe_matvecs = StateVector(state.basis, amps), 0
+        else:
+            # the dense matrix's D matvecs went to the range alone
+            range_probe_matvecs = h.matvec_count
+            projected, weight, _ = project_above(
+                h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
+            )
     elif bound > 0.0 and _norm_below(h, bound):
-        # proven empty: no probe and no projector; op None marks it below
-        padded_range, op = 2.0 * _RANGE_PAD * bound, None
-    else:
-        padded_range, op = _spectral_range(h, seed), h
-    gap = max(padded_range / params.N, floor)
-    # h is fresh: every matvec so far was spent on the range
-    range_probe_matvecs = h.matvec_count if op is h else 0
-    if op is None:
+        # proven empty: no probe and no projector
+        gap = max(2.0 * _RANGE_PAD * bound / params.N, floor)
         amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
-        projected, weight = StateVector(state.basis, amps), 0.0
+        projected, weight, range_probe_matvecs = StateVector(state.basis, amps), 0.0, 0
     else:
+        gap = max(_spectral_range(h, seed) / params.N, floor)
+        range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the probe
         projected, weight, _ = project_above(
-            op, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
+            h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
         )
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(

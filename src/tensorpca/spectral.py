@@ -351,27 +351,9 @@ def project_above(
     whose steepness and degree follow from tol and the window (chebyshev).
 
     The dense route first tries to prove that no eigenvalue of H reaches
-    the midpoint, and then returns what its eigensolve would return with
-    nothing kept (a zero vector and weight 0.0) without running it.  Let
-    delta = 1e-6 (|mid| + ||H||), with ||H|| bounded by the largest
-    absolute row sum, shift = mid - delta and M = shift I - H.  If M has
-    a Cholesky factor, every eigenvalue of H lies below shift up to
-    rounding.  The computed factor L of a D x D matrix satisfies
-    L L^* = M + E with ||E||_2 <= about D^2 u ||M||_2, u the unit roundoff
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 10.1); this covers the rounding of M's diagonal too.  L L^*
-    is positive definite, so lambda_max(H) <= shift + ||E||.  With
-    ||M|| <= |mid| + delta + ||H||, ||E|| is at most 1.8e-3 delta at
-    D = 4000 (the default dense limit) and 0.1 delta at D = 30000, so
-    lambda_max(H) < mid - 0.9 delta.  eigh is backward stable: its
-    eigenvalues are within a small multiple of D u ||H|| of the exact
-    ones, far inside delta, so it would keep none.  A diagonal entry of H is a Rayleigh
-    quotient, so when one reaches shift the factorization must fail and
-    is not tried.  The certificate is only tried in double precision.
-
-    op may also be an eigensystem (values, vectors), as np.linalg.eigh
-    returns it, for a caller that already solved the dense operator.  It is
-    projected densely with those eigenpairs, without another eigensolve.
+    the midpoint (_spectrum_below, which gives the argument), and then
+    returns what its eigensolve would return with nothing kept (a zero
+    vector and weight 0.0) without running it.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
@@ -379,13 +361,7 @@ def project_above(
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
     if chebyshev_degree is not None and chebyshev_degree < 1:
         raise InvalidParameterError(f"chebyshev_degree must be at least 1, got {chebyshev_degree}")
-    eig = op if isinstance(op, tuple) else None
-    if eig is not None:
-        if method not in ("auto", "dense"):
-            raise InvalidParameterError(f"an eigensystem is projected densely, not by {method!r}")
-        matvec, dim, op_basis, method = None, len(eig[0]), None, "dense"
-    else:
-        matvec, dim, op_basis = _as_operator(op)
+    matvec, dim, op_basis = _as_operator(op)
     vec, vec_basis = _as_vector(x)
     basis = op_basis if op_basis is not None else vec_basis
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
@@ -396,17 +372,11 @@ def project_above(
 
     if method == "dense":
         proj = ApproxProjector("dense", dim, achieved_error=1e-14)
-        if eig is None:
-            dense = _dense_matrix(op, dense_limit)
-            if _spectrum_below(dense, mid):
-                projected = np.zeros(dim, dtype=np.result_type(dense, vec))
-                return _wrap_vector(projected, basis), 0.0, proj
-            eig = np.linalg.eigh(dense)
-        vals, vecs = eig
-        keep = vals >= mid
-        coefs = vecs.conj().T @ vec
-        projected = vecs[:, keep] @ coefs[keep]
-        norm_sq = float(np.sum(np.abs(coefs[keep]) ** 2))
+        dense = _dense_matrix(op, dense_limit)
+        if _spectrum_below(dense, mid):
+            projected = np.zeros(dim, dtype=np.result_type(dense, vec))
+            return _wrap_vector(projected, basis), 0.0, proj
+        projected, norm_sq = _keep_above(*np.linalg.eigh(dense), vec, mid)
         return _wrap_vector(projected, basis), norm_sq, proj
 
     if method == "ritz":
@@ -418,11 +388,38 @@ def project_above(
     raise InvalidParameterError(f"unknown projector method {method!r}")
 
 
+def _keep_above(values, vectors, vec, mid: float) -> tuple[np.ndarray, float]:
+    """Project vec onto the eigenpairs (values, vectors), as np.linalg.eigh
+    returns them, whose eigenvalue is at or above mid; returns the
+    projected amplitudes and their squared norm."""
+    keep = values >= mid
+    coefs = (vectors.conj().T @ vec)[keep]
+    return vectors[:, keep] @ coefs, float(np.sum(np.abs(coefs) ** 2))
+
+
 def _spectrum_below(dense, cut: float) -> bool:
     """True when a Cholesky factor of (cut - delta) I - dense proves that
-    dense's eigensolve finds no eigenvalue at or above cut; see
-    project_above for delta and the argument.  The shifted matrix and its
-    factor are freed on return."""
+    dense's eigensolve finds no eigenvalue at or above cut.  The shifted
+    matrix and its factor are freed on return.
+
+    Write H for dense, delta = 1e-6 (|cut| + ||H||), with ||H|| bounded
+    by the largest absolute row sum, shift = cut - delta and
+    M = shift I - H.  If M has a Cholesky factor, every eigenvalue of H
+    lies below shift up to rounding.  The computed factor L of a D x D
+    matrix satisfies L L^* = M + E with ||E||_2 <= about D^2 u ||M||_2,
+    u the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 10.1); this covers the rounding of M's
+    diagonal too.  L L^* is positive definite, so
+    lambda_max(H) <= shift + ||E||.  With
+    ||M|| <= |cut| + delta + ||H||, ||E|| is at most 1.8e-3 delta at
+    D = 4000 (the default dense limit) and 0.1 delta at D = 30000, so
+    lambda_max(H) < cut - 0.9 delta.  eigh is backward stable: its
+    eigenvalues are within a small multiple of D u ||H|| of the exact
+    ones, far inside delta, so it would find none at or above cut.  A
+    diagonal entry of H is a Rayleigh quotient, so when one reaches shift
+    the factorization must fail and is not tried.  The certificate is only
+    tried in double precision.
+    """
     if dense.dtype not in (np.float64, np.complex128):
         return False
     # a diagonal entry is a Rayleigh quotient, so none may reach the shift;

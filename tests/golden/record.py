@@ -1,0 +1,113 @@
+"""Rewrite the seeded-report corpus that tests/test_golden.py checks.
+
+Run it from the repository root after a declared report change, and list
+every field that moved in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+Each entry of COMMANDS is one `tensorpca` command line; its report is the
+corpus file of the same name.  The commands run in order, in one scratch
+folder, with bare file names, so the path echoes in a report (--logs,
+--state, --tensor) read the same wherever they run.  A command may read
+an earlier command's report or one of the snapshot inputs that
+write_inputs saves there.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from tensorpca import ModelParams, build_basis, embed_power_state, sample_instance
+from tensorpca.cli import main
+from tensorpca.fock import save_state
+from tensorpca.instance import save_tensor
+
+GOLDEN = Path(__file__).resolve().parent
+
+# the ROC operating point of the acceptance suite (N=6, n_bos=4)
+_ROC_LAMBDA = "0.2732336812165897"
+
+COMMANDS = {
+    # the five commands of test_acceptance.py::test_12_determinism
+    "gen.bin": ["gen", "--N", "4", "--nbos", "4", "--lambda", "0.3", "--seed", "71",
+                "--format", "binary"],
+    "determinism-detect.json": ["detect", "--method", "projection", "--N", "3", "--nbos", "4",
+                                "--lambda", "0.5", "--trials", "3", "--seed", "72"],
+    "determinism-dos.csv": ["dos", "--N", "4", "--nbos", "4", "--trials", "4", "--seed", "73",
+                            "--format", "csv"],
+    "determinism-recover.json": ["recover", "--N", "4", "--nbos", "4", "--lambda", "2.0",
+                                 "--trials", "2", "--seed", "74"],
+    "determinism-exponents.json": ["exponents", "--N", "6", "--nbos", "4", "--lambda", "0.05"],
+    # every detector at the ROC operating point
+    **{
+        f"detect-{method}-6-4.json": ["detect", "--method", method, "--N", "6", "--nbos", "4",
+                                      "--lambda", _ROC_LAMBDA, "--trials", "2"]
+        for method in ("spectral", "projection", "q-unamp", "q-amp")
+    },
+    # the cascade, one and two levels deep
+    "cascade-k1-3-8.json": ["detect", "--method", "projection", "--k", "1", "--N", "3",
+                            "--nbos", "8", "--lambda", "0.03", "--trials", "2"],
+    "cascade-k2-2-16.json": ["detect", "--method", "projection", "--k", "2", "--N", "2",
+                             "--nbos", "16", "--lambda", "0.03", "--trials", "2"],
+    # the two routes of a step at most 60 states wide: dense, and Ritz by dense limit
+    "detect-projection-3-4.json": ["detect", "--method", "projection", "--N", "3", "--nbos", "4",
+                                   "--lambda", "0.5", "--trials", "2"],
+    "detect-projection-3-4-ritz.json": ["detect", "--method", "projection", "--N", "3",
+                                        "--nbos", "4", "--lambda", "0.5", "--trials", "2",
+                                        "--dense-limit", "10"],
+    # the recovery operating point: a probed spiked row and a proven-empty null row
+    "detect-projection-16-4.json": ["detect", "--method", "projection", "--N", "16", "--nbos", "4",
+                                    "--lambda", "0.12", "--dense-limit", "1500", "--trials", "1",
+                                    "--seed", "99"],
+    "recover-16-4.json": ["recover", "--N", "16", "--nbos", "4", "--lambda", "0.12",
+                         "--dense-limit", "1500", "--trials", "1", "--seed", "99"],
+    "recover-snapshot.json": ["recover", "--state", "state.json", "--tensor", "tensor.json",
+                              "--seed", "12"],
+    "dos.json": ["dos", "--N", "3", "--nbos", "4", "--trials", "2"],
+    "exponents-logs.json": ["exponents", "--N", "16", "--nbos", "4", "--lambda", "0.12",
+                            "--logs", "detect-projection-16-4.json"],
+}
+
+
+def write_inputs(folder: Path) -> None:
+    """Save the snapshot that recover-snapshot.json starts from: the power
+    state of a seeded spiked instance at N=3, n_bos=4, and its tensor."""
+    tensor, _ = sample_instance(ModelParams(N=3, n_bos=4, lambda_bar=2.0, seed=12), spiked=True)
+    state, _ = embed_power_state(build_basis(3, 4), tensor.tensor)
+    save_state(folder / "state.json", state)
+    save_tensor(folder / "tensor.json", tensor)
+
+
+def generate(folder: Path) -> None:
+    """Write every corpus file into folder, running the commands there."""
+    folder = Path(folder)
+    write_inputs(folder)
+    here = os.getcwd()
+    os.chdir(folder)
+    try:
+        for name, args in COMMANDS.items():
+            if main([*args, "--out", name]) != 0:
+                raise RuntimeError(f"{name}: tensorpca {' '.join(args)} failed")
+    finally:
+        os.chdir(here)
+
+
+def record() -> None:
+    """Replace the corpus files with fresh outputs and drop stale ones."""
+    for old in GOLDEN.iterdir():
+        if old.is_file() and old.name != Path(__file__).name:
+            old.unlink()
+    with tempfile.TemporaryDirectory() as scratch:
+        generate(Path(scratch))
+        for name in COMMANDS:
+            shutil.copyfile(Path(scratch) / name, GOLDEN / name)
+    total = sum((GOLDEN / name).stat().st_size for name in COMMANDS)
+    print(f"wrote {len(COMMANDS)} files, {total} bytes, to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()

@@ -123,13 +123,19 @@ class TestMatvec:
     )
     def test_dense_assembly_matches_coo_to_dense_bit_for_bit(self, n_modes, n_bos):
         # materialize_dense sums the same entries in the same order as a
-        # scipy COO to-dense conversion of the operator's triples
+        # scipy COO to-dense conversion of the operator's triples, built
+        # here pair block by pair block from the factors A and W: row block
+        # p of A reads source s_p with coefficient c_p, and each lowered
+        # state puts c_p W[p, q] c_q at (s_p, s_q)
         _, h = random_operator(n_modes, n_bos, n_modes * 10 + n_bos)
         dense = h.materialize_dense()
-        rows, cols, vals = h._triples()
-        coo = sp.coo_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(h.dim, h.dim)
-        ).toarray()
+        w = h.pair_weights
+        sources, coefs = (a.reshape(w.shape[0], -1) for a in lowering_map(h.basis, 2))
+        blocks = [(p, q) for p in range(w.shape[0]) for q in range(w.shape[0])]
+        rows = np.concatenate([sources[p] for p, _ in blocks])
+        cols = np.concatenate([sources[q] for _, q in blocks])
+        vals = np.concatenate([coefs[p] * w[p, q] * coefs[q] for p, q in blocks])
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(h.dim, h.dim)).toarray()
         del rows, cols, vals
         expected = coo + coo.T
         del coo

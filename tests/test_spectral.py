@@ -35,11 +35,11 @@ from tensorpca import (
 )
 from tensorpca import pipeline, spectral
 from tensorpca._util import derived_rng
-from tensorpca.fock import StateVector
 from tensorpca.spectral import (
     _e_max_at,
     _e_zero_at,
     _interlace,
+    _keep_above,
     _lanczos_sweep,
     _ritz_from_tridiag,
     _solve_nbos_eq,
@@ -834,39 +834,70 @@ class TestDenseCertificate:
                 assert out.range_probe_matvecs == ref.range_probe_matvecs
 
 
-class TestEigensystemOperator:
-    """project_above takes np.linalg.eigh's result in place of the matrix
-    and projects with it densely, as the dense route would."""
+class TestKeepAbove:
+    """A step at most pipeline._RANGE_PROBE_STEPS states wide projects with
+    the eigensystem it took its range from (spectral._keep_above), as the
+    dense route of project_above would; project_above itself takes
+    operators and matrices only."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("mid", [3.0, 7.5], ids=["eigenvalue-above", "none-above"])
-    def test_matches_the_dense_matrix_bit_for_bit(self, monkeypatch, dtype, mid):
+    def test_matches_the_dense_route_bit_for_bit(self, dtype, mid):
         h = _symmetric_with_top(7.0, dtype=dtype)
         x = rng(62).standard_normal(h.shape[0])
         x /= np.linalg.norm(x)
-        eig = np.linalg.eigh(h)
-        eighs = TestDenseCertificate._spy(monkeypatch)
-        projected, w, proj = project_above(eig, x, mid - 1.0, mid + 1.0)
-        assert eighs == {"eigh": 0, "cholesky": 0}
-        expected, w_dense, proj_dense = project_above(h, x, mid - 1.0, mid + 1.0)
+        projected, w = _keep_above(*np.linalg.eigh(h), x, mid)
+        expected, w_dense, _ = project_above(h, x, mid - 1.0, mid + 1.0, method="dense")
         assert w == w_dense
         assert (w == 0.0) == (mid == 7.5)
         assert projected.dtype == expected.dtype
         assert np.array_equal(projected, expected)
-        assert proj == proj_dense
 
-    def test_keeps_the_state_basis(self):
-        h = HamiltonianOperator(sample_gaussian_tensor(3, rng(63)), build_basis(3, 4))
-        x = StateVector(h.basis, np.full(h.dim, h.dim**-0.5))
-        projected, _, _ = project_above(np.linalg.eigh(h.materialize_dense()), x, -1.0, 1.0)
-        assert projected.basis is h.basis
-
-    @pytest.mark.parametrize("method", ["ritz", "chebyshev"])
-    def test_only_the_dense_route_takes_it(self, method):
+    @pytest.mark.parametrize("method", ["auto", "dense", "ritz", "chebyshev"])
+    def test_an_eigensystem_is_not_an_operator(self, method):
         h = _symmetric_with_top(7.0)
         x = np.ones(h.shape[0]) / np.sqrt(h.shape[0])
-        with pytest.raises(InvalidParameterError, match="densely"):
-            project_above(np.linalg.eigh(h), x, 2.0, 4.0, method=method)
+        eig = np.linalg.eigh(h)
+        for eig in (eig, tuple(eig)):
+            with pytest.raises(InvalidParameterError, match="unsupported operator type"):
+                project_above(eig, x, 2.0, 4.0, method=method)
+
+    @staticmethod
+    def _step(monkeypatch, cfg):
+        """Run one D=15 projection step under a spy on np.linalg.eigh and
+        on the pipeline's project_above; return the outcome and the calls."""
+        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=64)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(64, "keep-above"))
+        pair = pipeline._make_pair(t0, params, cfg, derived_rng(64, "decorrelate"))
+        state, _ = tensorpca.embed_power_state(build_basis(3, 4), pair.t_minus)
+        calls = {"eigh": 0, "project_above": 0}
+        eigh, project = np.linalg.eigh, pipeline.project_above
+
+        def counted_eigh(a, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(a, *args, **kwargs)
+
+        def counted_project(*args, **kwargs):
+            calls["project_above"] += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(pipeline, "project_above", counted_project)
+        out = pipeline._project_step(pair, state, 1.0, params, cfg, 64)
+        return state, out, calls
+
+    def test_a_small_step_projects_with_its_own_eigensystem(self, monkeypatch):
+        state, out, calls = self._step(monkeypatch, DetectionConfig())
+        assert calls == {"eigh": 1, "project_above": 0}
+        assert out.projected.basis is state.basis
+        assert (out.matvec_count, out.range_probe_matvecs) == (15, 0)
+        assert 0.0 < out.proj_weight <= 1.0
+
+    def test_a_low_dense_limit_sends_the_step_to_ritz(self, monkeypatch):
+        state, out, calls = self._step(monkeypatch, DetectionConfig(dense_limit=10))
+        assert calls["project_above"] == 1
+        assert out.projected.basis is state.basis
+        assert out.range_probe_matvecs == 15 < out.matvec_count
 
 
 class TestFullSpectrum:
