@@ -20,10 +20,21 @@ and lowering_map (the maps that remove one boson, a_mu, used by the
 density matrix, or a pair, a_rho a_sigma, the factor the operator H(T) is
 applied through) call functools.cache builders, and the 4-boson power
 table is cached per N the same way.
+
+The merge tables of symmetrized products depend only on the two input
+bases, and are kept per (N, n_a, n_b).  A table holds, for every index
+pair (ia, ib) of an n_a- and an n_b-boson state in C order, the rank of
+the merged occupation on n_a + n_b bosons and the merge weight
+sqrt(|S_a| |S_b| / |S_n|), 16 bytes per pair.  A table is kept only up to
+2^18 pairs (4 MiB), the kept tables hold at most 2^20 pairs (16 MiB) in
+all, and the oldest are dropped to make room.  A larger product, such as
+the 15 M pairs of the N=16, n_bos=8 power state, streams its table 64
+rows of x at a time and keeps nothing.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cache, cached_property
 
 import numpy as np
@@ -292,8 +303,52 @@ def _power_table(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return build_basis(n_modes, 4).rank_array(occs), np.sqrt(lay.orbit_sizes)
 
 
-# Rows of x per block of the pair table in _convolve_raw
+# Merge tables (see the module docstring) are built _CONVOLVE_ROWS rows of
+# x at a time; a table is kept up to _MERGE_TABLE_PAIRS index pairs, and
+# the kept tables hold at most _MERGE_CACHE_PAIRS pairs in all.
 _CONVOLVE_ROWS = 64
+_MERGE_TABLE_PAIRS = 1 << 18
+_MERGE_CACHE_PAIRS = 1 << 20
+_merge_tables: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_merge_lock = threading.Lock()
+
+
+def _merge_rows(ba: OccupationBasis, bb: OccupationBasis, out_basis: OccupationBasis):
+    """Yield (rows, ranks, weights) for blocks of _CONVOLVE_ROWS rows of ba:
+    the output rank and merge weight of each index pair (ia, ib), ia in the
+    slice rows, in C order."""
+    for start in range(0, ba.dim, _CONVOLVE_ROWS):
+        rows = slice(start, min(start + _CONVOLVE_ROWS, ba.dim))
+        ia, ib = np.meshgrid(np.arange(rows.start, rows.stop), np.arange(bb.dim), indexing="ij")
+        ia, ib = ia.ravel(), ib.ravel()
+        target_occ = ba.states[ia].astype(np.int64) + bb.states[ib].astype(np.int64)
+        ranks = out_basis.rank_array(target_occ)
+        weights = 0.5 * (
+            ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
+        )
+        # in place, so that a streamed block holds no second array of weights
+        yield rows, ranks, np.exp(weights, out=weights)
+
+
+def _merge_blocks(ba: OccupationBasis, bb: OccupationBasis, out_basis: OccupationBasis):
+    """The merge table of (N, n_a, n_b) as _merge_rows blocks: the kept
+    table as one block, or a table too large to keep streamed block by
+    block."""
+    key = (ba.n_modes, ba.n_bos, bb.n_bos)
+    table = _merge_tables.get(key)
+    if table is None:
+        pairs = ba.dim * bb.dim
+        if pairs > _MERGE_TABLE_PAIRS:
+            return _merge_rows(ba, bb, out_basis)
+        table = np.empty(pairs, dtype=np.int64), np.empty(pairs)
+        for rows, ranks, weights in _merge_rows(ba, bb, out_basis):
+            block = slice(rows.start * bb.dim, rows.stop * bb.dim)
+            table[0][block], table[1][block] = ranks, weights
+        with _merge_lock:
+            while sum(r.size for r, _ in _merge_tables.values()) + pairs > _MERGE_CACHE_PAIRS:
+                del _merge_tables[next(iter(_merge_tables))]
+            _merge_tables[key] = table
+    return [(slice(0, ba.dim), *table)]
 
 
 def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) -> StateVector:
@@ -308,21 +363,11 @@ def _convolve_raw(x: StateVector, y: StateVector, out_basis: OccupationBasis) ->
         raise InvalidParameterError("mode counts differ in symmetrized product")
     if ba.n_bos + bb.n_bos != out_basis.n_bos:
         raise InvalidParameterError("boson counts do not add up in symmetrized product")
-    # The index pairs (ia, ib) run in C order over blocks of _CONVOLVE_ROWS
-    # rows of x, so no more than a block of pairs and their occupations is
-    # held at once.  np.add.at adds in index order, so every output bin
-    # sees the same sequence of additions as one np.bincount over all pairs.
+    # np.add.at adds in index order, so every output bin sees the same
+    # sequence of additions whether the table comes whole or in blocks
     amps = np.zeros(out_basis.dim, dtype=np.result_type(x.amps, y.amps))
-    for start in range(0, ba.dim, _CONVOLVE_ROWS):
-        rows = np.arange(start, min(start + _CONVOLVE_ROWS, ba.dim))
-        ia, ib = np.meshgrid(rows, np.arange(bb.dim), indexing="ij")
-        ia, ib = ia.ravel(), ib.ravel()
-        target_occ = ba.states[ia].astype(np.int64) + bb.states[ib].astype(np.int64)
-        ranks = out_basis.rank_array(target_occ)
-        log_w = 0.5 * (
-            ba.log_seq_count[ia] + bb.log_seq_count[ib] - out_basis.log_seq_count[ranks]
-        )
-        np.add.at(amps, ranks, x.amps[ia] * y.amps[ib] * np.exp(log_w))
+    for rows, ranks, weights in _merge_blocks(ba, bb, out_basis):
+        np.add.at(amps, ranks, np.multiply.outer(x.amps[rows], y.amps).ravel() * weights)
     return StateVector(out_basis, amps)
 
 

@@ -10,18 +10,30 @@ corpus file of the same name.  The commands run in order, in one scratch
 folder, with bare file names, so the path echoes in a report (--logs,
 --state, --tensor) read the same wherever they run.  A command may read
 an earlier command's report or one of the snapshot inputs that
-write_inputs saves there.
+write_inputs saves there.  Each entry of DIGESTS is an API result that no
+report shows, written as JSON to the file of its name.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-from tensorpca import ModelParams, build_basis, embed_power_state, sample_instance
+from tensorpca import (
+    DetectionConfig,
+    ModelParams,
+    build_basis,
+    derived_rng,
+    embed_power_state,
+    multistep_run,
+    projection_statistic,
+    sample_instance,
+    spdm,
+)
 from tensorpca.cli import main
 from tensorpca.fock import save_state
 from tensorpca.instance import save_tensor
@@ -73,6 +85,37 @@ COMMANDS = {
 }
 
 
+def cascade_p_j() -> dict:
+    """p_j of an uneven k=2 cascade, 20 -> 12 + 8 -> 8 + 4 + 4 + 4 bosons at
+    N=2: the 8-boson leaf merges two copies of |T>, and the levels above
+    take the symmetrized products 8 + 4 and 12 + 8."""
+    params = ModelParams(N=2, n_bos=20, lambda_bar=0.03, seed=0)
+    tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(0, "chain", 0))
+    report = multistep_run(tensor, params, k=2)
+    return {"level_sizes": report.level_sizes, "p_j": report.p_j}
+
+
+def recovery_state() -> dict:
+    """The Ritz-projected state and its spdm for the first spiked draw of
+    the recovery operating point (N=16, n_bos=4, D=3876, dense limit 1500)."""
+    params = ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99)
+    tensor, _ = sample_instance(params, spiked=True, rng=derived_rng(99, "recov16", 0))
+    outcome = projection_statistic(tensor, params, DetectionConfig(dense_limit=1500), seed=0)
+    return {
+        "statistic": outcome.statistic,
+        "projected": outcome.projected.amps.tolist(),
+        "spdm": spdm(outcome.projected.normalized()).tolist(),
+    }
+
+
+DIGESTS = {
+    "api-cascade-k2-2-20.json": cascade_p_j,
+    "api-recovery-16-4.json": recovery_state,
+}
+
+CORPUS = [*COMMANDS, *DIGESTS]
+
+
 def write_inputs(folder: Path) -> None:
     """Save the snapshot that recover-snapshot.json starts from: the power
     state of a seeded spiked instance at N=3, n_bos=4, and its tensor."""
@@ -85,6 +128,8 @@ def write_inputs(folder: Path) -> None:
 def generate(folder: Path) -> None:
     """Write every corpus file into folder, running the commands there."""
     folder = Path(folder)
+    for name, digest in DIGESTS.items():
+        (folder / name).write_text(json.dumps(digest(), sort_keys=True, indent=1) + "\n")
     write_inputs(folder)
     here = os.getcwd()
     os.chdir(folder)
@@ -103,10 +148,10 @@ def record() -> None:
             old.unlink()
     with tempfile.TemporaryDirectory() as scratch:
         generate(Path(scratch))
-        for name in COMMANDS:
+        for name in CORPUS:
             shutil.copyfile(Path(scratch) / name, GOLDEN / name)
-    total = sum((GOLDEN / name).stat().st_size for name in COMMANDS)
-    print(f"wrote {len(COMMANDS)} files, {total} bytes, to {GOLDEN}", file=sys.stderr)
+    total = sum((GOLDEN / name).stat().st_size for name in CORPUS)
+    print(f"wrote {len(CORPUS)} files, {total} bytes, to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

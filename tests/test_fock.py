@@ -2,8 +2,10 @@
 validated against."""
 
 import json
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -22,6 +24,7 @@ from tensorpca import (
     sample_signal,
     symmetrized_product,
 )
+from tensorpca import fock
 from tensorpca._util import binom_table, log_factorials
 from tensorpca.fock import (
     OccupationBasis,
@@ -349,19 +352,126 @@ class TestSymmetrizedProduct:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    def test_blocked_convolution_memory(self):
+    def test_blocked_convolution_memory(self, monkeypatch):
         # all 330^2 index pairs of 4-boson states at N=8 at once, with their
-        # 8-wide occupations, peaked at 35 MB
+        # 8-wide occupations, peaked at 35 MB; the traced call builds the
+        # merge table (1.7 MB) in blocks of rows and keeps it
         block = tensor_occupation_amplitudes(sample_gaussian_tensor(8, rng(31)))
         basis = build_basis(8, 8)
         _convolve_raw(block, block, basis)  # warm the basis tables
+        monkeypatch.setattr(fock, "_merge_tables", {})
         tracemalloc.start()
         try:
             _convolve_raw(block, block, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert list(fock._merge_tables) == [(8, 4, 4)]
         assert peak < 12e6
+
+    @pytest.mark.parametrize(
+        "n_modes, n_a, n_b, ensemble",
+        [(3, 4, 4, "real"), (2, 12, 8, "real"), (2, 8, 4, "real"), (3, 8, 4, "complex")],
+    )
+    def test_merge_table_cold_and_warm(self, monkeypatch, n_modes, n_a, n_b, ensemble):
+        # the call that builds a table and the calls that read it add the
+        # same terms in the same order as one pass over all pairs
+        monkeypatch.setattr(fock, "_merge_tables", {})
+        g = rng(32)
+        x, y = (
+            StateVector(basis, random_amps(g, basis.dim, ensemble))
+            for basis in (build_basis(n_modes, n_a), build_basis(n_modes, n_b))
+        )
+        out_basis = build_basis(n_modes, n_a + n_b)
+        want = _convolve_single_shot(x, y, out_basis).amps
+        cold = _convolve_raw(x, y, out_basis).amps
+        assert list(fock._merge_tables) == [(n_modes, n_a, n_b)]
+        table = fock._merge_tables[(n_modes, n_a, n_b)]
+        warm = _convolve_raw(x, y, out_basis).amps
+        assert fock._merge_tables[(n_modes, n_a, n_b)] is table
+        for got in (cold, warm):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_product_above_the_table_bound_streams(self, monkeypatch):
+        # 528^2 = 278,784 pairs of 31-boson states at N=3, above the 2^18
+        # pairs a kept table may hold: the product streams its table and
+        # keeps nothing
+        monkeypatch.setattr(fock, "_merge_tables", {})
+        g = rng(33)
+        small = tensor_occupation_amplitudes(sample_gaussian_tensor(3, g))
+        _convolve_raw(small, small, build_basis(3, 8))
+        before = dict(fock._merge_tables)
+        x, y = (StateVector(build_basis(3, 31), g.standard_normal(528)) for _ in range(2))
+        got = _convolve_raw(x, y, build_basis(3, 62)).amps
+        assert fock._merge_tables.keys() == before.keys()
+        assert all(fock._merge_tables[key] is table for key, table in before.items())
+        assert got.tobytes() == _convolve_single_shot(x, y, build_basis(3, 62)).amps.tobytes()
+        # 496 x 528 = 261,888 pairs fit, and are kept
+        x = StateVector(build_basis(3, 30), g.standard_normal(496))
+        _convolve_raw(x, y, build_basis(3, 61))
+        assert (3, 30, 31) in fock._merge_tables
+
+    def test_merge_cache_stays_within_its_bound(self, monkeypatch):
+        # kept tables of up to 245,025 pairs over a sweep of sizes, 1.6 M
+        # pairs in all: the cache must drop old tables to stay in 16 MiB
+        monkeypatch.setattr(fock, "_merge_tables", {})
+        g = rng(34)
+        built = 0
+        sizes = [(3, 4, 4), (9, 4, 4), (8, 4, 4), (7, 4, 4), (6, 8, 4), (5, 8, 8), (5, 8, 4),
+                 (4, 12, 8), (4, 12, 12), (3, 16, 16), (3, 28, 28), (3, 30, 30), (3, 8, 4)]
+        for n_modes, n_a, n_b in sizes:
+            x, y = (
+                StateVector(basis, g.standard_normal(basis.dim))
+                for basis in (build_basis(n_modes, n_a), build_basis(n_modes, n_b))
+            )
+            _convolve_raw(x, y, build_basis(n_modes, n_a + n_b))
+            built += x.basis.dim * y.basis.dim
+            held = sum(r.nbytes + w.nbytes for r, w in fock._merge_tables.values())
+            assert held <= 16 << 20
+            assert (n_modes, n_a, n_b) in fock._merge_tables
+        assert built > 1.5 * (1 << 20)
+        assert len(fock._merge_tables) < len(sizes)
+
+    def test_merge_cache_under_threads(self, monkeypatch):
+        # trials run on a thread pool share the cache: with tables of up to
+        # 400 pairs kept and 600 in all, eight threads evict each other's
+        # tables on most calls, and every product must still match its
+        # reference bit for bit
+        monkeypatch.setattr(fock, "_merge_tables", {})
+        monkeypatch.setattr(fock, "_MERGE_TABLE_PAIRS", 400)
+        monkeypatch.setattr(fock, "_MERGE_CACHE_PAIRS", 600)
+        g = rng(35)
+        products = []
+        for n_a, n_b in [(4, 4), (2, 6), (6, 2), (4, 2), (2, 4), (3, 3), (8, 4), (5, 3)]:
+            x, y = (
+                StateVector(basis, g.standard_normal(basis.dim))
+                for basis in (build_basis(3, n_a), build_basis(3, n_b))
+            )
+            out_basis = build_basis(3, n_a + n_b)
+            want = _convolve_single_shot(x, y, out_basis).amps.tobytes()
+            products.append((x, y, out_basis, want))
+
+        def work(offset):
+            for i in range(500):
+                x, y, out_basis, want = products[(offset + i) % len(products)]
+                assert _convolve_raw(x, y, out_basis).amps.tobytes() == want
+                with fock._merge_lock:
+                    assert sum(r.size for r, _ in fock._merge_tables.values()) <= 600
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for done in [pool.submit(work, k) for k in range(8)]:
+                    done.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def random_amps(g, dim, ensemble):
+    amps = g.standard_normal(dim)
+    return amps + 1j * g.standard_normal(dim) if ensemble == "complex" else amps
 
 
 def _convolve_single_shot(x, y, out_basis):

@@ -1,5 +1,6 @@
-"""The seeded-report corpus: every command of tests/golden/record.py,
-rerun on this tree, must reproduce its checked-in report.
+"""The seeded-report corpus: every command and API digest of
+tests/golden/record.py, rerun on this tree, must reproduce its checked-in
+file.
 
 Strings, integers, booleans, verdicts and query counts must match
 exactly.  Floats must match to rel 1e-12, because OpenBLAS picks its
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from golden.record import COMMANDS, GOLDEN, generate
+from golden.record import CORPUS, GOLDEN, generate
 
 from tensorpca import load_tensor
 
@@ -84,11 +85,11 @@ def _read(path):
 
 def test_corpus_holds_exactly_the_recorded_commands():
     files = {p.name for p in GOLDEN.iterdir() if p.is_file()} - {"record.py"}
-    assert files == set(COMMANDS)
+    assert files == set(CORPUS)
     assert sum((GOLDEN / name).stat().st_size for name in files) < 200_000
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
+@pytest.mark.parametrize("name", CORPUS)
 def test_report_matches_corpus(fresh, name):
     diffs = _mismatches(_read(GOLDEN / name), _read(fresh / name))
     assert not diffs, f"{len(diffs)} fields moved, first: {diffs[:5]}"
