@@ -130,24 +130,27 @@ class OccupationBasis:
 def _enumerate_colex(n_modes: int, n_bos: int) -> np.ndarray:
     """All occupation vectors in colex order, as an int32 (D, N) array.
 
-    table[s] holds the states of s bosons in the first j modes: those of
-    j - 1 modes and s - m bosons with m appended as mode j, stacked by m.
-    Each table is built once from the one for j - 1 modes.
+    table[s] holds the states of s bosons in the first j modes.  Each
+    table is built once from the one for j - 1 modes; the last mode needs
+    only the states of n_bos bosons.
     """
     table = [np.array([[s]], dtype=np.int32) for s in range(n_bos + 1)]
-    for j in range(2, n_modes + 1):
-        grown = []
-        for s in range(n_bos + 1):
-            states = np.empty((symmetric_dimension(j, s), j), dtype=np.int32)
-            row = 0
-            for m in range(s + 1):
-                inner = table[s - m]
-                states[row : row + len(inner), :-1] = inner
-                states[row : row + len(inner), -1] = m
-                row += len(inner)
-            grown.append(states)
-        table = grown
-    return table[n_bos]
+    for j in range(2, n_modes):
+        table = [_append_mode(table, j, s) for s in range(n_bos + 1)]
+    return _append_mode(table, n_modes, n_bos) if n_modes > 1 else table[n_bos]
+
+
+def _append_mode(table: list[np.ndarray], j: int, s: int) -> np.ndarray:
+    """The states of s bosons in j modes: those of j - 1 modes and s - m
+    bosons (table[s - m]) with m appended as mode j, stacked by m."""
+    states = np.empty((symmetric_dimension(j, s), j), dtype=np.int32)
+    row = 0
+    for m in range(s + 1):
+        inner = table[s - m]
+        states[row : row + len(inner), :-1] = inner
+        states[row : row + len(inner), -1] = m
+        row += len(inner)
+    return states
 
 
 def build_basis(n_modes: int, n_bos: int, max_dim: int = MAX_BASIS_DIM) -> OccupationBasis:

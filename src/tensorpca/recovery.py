@@ -1,6 +1,10 @@
 """Signal recovery from a post-projection state: single-particle density
 matrix, candidate extraction, correlation scoring, and tensor-power
 boosting of a weak candidate to a strong one.
+
+Boosting contracts T(u, u, u, .) as three BLAS matrix-vector products on
+the dense N^4 view of the tensor (N^4 + N^3 + N^2 multiply-adds per
+iteration), so an iteration costs about one pass over the N^4 entries.
 """
 
 from __future__ import annotations
@@ -90,10 +94,14 @@ def boost(
     max_iters: int = 50,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, int]:
-    """Tensor power iteration u <- normalize(T u^3).
+    """Tensor power iteration u <- normalize(T(u, u, u, .)).
 
-    Stops when consecutive iterates align to 1 - tol or at max_iters;
-    returns the norm-sqrt(N) iterate and the number of iterations run.
+    T(u, u, u, .) is contracted one slot at a time, as three GEMVs on the
+    dense view built once per call: (N^3 x N) @ u, then (N^2 x N) @ u,
+    then (N x N) @ u. That is N^4 + N^3 + N^2 multiply-adds and two small
+    temporaries (N^3 and N^2) per iteration. Stops when consecutive
+    iterates align to 1 - tol or at max_iters; returns the norm-sqrt(N)
+    iterate and the number of iterations run.
     """
     tensor = t0.tensor if isinstance(t0, SpikedTensor) else t0
     dense = tensor.to_dense()
@@ -106,9 +114,10 @@ def boost(
     if nrm == 0.0:
         raise InvalidParameterError("u0 must be nonzero")
     u = u / nrm
+    n = tensor.n_modes
     iters = 0
     for iters in range(1, max_iters + 1):
-        m = np.einsum("ijkl,j,k,l->i", dense, u, u, u)
+        m = ((dense.reshape(n**3, n) @ u).reshape(n**2, n) @ u).reshape(n, n) @ u
         mn = np.linalg.norm(m)
         if mn == 0.0:
             raise DegenerateIterationError("power iteration hit an invariant zero subspace")
@@ -117,7 +126,7 @@ def boost(
         u = u_next
         if aligned >= 1.0 - tol:
             break
-    return u * np.sqrt(tensor.n_modes), iters
+    return u * np.sqrt(n), iters
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Oracles that only the tests use: basis rotations of a symmetric tensor,
-both sides of the spike-energy bound, and brute-force full-space vectors
-with their permutation symmetrizer."""
+both sides of the spike-energy bound, the einsum tensor power iteration,
+and brute-force full-space vectors with their permutation symmetrizer."""
 
 from dataclasses import dataclass
 from itertools import permutations
@@ -13,11 +13,13 @@ from tensorpca import (
     HamiltonianOperator,
     InvalidParameterError,
     OccupationBasis,
+    SpikedTensor,
     StateVector,
     spdm,
 )
 from tensorpca._util import MAX_FULL_DIM
 from tensorpca.fock import _bincount, _full_space_ranks
+from tensorpca.recovery import DegenerateIterationError
 from tensorpca.symtensor import SymmetricTensor4, rank_one
 
 
@@ -65,6 +67,34 @@ def recovery_energy_bound_check(
     rhs = lambda_plus * n_modes * (x.basis.n_bos - 1) * quad
     holds = lhs <= rhs * (1.0 + 1e-9) + 1e-12
     return float(lhs), float(rhs), bool(holds)
+
+
+def power_iteration_reference(
+    t0: SpikedTensor | SymmetricTensor4,
+    u0: np.ndarray,
+    max_iters: int = 50,
+    tol: float = 1e-8,
+) -> tuple[np.ndarray, int]:
+    """Tensor power iteration u <- normalize(T u^3) with T(u, u, u, .) as
+    one four-operand einsum: the reference for recovery.boost's
+    matrix-vector contraction, with the same stop rule and return value
+    (the norm-sqrt(N) iterate and the number of iterations run)."""
+    tensor = t0.tensor if isinstance(t0, SpikedTensor) else t0
+    dense = tensor.to_dense()
+    u = np.asarray(u0, dtype=float)
+    u = u / np.linalg.norm(u)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        m = np.einsum("ijkl,j,k,l->i", dense, u, u, u)
+        mn = np.linalg.norm(m)
+        if mn == 0.0:
+            raise DegenerateIterationError("power iteration hit an invariant zero subspace")
+        u_next = m / mn
+        aligned = float(u @ u_next)
+        u = u_next
+        if aligned >= 1.0 - tol:
+            break
+    return u * np.sqrt(tensor.n_modes), iters
 
 
 @dataclass

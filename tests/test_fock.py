@@ -108,6 +108,14 @@ class TestBasis:
             assert states.dtype == np.int32
             assert np.array_equal(states, expected), (n_modes, n_bos)
 
+    def test_colex_table_matches_sorted_multisets(self):
+        grid = [(n_modes, n_bos) for n_modes in range(1, 6) for n_bos in range(9)]
+        for n_modes, n_bos in grid + [(2, 256), (2, 1024)]:
+            expected = _enumerate_colex_sorted(n_modes, n_bos)
+            states = _enumerate_colex(n_modes, n_bos)
+            assert states.dtype == np.int32
+            assert np.array_equal(states, expected), (n_modes, n_bos)
+
     @pytest.mark.parametrize("n_modes, n_bos", [(3, 63), (64, 2)])
     def test_ranking_table_does_not_overflow(self, n_modes, n_bos):
         # a full Pascal triangle up to N + n_bos + 1 wrapped int64 from
@@ -149,6 +157,17 @@ def _enumerate_colex_recursive(n_modes, n_bos):
         col = np.full((inner.shape[0], 1), m, dtype=np.int32)
         blocks.append(np.hstack([inner, col]))
     return np.vstack(blocks)
+
+
+def _enumerate_colex_sorted(n_modes, n_bos):
+    """Colex enumeration by sorting: the occupations of every multiset of
+    n_bos modes (itertools), ordered by the last mode first."""
+    occs = [
+        np.bincount(np.array(modes, dtype=np.int64), minlength=n_modes)
+        for modes in combinations_with_replacement(range(n_modes), n_bos)
+    ]
+    occs.sort(key=lambda occ: tuple(occ[::-1]))
+    return np.array(occs, dtype=np.int32)
 
 
 class TestLoweringMaps:

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import occupation_to_full, recovery_energy_bound_check, rotate_tensor
+from oracles import (
+    occupation_to_full,
+    power_iteration_reference,
+    recovery_energy_bound_check,
+    rotate_tensor,
+)
 
 from tensorpca import (
     HamiltonianOperator,
@@ -11,6 +16,7 @@ from tensorpca import (
     boost,
     build_basis,
     corr,
+    detect_spectral,
     embed_power_state,
     embed_product_state,
     make_spiked,
@@ -155,11 +161,50 @@ class TestBoost:
         assert abs(corr(boosted, v)) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_start_is_degenerate(self):
+        # T(u, u, u, .) is exactly zero by either contraction
         n = 4
         v = np.sqrt(n) * np.eye(n)[0]
         t0 = make_spiked(1.0, v, SymmetricTensor4.zeros(n))
-        with pytest.raises(DegenerateIterationError):
-            boost(t0, np.eye(n)[1])
+        for power_iteration in (boost, power_iteration_reference):
+            with pytest.raises(DegenerateIterationError):
+                power_iteration(t0, np.eye(n)[1])
+
+    @pytest.mark.parametrize("spiked", [True, False])
+    @pytest.mark.parametrize("n_modes", [2, 3, 6, 16])
+    def test_matches_einsum_reference(self, n_modes, spiked):
+        # the GEMV contraction sums in another order than the einsum, so the
+        # iterates may move in their last bits, but never the iteration count.
+        # A run cut at max_iters has not settled, and its later steps can grow
+        # a last-bit difference (to 8.5e-7 on unspiked N=16 draws), so such a
+        # run is compared after its first step, where it is the contraction
+        # alone
+        params = ModelParams(N=n_modes, n_bos=4, lambda_bar=0.12, seed=26)
+        for t in range(3):
+            g = derived_rng(26, f"boost-oracle-{n_modes}-{spiked}", t)
+            t0, _ = sample_instance(params, spiked=spiked, rng=g)
+            state = detect_spectral(t0, params, seed=t).state
+            cand = randomized_recover(spdm(state), derived_rng(t, "randomized-recover"))
+            for u0 in (cand, g.standard_normal(n_modes)):
+                expected, expected_iters = power_iteration_reference(t0, u0)
+                boosted, iters = boost(t0, u0)
+                assert iters == expected_iters
+                if iters == 50:
+                    expected, _ = power_iteration_reference(t0, u0, max_iters=1)
+                    boosted, _ = boost(t0, u0, max_iters=1)
+                err = np.linalg.norm(boosted - expected) / np.linalg.norm(expected)
+                assert err <= 1e-13, (n_modes, spiked, t, err)
+
+    def test_contracts_without_einsum(self, monkeypatch):
+        calls, einsum = [], np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        t0 = make_spiked(0.8, sample_signal(6, rng(9)), SymmetricTensor4.zeros(6))
+        boost(t0, rng(10).standard_normal(6))
+        assert calls == []
 
     def test_zero_start_rejected(self):
         t0 = make_spiked(1.0, np.ones(3) * np.sqrt(3), SymmetricTensor4.zeros(3))
