@@ -238,11 +238,12 @@ class ProjectionOutcome:
     """The filtered input state and its success statistic.
 
     [e_lower, cutoff] is the filter window; the realized cut is its
-    midpoint.  A step certified empty by its pair-weight matrix (see
-    _project_step) has proj_weight and statistic 0.0, a zero projected
-    vector, matvec_count and range_probe_matvecs 0, and as e_lower the
-    lower edge of the widest window its range probe could have set: every
-    eigenvalue of H lies below that window's midpoint.
+    midpoint.  A step certified empty (see _project_step) has proj_weight
+    and statistic 0.0, a zero projected vector, range_probe_matvecs 0,
+    matvec_count D when its dense operator gave the certificate and 0 when
+    its pair-weight matrix did, and as e_lower the lower edge of the widest
+    window any range could have set: every eigenvalue of H lies below that
+    window's midpoint.
     """
 
     statistic: float
@@ -266,6 +267,13 @@ def _make_pair(
 # takes its range from its exact spectrum instead: the probe could span the
 # whole space there, and one dense eigensolve costs less
 _RANGE_PROBE_STEPS = 60
+# The exact-range cap: up to this dimension a step that its pair weights
+# cannot prove empty takes its range from the exact spectrum too, after
+# trying the proof on its dense operator.  Timed per step on seeded draws
+# with one BLAS thread, that route beat the probe by 18-58% at D=70, 91 and
+# 126 (spiked or not, lambda_bar 0.1-1.0), but lost on some unspiked draws
+# at D=165 (9%) and D=330 (28%), where an eigensolve replaced a probe
+_EXACT_RANGE_CAP = 128
 # The window's range is this multiple of the spread of the spectrum (or of
 # the probe's Ritz values)
 _RANGE_PAD = 1.2
@@ -277,11 +285,12 @@ _GRAM_SLACK = 1e-12
 def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     """Padded spectral-range estimate from a short seeded Krylov probe.
 
-    _project_step runs it on operators larger than _RANGE_PROBE_STEPS and
-    takes 1.2 * (lambda_max - lambda_min) of the exact spectrum on the
-    others.  Either way the range does not depend on the projector method,
-    so the realized filter window (and hence its midpoint cut) is
-    identical whether the filter itself runs densely or iteratively.
+    _project_step runs it on operators larger than _EXACT_RANGE_CAP that
+    it cannot prove empty, and takes 1.2 * (lambda_max - lambda_min) of
+    the exact spectrum on the others.  Which of the two a step takes
+    depends on D alone, not on the projector method, so the realized
+    filter window (and hence its midpoint cut) is identical whether the
+    filter itself runs densely or iteratively.
 
     The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
     (or at _RANGE_PROBE_STEPS steps).  That is enough for a window width:
@@ -297,13 +306,19 @@ def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
     return _RANGE_PAD * (hi - lo)
 
 
+def _two_sided_below(dense: np.ndarray, bound: float) -> bool:
+    """True when spectral._spectrum_below puts the spectra of dense and
+    -dense below bound, which proves ||dense||_2 < bound.  dense goes
+    first: a spiked draw's top eigenvalue fails its first factorization."""
+    return _spectrum_below(dense, bound) and _spectrum_below(np.negative(dense), bound)
+
+
 def _norm_below(h: HamiltonianOperator, bound: float) -> bool:
-    """True when spectral._spectrum_below puts the spectra of W and -W
-    below sigma = bound / (n(n-1) (1 + _GRAM_SLACK)), which proves
-    ||H||_2 < bound; see _project_step."""
+    """True when _two_sided_below proves ||W||_2 < sigma =
+    bound / (n(n-1) (1 + _GRAM_SLACK)), hence ||H||_2 < bound; see
+    _project_step."""
     sigma = bound / (falling_factorial(h.basis.n_bos, 2) * (1.0 + _GRAM_SLACK))
-    w = h.pair_weights
-    return _spectrum_below(w, sigma) and _spectrum_below(np.negative(w), sigma)
+    return _two_sided_below(h.pair_weights, sigma)
 
 
 def _project_step(
@@ -318,41 +333,63 @@ def _project_step(
     under H(t_plus) on its own basis, and fold in its symmetric-projection
     weight when configured.
 
-    At most _RANGE_PROBE_STEPS states wide, one eigensolve of the dense
-    operator gives the window's range, and the step projects with that
-    eigensystem (spectral._keep_above) unless cfg.dense_limit sends it to
-    the Ritz projector.  range_probe_matvecs counts the matvecs spent on
-    the range alone: none on the eigensystem route, D on the Ritz route.
+    The routes, by the dimension D:
+    - D <= _RANGE_PROBE_STEPS: one eigensolve of the
+      dense operator gives the window's range, and the step projects with
+      that eigensystem (spectral._keep_above) unless cfg.dense_limit sends
+      it to the Ritz projector.
+    - Wider, the step first tries to prove itself empty from the pair
+      weights W (_norm_below, two P x P Cholesky factorizations and no
+      matvec).
+    - Unproven and D <= _EXACT_RANGE_CAP, it materializes H once and tries
+      again on H (_two_sided_below, two D x D factorizations).  Still
+      unproven, it takes the range and the projection from one eigensolve,
+      as the first route does.
+    - Unproven and wider, the range probe (_spectral_range) sizes the
+      window and project_above projects.
+    range_probe_matvecs counts the matvecs spent on the range alone: none
+    when the step projects with its own eigensystem, D when the dense
+    operator's range goes to the Ritz projector, and the probe's.
 
-    Wider, the step first tries to prove that no window the range probe
-    could set keeps anything, and then skips the probe and the projector:
-    - ||H||_2 <= n(n-1) ||W||_2 for the P x P pair-weight matrix W
-      (HamiltonianOperator.pair_weights).
-    - The probe's Ritz values lie between lambda_min(H) and lambda_max(H),
-      so its padded range is at most 2 _RANGE_PAD ||H||.  The gap is that
-      over N or its floor, so the window's midpoint, cutoff - gap / 2, is
-      at least cutoff - max(_RANGE_PAD ||H|| / N, floor / 2).
+    A proof of emptiness shows that no window any range could set keeps
+    anything, and then skips the eigensolve, the probe and the projector:
+    - A range, exact or the probe's (whose Ritz values lie between
+      lambda_min(H) and lambda_max(H)), is at most 2 _RANGE_PAD ||H||.
+      The gap is that over N or its floor, so the window's midpoint,
+      cutoff - gap / 2, is at least
+      cutoff - max(_RANGE_PAD ||H|| / N, floor / 2).
     - With bound = min(cutoff / (1 + _RANGE_PAD / N), cutoff - floor / 2),
       ||H|| < bound puts every eigenvalue below every such midpoint, so
       every projector keeps nothing.
-    - _norm_below proves ||W|| < sigma = bound / (n(n-1) (1 + _GRAM_SLACK))
-      by two P x P Cholesky factorizations: spectral._spectrum_below puts
-      lambda_max(W) and lambda_max(-W) below sigma - 0.9 delta, with
-      delta >= 1e-6 sigma (see spectral._spectrum_below).  _GRAM_SLACK
-      covers the rounded coefficients of A; the Krylov sweeps' own
-      rounding, near u ||H||, sits far inside delta.
+    - On H, _two_sided_below puts lambda_max(H) and lambda_max(-H) below
+      bound - 0.9 delta (see spectral._spectrum_below).
+    - On W, ||H||_2 <= n(n-1) ||W||_2 (HamiltonianOperator.pair_weights),
+      and _norm_below proves ||W|| < sigma =
+      bound / (n(n-1) (1 + _GRAM_SLACK)) by two P x P factorizations.
+      _GRAM_SLACK covers the rounded coefficients of A; the Krylov sweeps'
+      own rounding, near u ||H||, sits far inside delta >= 1e-6 sigma.
     A certified step returns what the projectors return with nothing kept:
     weight and statistic 0.0 and a zero vector of dtype
-    result_type(W, state), with no matvec.  Its window is the widest the
-    probe could have set (padded range 2 _RANGE_PAD bound), so its
-    midpoint is at least bound.
+    result_type(W, state), with the dense operator's D matvecs or none.
+    Its window is the widest any range could have set (padded range
+    2 _RANGE_PAD bound), so its midpoint is at least bound.
     """
     cutoff = projection_cutoff(params, cfg, n_bos=state.basis.n_bos)
     floor = 1e-9 * max(abs(cutoff), 1.0)
     h = HamiltonianOperator(pair.t_plus, state.basis)
     bound = min(cutoff / (1.0 + _RANGE_PAD / params.N), cutoff - 0.5 * floor)
-    if h.dim <= _RANGE_PROBE_STEPS:
-        values, vectors = np.linalg.eigh(h.materialize_dense())  # eigenvalues ascending
+    certify = h.dim > _RANGE_PROBE_STEPS and bound > 0.0
+    empty, dense = certify and _norm_below(h, bound), None
+    if not empty and h.dim <= _EXACT_RANGE_CAP:
+        dense = h.materialize_dense()
+        empty = certify and _two_sided_below(dense, bound)
+    if empty:
+        # proven empty: no eigensolve, no probe and no projector
+        gap = max(2.0 * _RANGE_PAD * bound / params.N, floor)
+        amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
+        projected, weight, range_probe_matvecs = StateVector(state.basis, amps), 0.0, 0
+    elif dense is not None:
+        values, vectors = np.linalg.eigh(dense)  # eigenvalues ascending
         gap = max(_RANGE_PAD * float(values[-1] - values[0]) / params.N, floor)
         if h.dim <= cfg.dense_limit:
             # cut where project_above would; no matvec went to the range alone
@@ -365,11 +402,6 @@ def _project_step(
             projected, weight, _ = project_above(
                 h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
             )
-    elif bound > 0.0 and _norm_below(h, bound):
-        # proven empty: no probe and no projector
-        gap = max(2.0 * _RANGE_PAD * bound / params.N, floor)
-        amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
-        projected, weight, range_probe_matvecs = StateVector(state.basis, amps), 0.0, 0
     else:
         gap = max(_spectral_range(h, seed) / params.N, floor)
         range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the probe

@@ -44,7 +44,9 @@ from tensorpca import pipeline, spectral
 from tensorpca._util import derived_rng
 from tensorpca.fock import StateVector, embed_power_state
 from tensorpca.hamiltonian import HamiltonianOperator
+from tensorpca.instance import DecorrelatedPair
 from tensorpca.pipeline import repeated_measurement
+from tensorpca.spectral import _keep_above
 from tensorpca.symtensor import SymmetricTensor4
 
 
@@ -336,11 +338,19 @@ class TestNormBoundOracle:
         assert eigs[-1] <= gram * max(w_eigs[-1], 0.0) + slack
 
 
+def _norm_bound(params):
+    """The norm below which pipeline._project_step proves a step empty."""
+    cutoff = projection_cutoff(params, DetectionConfig())
+    floor = 1e-9 * max(cutoff, 1.0)
+    return min(cutoff / (1.0 + pipeline._RANGE_PAD / params.N), cutoff - 0.5 * floor)
+
+
 class TestNormCertificate:
     """Above _RANGE_PROBE_STEPS, a step whose pair-weight matrix proves
-    ||H|| below every cut the range probe could set skips the probe and the
-    projector (pipeline._project_step).  Draws of the recovery operating
-    point (N=16, n_bos=4, D=3876, seed 99), as its benchmark workload and
+    ||H|| below every cut a range could set skips the probe and the
+    projector (pipeline._project_step); up to _EXACT_RANGE_CAP its dense
+    operator may prove it instead.  Draws of the recovery operating point
+    (N=16, n_bos=4, D=3876, seed 99), as its benchmark workload and
     TestPinnedRangeProbe draw them."""
 
     PARAMS = ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99)
@@ -379,12 +389,24 @@ class TestNormCertificate:
         assert out.proj_weight > 0.0 and out.range_probe_matvecs > 0
 
     def test_no_signal_is_probed(self):
-        # at D=126 (the roc point): a Ritz projection cut in the bulk at
-        # D=3876 runs towards D Krylov steps
+        # just above the exact-range cap (D=129): with no signal the cutoff
+        # is 0 and no certificate applies.  A Ritz projection cut in the
+        # bulk at D=3876 runs towards D Krylov steps
+        n_bos = pipeline._EXACT_RANGE_CAP
+        params = ModelParams(N=2, n_bos=n_bos, lambda_bar=0.0, seed=99)
+        t0, _ = sample_instance(params, spiked=False)
+        out = projection_statistic(t0, params, DetectionConfig(), seed=0)
+        assert out.input_state.basis.dim == pipeline._EXACT_RANGE_CAP + 1
+        assert out.cutoff == 0.0 and out.range_probe_matvecs > 0
+
+    def test_no_signal_up_to_the_cap_takes_the_exact_range(self):
+        # at D=126 (the roc point) the same row runs neither the probe nor
+        # a Ritz sweep: one eigensolve sizes its window and projects
         params = ModelParams(N=6, n_bos=4, lambda_bar=0.0, seed=99)
         t0, _ = sample_instance(params, spiked=False)
         out = projection_statistic(t0, params, DetectionConfig(), seed=0)
-        assert out.cutoff == 0.0 and out.range_probe_matvecs > 0
+        assert out.cutoff == 0.0
+        assert (out.matvec_count, out.range_probe_matvecs) == (126, 0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["W", "-W"])
     def test_certificate_is_sharp_in_the_norm(self, sign):
@@ -401,19 +423,77 @@ class TestNormCertificate:
         assert not pipeline._norm_below(scaled(sigma * (1.0 + 1e-6)), bound)
         assert pipeline._norm_below(scaled(sigma * (1.0 - 1e-4)), bound)
 
-    @pytest.mark.parametrize("n_bos, certified", [(59, False), (60, True)], ids=["D60", "D61"])
-    def test_only_probed_steps_are_certified(self, n_bos, certified):
-        # H(0) = 0 lies below any positive cut; at D <= 60 the exact range
-        # is still taken from the dense eigensolve
-        zero = SymmetricTensor4.zeros(2)
-        pair = decorrelate(zero, 1.0, g_prime=zero)
+    @staticmethod
+    def _step(tensor, n_bos):
+        """pipeline._project_step of H(tensor) on a seeded N=2 state."""
+        pair = DecorrelatedPair(tensor, tensor, 1.0, 0.0, 0.0)
         basis = build_basis(2, n_bos)
         amps = derived_rng(5, "zero-operator").standard_normal(basis.dim)
         state = StateVector(basis, amps / np.linalg.norm(amps))
         params = ModelParams(N=2, n_bos=n_bos, lambda_bar=0.03, seed=5)
-        out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+        return pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+
+    @pytest.mark.parametrize(
+        "n_bos, certified",
+        [(59, False), (60, True), (127, True), (128, True)],
+        ids=["D60", "D61", "D128", "D129"],
+    )
+    def test_only_probed_steps_are_certified(self, n_bos, certified):
+        # H(0) = 0 lies below any positive cut.  Above D=60 its pair-weight
+        # matrix proves that before any matvec, on either side of the
+        # exact-range cap; at D <= 60 the exact range is still taken from
+        # the dense eigensolve
+        out = self._step(SymmetricTensor4.zeros(2), n_bos)
         assert out.proj_weight == 0.0 and not out.projected.amps.any()
-        assert out.matvec_count == (0 if certified else basis.dim)
+        assert out.range_probe_matvecs == 0
+        assert out.matvec_count == (0 if certified else n_bos + 1)
+
+    @pytest.mark.parametrize(
+        "n_bos, route",
+        [(59, "eigh"), (60, "dense"), (127, "dense"), (128, "probe")],
+        ids=["D60", "D61", "D128", "D129"],
+    )
+    def test_dense_operator_certifies_up_to_the_cap(self, n_bos, route):
+        # ||H|| = 0.7 bound, while n(n-1) ||W|| is about 1.7 ||H|| at N=2,
+        # so the pair-weight matrix cannot prove the step empty but the
+        # dense operator can, from D=61 up to the cap; above it the probe
+        # sizes the window.  Every route keeps nothing
+        t0, _ = sample_instance(
+            ModelParams(N=2, n_bos=4, seed=5), spiked=False, rng=derived_rng(5, "dense-cert")
+        )
+        h = HamiltonianOperator(t0.tensor, build_basis(2, n_bos))
+        norm = float(np.abs(np.linalg.eigvalsh(h.materialize_dense())).max())
+        bound = _norm_bound(ModelParams(N=2, n_bos=n_bos, lambda_bar=0.03, seed=5))
+        scaled = HamiltonianOperator(t0.tensor * (0.7 * bound / norm), h.basis)
+        assert not pipeline._norm_below(scaled, bound)
+        out = self._step(scaled.tensor, n_bos)
+        assert out.proj_weight == 0.0 and not out.projected.amps.any()
+        if route == "probe":
+            assert out.range_probe_matvecs > 0
+            assert out.matvec_count == out.range_probe_matvecs + h.dim
+        else:
+            assert (out.matvec_count, out.range_probe_matvecs) == (h.dim, 0)
+        # a certified step reports the widest window any range could set
+        widest = out.cutoff - 2.0 * pipeline._RANGE_PAD * bound / 2
+        assert (out.e_lower == widest) == (route == "dense")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["H", "-H"])
+    def test_dense_certificate_is_sharp_in_the_norm(self, sign):
+        # scale a roc-point H to a norm just above and just below the bound,
+        # with its extreme eigenvalue on either side, so that each Cholesky
+        # factorization of pipeline._two_sided_below binds
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(1000, "roc", 0))
+        dense = HamiltonianOperator(t0.tensor, build_basis(6, 4)).materialize_dense()
+        eigs = np.linalg.eigvalsh(dense)
+        extreme = eigs[-1] if eigs[-1] >= -eigs[0] else eigs[0]
+        bound = 100.0
+
+        def scaled(norm):
+            return dense * (sign * norm / extreme)
+
+        assert not pipeline._two_sided_below(scaled(bound * (1.0 + 1e-4)), bound)
+        assert pipeline._two_sided_below(scaled(bound * (1.0 - 1e-4)), bound)
 
     def test_certified_step_runs_no_eigensolver(self, monkeypatch):
         calls = []
@@ -469,9 +549,10 @@ class TestReportEcho:
 
 
 class TestExactRange:
-    """At most pipeline._RANGE_PROBE_STEPS states wide, the window range is
-    1.2 * (lambda_max - lambda_min) of the exact spectrum, whatever the
-    projector, and one eigensolve serves the range and a dense projector."""
+    """At most pipeline._EXACT_RANGE_CAP states wide, a step that is not
+    proven empty takes as window range 1.2 * (lambda_max - lambda_min) of
+    the exact spectrum, whatever the projector, and one eigensolve serves
+    the range and a dense projector."""
 
     @staticmethod
     def _outcome(N, n_bos, spiked, cfg=None):
@@ -495,33 +576,81 @@ class TestExactRange:
         assert (out.matvec_count, out.range_probe_matvecs) == (h.dim, 0)
 
     def test_cap_is_the_last_exact_dimension(self):
-        params = ModelParams(N=2, n_bos=60, lambda_bar=0.03, seed=5)
+        cap = pipeline._EXACT_RANGE_CAP
+        params = ModelParams(N=2, n_bos=cap, lambda_bar=0.03, seed=5)
         t0, _ = sample_instance(params, spiked=True, rng=derived_rng(5, "exact-range", True))
         pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(5, "decorrelate"))
-        # D = 60 (59 bosons, a state no detector embeds) is solved exactly
-        basis = build_basis(2, 59)
+        # D = cap (cap - 1 bosons, a state no detector embeds) is solved exactly
+        basis = build_basis(2, cap - 1)
         amps = derived_rng(5, "exact-range-state").standard_normal(basis.dim)
         state = StateVector(basis, amps / np.linalg.norm(amps))
         out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
         eigs = np.linalg.eigvalsh(HamiltonianOperator(pair.t_plus, basis).materialize_dense())
-        assert basis.dim == pipeline._RANGE_PROBE_STEPS
+        assert basis.dim == cap
         assert self._range(out) == pytest.approx(1.2 * (eigs[-1] - eigs[0]), rel=1e-12, abs=0.0)
-        assert out.range_probe_matvecs == 0
-        # D = 61 takes the probe's estimate
+        assert (out.matvec_count, out.range_probe_matvecs) == (cap, 0)
+        # D = cap + 1 takes the probe's estimate
         out = projection_statistic(t0, params, DetectionConfig(), seed=5)
-        h = HamiltonianOperator(out.pair.t_plus, build_basis(2, 60))
+        h = HamiltonianOperator(out.pair.t_plus, build_basis(2, cap))
         assert self._range(out) == pytest.approx(pipeline._spectral_range(h, 5), rel=1e-12, abs=0.0)
         assert out.range_probe_matvecs == h.matvec_count > 0
 
     @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
     def test_window_does_not_depend_on_the_projector(self, spiked):
-        dense = self._outcome(3, 8, spiked)
-        ritz = self._outcome(3, 8, spiked, DetectionConfig(dense_limit=10))
-        assert (ritz.cutoff, ritz.e_lower) == (dense.cutoff, dense.e_lower)
-        # the Ritz projector cannot reuse the eigensystem: the range alone
-        # cost the dense operator's 45 applications
-        assert (dense.range_probe_matvecs, dense.matvec_count) == (0, 45)
-        assert ritz.range_probe_matvecs == 45 < ritz.matvec_count
+        for N, n_bos, dim, dense_limit in [(3, 8, 45, 10), (6, 4, 126, 100)]:
+            dense = self._outcome(N, n_bos, spiked)
+            ritz = self._outcome(N, n_bos, spiked, DetectionConfig(dense_limit=dense_limit))
+            assert (ritz.cutoff, ritz.e_lower) == (dense.cutoff, dense.e_lower)
+            # the Ritz projector cannot reuse the eigensystem: the range alone
+            # cost the dense operator's D applications
+            assert (dense.range_probe_matvecs, dense.matvec_count) == (0, dim)
+            assert ritz.range_probe_matvecs == dim < ritz.matvec_count
+
+    @pytest.mark.parametrize(
+        "N, n_bos, lam",
+        [(6, 4, 0.2732336812165897), (5, 4, 0.2732336812165897), (2, 127, 2.0)],
+        ids=["D126", "D70", "D128"],
+    )
+    def test_steps_up_to_the_cap_against_their_exact_spectrum(self, N, n_bos, lam):
+        # seeded spiked and unspiked draws: a step proven empty has its exact
+        # lambda_max below the midpoint of its exact window; any other step
+        # equals spectral._keep_above on its own eigensystem.  D=128 (127
+        # bosons, which no detector embeds) filters a seeded state
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=5)
+        cfg = DetectionConfig()
+        basis = build_basis(N, n_bos)
+        bound, certified = _norm_bound(params), 0
+        for spiked in (True, False):
+            for t in range(3):
+                rng = derived_rng(5, f"cap-oracle-{spiked}", t)
+                t0, _ = sample_instance(params, spiked=spiked, rng=rng)
+                pair = pipeline._make_pair(t0, params, cfg, derived_rng(t, "decorrelate"))
+                if n_bos % 4 == 0:
+                    state, _ = embed_power_state(basis, pair.t_minus)
+                else:
+                    amps = derived_rng(5, "cap-oracle-state", t).standard_normal(basis.dim)
+                    state = StateVector(basis, amps / np.linalg.norm(amps))
+                out = pipeline._project_step(pair, state, 1.0, params, cfg, t)
+                values, vectors = np.linalg.eigh(
+                    HamiltonianOperator(pair.t_plus, basis).materialize_dense()
+                )
+                gap = max(1.2 * (values[-1] - values[0]) / N, 1e-9 * max(out.cutoff, 1.0))
+                mid = out.cutoff - 0.5 * gap
+                assert out.range_probe_matvecs == 0
+                if out.e_lower == out.cutoff - 2.0 * pipeline._RANGE_PAD * bound / N:
+                    # proven empty, by W (no matvec) or by H (D of them)
+                    certified += 1
+                    assert out.proj_weight == 0.0 and not out.projected.amps.any()
+                    assert out.matvec_count in (0, basis.dim)
+                    assert values[-1] < mid
+                    continue
+                assert out.matvec_count == basis.dim
+                assert out.e_lower == pytest.approx(out.cutoff - gap, rel=1e-12, abs=0.0)
+                amps, weight = _keep_above(values, vectors, state.amps, mid)
+                assert out.proj_weight == weight > 0.0
+                assert np.array_equal(out.projected.amps, amps)
+        # both outcomes occur at each point
+        assert 0 < certified < 6
 
     def test_reported_counts(self):
         params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=22)

@@ -835,8 +835,9 @@ class TestDenseCertificate:
 
 
 class TestKeepAbove:
-    """A step at most pipeline._RANGE_PROBE_STEPS states wide projects with
-    the eigensystem it took its range from (spectral._keep_above), as the
+    """A step that takes its range from its exact spectrum (at most
+    pipeline._EXACT_RANGE_CAP states wide) projects with the eigensystem
+    it took that range from (spectral._keep_above), as the
     dense route of project_above would; project_above itself takes
     operators and matrices only."""
 
