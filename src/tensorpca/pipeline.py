@@ -244,6 +244,12 @@ class ProjectionOutcome:
     its pair-weight matrix did, and as e_lower the lower edge of the widest
     window any range could have set: every eigenvalue of H lies below that
     window's midpoint.
+
+    range_probe_matvecs counts the matvecs that went to the window's range
+    (see _project_step).  Above _EXACT_RANGE_CAP these are the steps of the
+    range probe, a Lanczos sweep from input_state; a Ritz projector
+    continues that sweep, so matvec_count adds only the steps it took
+    beyond the probe's.
     """
 
     statistic: float
@@ -254,7 +260,7 @@ class ProjectionOutcome:
     input_state: StateVector
     pair: DecorrelatedPair
     matvec_count: int  # every matvec of the step, the range probe's included
-    range_probe_matvecs: int
+    range_probe_matvecs: int  # included in matvec_count
 
 
 def _make_pair(
@@ -282,28 +288,34 @@ _RANGE_PAD = 1.2
 _GRAM_SLACK = 1e-12
 
 
-def _spectral_range(h: HamiltonianOperator, seed: int) -> float:
-    """Padded spectral-range estimate from a short seeded Krylov probe.
+def _spectral_range(h: HamiltonianOperator, state: StateVector) -> tuple:
+    """Padded spectral-range estimate from a short Krylov probe started at
+    the step's state, and the probe's RitzDecomposition, whose sweep the
+    Ritz projector continues from where the probe stopped.
 
     _project_step runs it on operators larger than _EXACT_RANGE_CAP that
     it cannot prove empty, and takes 1.2 * (lambda_max - lambda_min) of
     the exact spectrum on the others.  Which of the two a step takes
-    depends on D alone, not on the projector method, so the realized
-    filter window (and hence its midpoint cut) is identical whether the
-    filter itself runs densely or iteratively.
+    depends on D alone, not on the projector method, and the probe's stop
+    rule does not look at the window, so the realized filter window (and
+    hence its midpoint cut) is identical whether the filter itself runs
+    densely or iteratively.
 
     The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
     (or at _RANGE_PROBE_STEPS steps).  That is enough for a window width:
     the top Ritz value is then within r of an eigenvalue, and within about
     r^2/gap of it when the gap to the rest of the spectrum is wide
     (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz
-    value is never checked for convergence.  Ritz values interlace the
-    spectrum, so the estimate never exceeds 1.2 * (lambda_max - lambda_min).
+    value is never checked for convergence.  Ritz values from any start
+    vector interlace the spectrum (ch. 10), so the estimate never exceeds
+    1.2 * (lambda_max - lambda_min).  A state inside an invariant subspace
+    of H ends the probe at the Krylov breakdown with exact Ritz pairs, and
+    the estimate is then 1.2 times the spread of that subspace's
+    eigenvalues; the projector takes no further step there.
     """
-    probe = derived_rng(seed, "range-probe").standard_normal(h.dim)
-    ritz = lanczos(h, probe, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=1e-3)
+    ritz = lanczos(h, state, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=1e-3)
     lo, hi = float(ritz.ritz_values.min()), float(ritz.ritz_values.max())
-    return _RANGE_PAD * (hi - lo)
+    return _RANGE_PAD * (hi - lo), ritz
 
 
 def _two_sided_below(dense: np.ndarray, bound: float) -> bool:
@@ -327,7 +339,6 @@ def _project_step(
     sym_weight: float,
     params: ModelParams,
     cfg: DetectionConfig,
-    seed: int,
 ) -> ProjectionOutcome:
     """Filter a prepared state above the projection cutoff of its own size
     under H(t_plus) on its own basis, and fold in its symmetric-projection
@@ -345,11 +356,15 @@ def _project_step(
       again on H (_two_sided_below, two D x D factorizations).  Still
       unproven, it takes the range and the projection from one eigensolve,
       as the first route does.
-    - Unproven and wider, the range probe (_spectral_range) sizes the
-      window and project_above projects.
-    range_probe_matvecs counts the matvecs spent on the range alone: none
-    when the step projects with its own eigensystem, D when the dense
-    operator's range goes to the Ritz projector, and the probe's.
+    - Unproven and wider, the range probe (_spectral_range), a Lanczos
+      sweep from the state, sizes the window and project_above projects.
+      Above cfg.dense_limit the Ritz projector continues the probe's sweep
+      instead of starting its own, so the step runs one sweep; below it
+      the probe stops where it stopped and the dense projector runs.
+    range_probe_matvecs counts the matvecs spent on the range: none when
+    the step projects with its own eigensystem, D when the dense
+    operator's range goes to the Ritz projector, and the probe's steps,
+    which a continuing Ritz projector does not repeat.
 
     A proof of emptiness shows that no window any range could set keeps
     anything, and then skips the eigensolve, the probe and the projector:
@@ -403,10 +418,11 @@ def _project_step(
                 h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
             )
     else:
-        gap = max(_spectral_range(h, seed) / params.N, floor)
+        span, probe = _spectral_range(h, state)
+        gap = max(span / params.N, floor)
         range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the probe
         projected, weight, _ = project_above(
-            h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
+            h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit, probe=probe
         )
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(
@@ -426,14 +442,13 @@ def _filtered_statistic(
     pair: DecorrelatedPair,
     params: ModelParams,
     cfg: DetectionConfig,
-    seed: int,
     n_bos: int | None = None,
 ) -> ProjectionOutcome:
     """Embed the power input state of t_minus and filter it above the cutoff."""
     n = params.n_bos if n_bos is None else n_bos
     state, pre_norm = embed_power_state(build_basis(params.N, n), pair.t_minus)
     sym_weight = pre_norm / pair.t_minus.norm() ** (n // 4)
-    return _project_step(pair, state, sym_weight, params, cfg, seed)
+    return _project_step(pair, state, sym_weight, params, cfg)
 
 
 def projection_statistic(
@@ -449,7 +464,7 @@ def projection_statistic(
         seed = params.seed
     if pair is None:
         pair = _make_pair(t0, params, cfg, derived_rng(seed, "decorrelate"))
-    return _filtered_statistic(pair, params, cfg, seed)
+    return _filtered_statistic(pair, params, cfg)
 
 
 def _projection_report(
@@ -677,7 +692,7 @@ def multistep_q_j(params: ModelParams, cfg: DetectionConfig, seed: int, k: int) 
             g = sample_gaussian_tensor(params.N, rng_q, ensemble=params.ensemble)
             unsp = SpikedTensor(tensor=g, lam=0.0)
             pair_q = _make_pair(unsp, params, cfg, rng_q)
-            qs.append(_filtered_statistic(pair_q, params, cfg, seed, n_bos=size).statistic)
+            qs.append(_filtered_statistic(pair_q, params, cfg, n_bos=size).statistic)
         # one scalar per level: geometric mean over subsystems (equal for
         # equal-size halves, which is the tested configuration)
         q_j.append(float(np.exp(np.mean(np.log(np.maximum(qs, 1e-300))))))
@@ -729,13 +744,13 @@ def multistep_run(
         the subsystem of `size` bosons with `below` levels under it: a leaf
         embeds the power input state, an internal one merges its children."""
         if below == 0:
-            out = _filtered_statistic(pair, params, cfg, seed, n_bos=size)
+            out = _filtered_statistic(pair, params, cfg, n_bos=size)
         else:
             children = [subsystem(half, below - 1)[1] for half in _split_size(size)]
             if any(state is None for state in children):
                 return 0.0, None
             merged, w_merge = symmetrized_product(*children)
-            out = _project_step(pair, merged, w_merge, params, cfg, seed)
+            out = _project_step(pair, merged, w_merge, params, cfg)
         return out.statistic, out.projected.normalized() if out.proj_weight > 0.0 else None
 
     p_j = [[subsystem(size, k - j)[0] for size in level] for j, level in enumerate(level_sizes)]

@@ -55,9 +55,11 @@ class RitzDecomposition:
     down (invariant_subspace), and False when it ran to max_iters.
 
     The Ritz vectors are built on the first read of ritz_vectors, as the
-    product of the Krylov block and the tridiagonal's eigenvectors, and
-    then replace the block.  A caller that reads only values, such as a
-    spectral-range probe, never builds the D x k product.
+    product of the Krylov block and the tridiagonal's eigenvectors, and the
+    decomposition then lets go of its sweep.  A caller that reads only
+    values, such as a spectral-range probe, never builds the D x k product.
+    Until then, and while it is its sweep's latest result, project_above
+    can continue that sweep (its probe argument).
     """
 
     ritz_values: np.ndarray
@@ -66,21 +68,22 @@ class RitzDecomposition:
     start_coeffs: np.ndarray  # expansion of the start vector on the Ritz pairs
     invariant_subspace: bool
     converged: bool
-    _krylov: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x D
+    _sweep: _Sweep | None = field(default=None, repr=False, compare=False)
     _eigvecs: np.ndarray | None = field(default=None, repr=False, compare=False)  # k x k
 
     @cached_property
     def ritz_vectors(self) -> np.ndarray:
         """D x k, columns following ritz_values."""
-        vectors = self._krylov.T @ self._eigvecs
-        self._krylov = None
+        vectors = self._sweep.block[: self.iterations].T @ self._eigvecs
+        self._sweep = None
         return vectors
 
 
 @dataclass
 class ApproxProjector:
     """How project_above realized its filter: the method, its Krylov steps
-    or polynomial degree (the dimension for dense), and the band error."""
+    (those of a continued probe included) or polynomial degree (the
+    dimension for dense), and the band error."""
 
     method: str
     degree_or_iters: int
@@ -91,85 +94,109 @@ class ApproxProjector:
 _RESERVED_STEPS = 64
 
 
-def _lanczos_sweep(matvec, v0, max_iters, stop_check):
-    """Krylov tridiagonalization with full reorthogonalization, returned as
-    a RitzDecomposition.
+class _Sweep:
+    """One Krylov tridiagonalization with full reorthogonalization, run in
+    stages.
 
-    After step k, stop_check(tridiag, beta) -> bool decides early
-    termination.  tridiag is the k x k Lanczos tridiagonal so far, a view
-    into storage that later steps overwrite or regrow, and beta the norm of
-    the next Krylov residual, so the residual of the Ritz pair (theta, u)
-    of tridiag is beta * |u[k-1]|.  stop_check=None runs a fixed length:
-    max_iters steps, or fewer on breakdown (invariant subspace), which
-    always terminates.  The returned decomposition's converged flag is the
-    stop decision: a passed stop check or a breakdown.
+    run(max_iters, stop_check) takes steps until stop_check passes, the
+    Krylov space breaks down or max_iters steps are done in all, and
+    returns the RitzDecomposition of every step so far.  After step k,
+    stop_check(tridiag, beta) -> bool decides early termination.  tridiag
+    is the k x k Lanczos tridiagonal so far, a view into storage that later
+    steps overwrite or regrow, and beta the norm of the next Krylov
+    residual, so the residual of the Ritz pair (theta, u) of tridiag is
+    beta * |u[k-1]|.  stop_check=None runs to max_iters, or fewer steps on
+    breakdown (invariant subspace), which always terminates.  The returned
+    decomposition's converged flag is the stop decision: a passed stop
+    check or a breakdown.
+
+    A later run continues the same Krylov sequence, bit for bit as one
+    uninterrupted run would, under its own stop check, which it applies
+    first to the tridiagonal the last run ended on.  A sweep that broke
+    down takes no more steps.
     """
-    dim = v0.shape[0]
-    start_norm = np.linalg.norm(v0)
-    if start_norm == 0.0:
-        raise InvalidParameterError("Lanczos needs a nonzero start vector")
-    complex_vec = np.iscomplexobj(v0)
-    q = (v0 / start_norm).astype(np.complex128 if complex_vec else np.float64)
-    max_iters = max(1, min(max_iters, dim))
-    # Krylov vectors are contiguous rows and the tridiagonal a square block.
-    # A sweep of at most _RESERVED_STEPS steps reserves both once: np.empty
-    # commits only the rows written, and no full block is ever copied.  A
-    # longer sweep starts at 8 rows and doubles both when full, so memory
-    # follows the iterations actually run, not max_iters
-    size = max_iters if max_iters <= _RESERVED_STEPS else 8
-    basis_vecs = np.empty((size, dim), dtype=q.dtype)
-    tridiag = np.zeros((size, size))
-    beta, invariant, stopped = 0.0, False, False
-    scale = 1.0  # running max of |alpha| and the beta of every completed step
-    k = 0
-    while k < max_iters:
-        if k == size:
-            size = min(2 * k, max_iters)
-            grown = np.empty((size, dim), dtype=q.dtype)
-            grown[:k] = basis_vecs
-            basis_vecs = grown
-            grown = np.zeros((size, size))
-            grown[:k, :k] = tridiag
-            tridiag = grown
-        basis_vecs[k] = q
-        w = matvec(q)
-        alpha = float(np.real(np.vdot(q, w)))
-        tridiag[k, k] = alpha
-        w -= alpha * q
-        if k:
-            tridiag[k, k - 1] = tridiag[k - 1, k] = beta
-            w -= beta * basis_vecs[k - 1]
-        # full reorthogonalization, twice for floating-point hygiene
-        active = basis_vecs[: k + 1]
-        for _ in range(2):
-            if complex_vec:
-                w -= np.conj(active @ np.conj(w)) @ active
-            else:
-                w -= (active @ w) @ active
-        beta = float(np.linalg.norm(w))
-        k += 1
-        scale = max(scale, abs(alpha))
-        if beta <= 1e-13 * scale:
-            invariant, beta = True, 0.0  # so every residual is 0
-            break
-        if stop_check is not None and stop_check(tridiag[:k, :k], beta):
-            stopped = True
-            break
-        if k >= max_iters:
-            break
-        scale = max(scale, beta)
-        q = w / beta
-    values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], beta)
-    return RitzDecomposition(
-        ritz_values=values,
-        residuals=residuals,
-        iterations=k,
-        start_coeffs=first_row * start_norm,
-        invariant_subspace=invariant,
-        converged=invariant or stopped,
-        _krylov=basis_vecs[:k],
-        _eigvecs=eigvecs,
-    )
+
+    def __init__(self, matvec, v0, max_iters):
+        self.matvec, self.dim = matvec, v0.shape[0]
+        self.start_norm = np.linalg.norm(v0)
+        if self.start_norm == 0.0:
+            raise InvalidParameterError("Lanczos needs a nonzero start vector")
+        dtype = np.complex128 if np.iscomplexobj(v0) else np.float64
+        # Krylov vectors are contiguous rows and the tridiagonal a square
+        # block.  A first run of at most _RESERVED_STEPS steps reserves both
+        # once: np.empty commits only the rows written, and no full block is
+        # copied before a continuation passes the reservation.  Otherwise
+        # both start at 8 rows and double when full, so memory follows the
+        # iterations actually run, not max_iters
+        max_iters = max(1, min(max_iters, self.dim))
+        size = max_iters if max_iters <= _RESERVED_STEPS else 8
+        self.block = np.empty((size, self.dim), dtype=dtype)
+        self.block[0] = v0 / self.start_norm
+        self.tridiag = np.zeros((size, size))
+        self.k, self.beta, self.residual = 0, 0.0, None  # residual: the unnormalized next vector
+        self.scale = 1.0  # running max of |alpha| and the beta of every completed step
+        self.invariant = False
+
+    def run(self, max_iters, stop_check) -> RitzDecomposition:
+        max_iters = max(1, min(max_iters, self.dim))
+        k, beta, w, scale = self.k, self.beta, self.residual, self.scale
+        basis_vecs, tridiag, complex_vec = self.block, self.tridiag, self.block.dtype.kind == "c"
+        stopped = self.invariant or (
+            k > 0 and stop_check is not None and stop_check(tridiag[:k, :k], beta)
+        )
+        while not stopped and k < max_iters:
+            if k == basis_vecs.shape[0]:
+                size = min(2 * k, max_iters)
+                grown = np.empty((size, self.dim), dtype=basis_vecs.dtype)
+                grown[:k] = basis_vecs
+                basis_vecs = grown
+                grown = np.zeros((size, size))
+                grown[:k, :k] = tridiag
+                tridiag = grown
+            if k:
+                scale = max(scale, beta)
+                np.divide(w, beta, out=basis_vecs[k])
+            q = basis_vecs[k]
+            w = self.matvec(q)
+            alpha = float(np.real(np.vdot(q, w)))
+            tridiag[k, k] = alpha
+            w -= alpha * q
+            if k:
+                tridiag[k, k - 1] = tridiag[k - 1, k] = beta
+                w -= beta * basis_vecs[k - 1]
+            # full reorthogonalization, twice for floating-point hygiene
+            active = basis_vecs[: k + 1]
+            for _ in range(2):
+                if complex_vec:
+                    w -= np.conj(active @ np.conj(w)) @ active
+                else:
+                    w -= (active @ w) @ active
+            beta = float(np.linalg.norm(w))
+            k += 1
+            scale = max(scale, abs(alpha))
+            if beta <= 1e-13 * scale:
+                self.invariant, beta = True, 0.0  # so every residual is 0
+                break
+            stopped = stop_check is not None and stop_check(tridiag[:k, :k], beta)
+        self.k, self.beta, self.residual, self.scale = k, beta, w, scale
+        self.block, self.tridiag = basis_vecs, tridiag
+        values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], beta)
+        return RitzDecomposition(
+            ritz_values=values,
+            residuals=residuals,
+            iterations=k,
+            start_coeffs=first_row * self.start_norm,
+            invariant_subspace=self.invariant,
+            converged=self.invariant or stopped,
+            _sweep=self,
+            _eigvecs=eigvecs,
+        )
+
+
+def _lanczos_sweep(matvec, v0, max_iters, stop_check):
+    """A new _Sweep from v0, run once: the Krylov tridiagonalization of
+    matvec from v0 as a RitzDecomposition, ended as _Sweep.run ends it."""
+    return _Sweep(matvec, v0, max_iters).run(max_iters, stop_check)
 
 
 def _ritz_from_tridiag(tridiag, beta_last):
@@ -339,6 +366,7 @@ def project_above(
     dense_limit: int = DENSE_LIMIT,
     max_iters: int | None = None,
     chebyshev_degree: int | None = None,
+    probe: RitzDecomposition | None = None,
 ):
     """Filtered weight of x on the eigenspace above the cutoff window.
 
@@ -349,6 +377,11 @@ def project_above(
     midpoint: exactly (dense), via Ritz pairs from a Lanczos sweep
     started at x (ritz), or by the Chebyshev series of an erf smooth step
     whose steepness and degree follow from tol and the window (chebyshev).
+
+    probe, the last result of a lanczos sweep of op started at x, is a
+    sweep the Ritz route continues instead of starting its own, with the
+    same result as a fresh sweep wherever that one stops at least two steps
+    after the probe; the other routes leave it where it stopped.
 
     The dense route first tries to prove that no eigenvalue of H reaches
     the midpoint (_spectrum_below, which gives the argument), and then
@@ -366,6 +399,14 @@ def project_above(
     basis = op_basis if op_basis is not None else vec_basis
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
         raise InvalidParameterError("project_above expects a normalized state")
+    sweep = None if probe is None else probe._sweep
+    if probe is not None and not (
+        sweep is not None
+        and sweep.k == probe.iterations
+        and sweep.matvec == matvec
+        and np.array_equal(sweep.block[0], vec / np.linalg.norm(vec))
+    ):
+        raise InvalidParameterError("probe must be the last run of a sweep of op started at x")
     if method == "auto":
         method = "dense" if dim <= dense_limit else "ritz"
     mid = 0.5 * (e_lower + e_upper)
@@ -380,7 +421,7 @@ def project_above(
         return _wrap_vector(projected, basis), norm_sq, proj
 
     if method == "ritz":
-        return _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters)
+        return _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep)
 
     if method == "chebyshev":
         return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
@@ -439,7 +480,11 @@ def _spectrum_below(dense, cut: float) -> bool:
     return True
 
 
-def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters):
+def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep):
+    """Ritz projection from a Lanczos sweep started at vec: a new one, or
+    the given sweep continued.  The stop rule sees every step from the first it is
+    applied at; a continued sweep applies it first to the step it stopped
+    at, so it can stop two steps after that at the earliest."""
     if max_iters is None:
         max_iters = dim
     prev, stable = None, 0  # the last weight, and how many steps it has held
@@ -461,13 +506,17 @@ def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters):
         prev = weight
         return bool(boundary_ok and stable >= 2)
 
-    ritz = _lanczos_sweep(matvec, vec, max_iters, stop)
+    if sweep is None:
+        ritz = _lanczos_sweep(matvec, vec, max_iters, stop)
+    else:
+        ritz = sweep.run(max_iters, stop)
     values, residuals, start_coeffs, iters = (
         ritz.ritz_values, ritz.residuals, ritz.start_coeffs, ritz.iterations
     )
     keep = values >= mid
     coefs = start_coeffs[keep]
-    projected = ritz.ritz_vectors[:, keep] @ coefs
+    # the kept combination of the Krylov rows, without the D x k Ritz vectors
+    projected = ritz._sweep.block[:iters].T @ (ritz._eigvecs[:, keep] @ coefs)
     norm_sq = float(np.sum(np.abs(coefs) ** 2))
     if ritz.converged:
         # a rule stop leaves no Ritz interval straddling the cut, because the

@@ -251,25 +251,31 @@ class TestPinnedRangeProbe:
         return t0
 
     def _operator(self, tag):
+        """H(t_plus) and the power input state of t_minus, the state the
+        range probe starts at."""
         pair = pipeline._make_pair(
             self._instance(tag), self.PARAMS, self.CFG, derived_rng(0, "decorrelate")
         )
-        return HamiltonianOperator(pair.t_plus, build_basis(16, 4))
+        basis = build_basis(16, 4)
+        state, _ = embed_power_state(basis, pair.t_minus)
+        return HamiltonianOperator(pair.t_plus, basis), state
 
     @pytest.mark.parametrize(
         "tag, matvecs, value",
-        [("recov16", 9, 514.3499869184644), ("recov16-null", 24, 202.38845528603153)],
+        [("recov16", 7, 502.6486033978467), ("recov16-null", 32, 202.5111830319723)],
         ids=["recov16", "recov16-null"],
     )
     def test_range_probe(self, tag, matvecs, value):
-        h = self._operator(tag)
-        assert pipeline._spectral_range(h, 0) == pytest.approx(value, rel=1e-12, abs=0.0)
-        assert h.matvec_count == matvecs
+        h, state = self._operator(tag)
+        estimate, probe = pipeline._spectral_range(h, state)
+        assert estimate == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert h.matvec_count == probe.iterations == matvecs
 
     @pytest.mark.parametrize(
         "tag, statistic, weight, matvecs, probe_matvecs",
         [
-            ("recov16", 0.023089314557111936, 0.023089314557111936, 22, 9),
+            # one sweep: the projector continues the probe's 7 steps
+            ("recov16", 0.023089314557111936, 0.023089314557111936, 13, 7),
             # certified empty by the pair-weight matrix: no probe, no sweep
             ("recov16-null", 0.0, 0.0, 0, 0),
         ],
@@ -286,10 +292,10 @@ class TestPinnedRangeProbe:
         # the probe reads only Ritz values: it reserves one 60-row Krylov
         # block and builds no Ritz vectors.  Growing the block by copies
         # and building the D x k vectors peaked at 1.88 blocks
-        h = self._operator("recov16-null")
+        h, state = self._operator("recov16-null")
         tracemalloc.start()
         try:
-            pipeline._spectral_range(h, 0)
+            pipeline._spectral_range(h, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -297,10 +303,12 @@ class TestPinnedRangeProbe:
 
 
 class TestRangeProbeOracle:
-    """The range probe against the dense spectrum it estimates.  Ritz values
-    interlace the spectrum, so the padded estimate never exceeds
+    """The range probe, started at the pipeline's state, against the dense
+    spectrum it estimates.  Ritz values from any start interlace the
+    spectrum, so the padded estimate never exceeds
     1.2 * (lambda_max - lambda_min); the probe's 1e-3 residual rule keeps it
-    above 0.85 of that (the lowest ratio over these six draws is 0.976)."""
+    above 0.85 of that (the lowest ratio over these six draws is 0.937, at
+    N=6, n_bos=8, spiked)."""
 
     @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
     @pytest.mark.parametrize("N, n_bos", [(6, 4), (3, 8), (6, 8)])
@@ -308,12 +316,124 @@ class TestRangeProbeOracle:
         params = ModelParams(N=N, n_bos=n_bos, lambda_bar=1.0, seed=7)
         t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(7, "probe-oracle", spiked))
         pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(7, "decorrelate"))
-        h = HamiltonianOperator(pair.t_plus, build_basis(N, n_bos))
-        estimate = pipeline._spectral_range(h, 7)
+        basis = build_basis(N, n_bos)
+        h = HamiltonianOperator(pair.t_plus, basis)
+        state, _ = embed_power_state(basis, pair.t_minus)
+        estimate, _ = pipeline._spectral_range(h, state)
         assert h.matvec_count <= 60
         eigs = np.linalg.eigvalsh(h.materialize_dense())
         exact = 1.2 * (eigs[-1] - eigs[0])
         assert 0.85 * exact <= estimate <= exact * (1 + 1e-9)
+
+
+class TestSharedSweep:
+    """Above _EXACT_RANGE_CAP a step runs one Lanczos sweep: the range probe
+    starts it at the step's state, and the Ritz projector continues it
+    (pipeline._project_step, project_above's probe).  Spiked draws of the
+    recovery operating point (N=16, n_bos=4, D=3876, seed 99), as its
+    benchmark workload draws them, and of N=6, n_bos=8 (D=1287) with the
+    Ritz projector forced."""
+
+    POINTS = {
+        "recov16": (ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99), 1500),
+        "ritz-6-8": (ModelParams(N=6, n_bos=8, lambda_bar=0.2732336812165897, seed=7), 1000),
+    }
+
+    def _outcome(self, tag, t):
+        params, dense_limit = self.POINTS[tag]
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(params.seed, tag, t))
+        return projection_statistic(t0, params, DetectionConfig(dense_limit=dense_limit), seed=t)
+
+    def test_a_spiked_step_runs_one_sweep(self, monkeypatch):
+        sweeps = []
+        sweep = spectral._lanczos_sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_lanczos_sweep", counted)
+        out = self._outcome("recov16", 0)
+        assert out.proj_weight > 0.0
+        assert len(sweeps) == 1
+        assert 0 < out.range_probe_matvecs < out.matvec_count <= 16
+
+    @pytest.mark.parametrize("tag, draws", [("recov16", 4), ("ritz-6-8", 3)])
+    def test_continued_sweep_equals_a_fresh_projection(self, tag, draws):
+        # a fresh Ritz projection from the state on the same window runs the
+        # same Krylov sequence; its stop rule sees every step, the continued
+        # one every step from the probe's last, so wherever the fresh run
+        # stops at least two steps after the probe both stop together
+        for t in range(draws):
+            out = self._outcome(tag, t)
+            h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+            projected, weight, proj = project_above(
+                h, out.input_state, out.e_lower, out.cutoff, method="ritz"
+            )
+            assert proj.degree_or_iters >= out.range_probe_matvecs + 2
+            assert out.matvec_count == proj.degree_or_iters
+            assert out.proj_weight == weight > 0.0
+            assert np.array_equal(out.projected.amps, projected.amps)
+
+    def test_a_state_in_an_invariant_subspace_ends_both_at_once(self):
+        # a state on three eigenvectors of H, just above the exact-range cap
+        # and with no signal, so that no certificate applies: the probe
+        # breaks down after three steps with exact Ritz pairs, the range is
+        # 1.2 times the spread of those three eigenvalues, and the Ritz
+        # projector takes no further step
+        n_bos = pipeline._EXACT_RANGE_CAP
+        params = ModelParams(N=2, n_bos=n_bos, lambda_bar=0.0, seed=5)
+        t0, _ = sample_instance(params, spiked=False, rng=derived_rng(5, "invariant"))
+        basis = build_basis(2, n_bos)
+        values, vectors = np.linalg.eigh(HamiltonianOperator(t0.tensor, basis).materialize_dense())
+        picked = [0, basis.dim // 2, basis.dim - 1]
+        coefs = np.array([0.6, 0.48, 0.64])  # unit norm
+        state = StateVector(basis, vectors[:, picked] @ coefs)
+        pair = DecorrelatedPair(t0.tensor, t0.tensor, 1.0, 0.0, 0.0)
+        gap = 1.2 * (values[picked[-1]] - values[picked[0]]) / 2
+        for dense_limit, matvecs in [(100, 3), (4000, 3 + basis.dim)]:
+            out = pipeline._project_step(
+                pair, state, 1.0, params, DetectionConfig(dense_limit=dense_limit)
+            )
+            assert out.range_probe_matvecs == 3 and out.matvec_count == matvecs
+            assert out.cutoff - out.e_lower == pytest.approx(gap, rel=1e-10)
+            keep = values[picked] >= out.cutoff - 0.5 * gap
+            assert 0 < keep.sum() < 3
+            assert out.proj_weight == pytest.approx(float(np.sum(coefs[keep] ** 2)), abs=1e-12)
+            expected = vectors[:, picked] @ np.where(keep, coefs, 0.0)
+            assert np.abs(out.projected.amps - expected).max() < 1e-10
+
+    def test_a_spiked_step_holds_one_krylov_block(self):
+        # the continued sweep keeps the probe's reserved 60-row block: beside
+        # a matvec's own temporaries the probe and the projection held the
+        # block and 3.0 D-vectors, and a second sweep beside the probe's
+        # block read 27.2 (TestProbe checks that no Ritz vectors are built)
+        params, _ = self.POINTS["recov16"]
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(99, "recov16", 1))
+        pair = pipeline._make_pair(t0, params, DetectionConfig(), derived_rng(1, "decorrelate"))
+        basis = build_basis(16, 4)
+        state, _ = embed_power_state(basis, pair.t_minus)
+        h = HamiltonianOperator(pair.t_plus, basis)
+        h.matvec(state.amps)  # builds the operator's caches
+        tracemalloc.start()
+        try:
+            h.matvec(state.amps)
+            _, matvec_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cutoff = projection_cutoff(params, DetectionConfig())
+        tracemalloc.start()
+        try:
+            span, probe = pipeline._spectral_range(h, state)
+            _, weight, proj = project_above(
+                h, state, cutoff - span / 16, cutoff, dense_limit=1500, probe=probe
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weight > 0.0 and proj.degree_or_iters < 60
+        assert probe._sweep.block.shape[0] == 60
+        assert peak <= matvec_peak + (60 + 6) * basis.dim * 8
 
 
 class TestNormBoundOracle:
@@ -369,9 +489,11 @@ class TestNormCertificate:
         assert (out.matvec_count, out.range_probe_matvecs) == (0, 0)
         # the probe and project_above, run by hand on the same pair and state
         h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
-        gap = max(pipeline._spectral_range(h, t) / 16, 1e-9 * max(out.cutoff, 1.0))
+        span, probe = pipeline._spectral_range(h, out.input_state)
+        gap = max(span / 16, 1e-9 * max(out.cutoff, 1.0))
         projected, weight, proj = project_above(
-            h, out.input_state, out.cutoff - gap, out.cutoff, tol=cfg.tol, dense_limit=1500
+            h, out.input_state, out.cutoff - gap, out.cutoff, tol=cfg.tol, dense_limit=1500,
+            probe=probe,
         )
         assert proj.method == "ritz"
         _, pre_norm = embed_power_state(build_basis(16, 4), out.pair.t_minus)
@@ -431,7 +553,7 @@ class TestNormCertificate:
         amps = derived_rng(5, "zero-operator").standard_normal(basis.dim)
         state = StateVector(basis, amps / np.linalg.norm(amps))
         params = ModelParams(N=2, n_bos=n_bos, lambda_bar=0.03, seed=5)
-        return pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+        return pipeline._project_step(pair, state, 1.0, params, DetectionConfig())
 
     @pytest.mark.parametrize(
         "n_bos, certified",
@@ -555,8 +677,8 @@ class TestExactRange:
     the range and a dense projector."""
 
     @staticmethod
-    def _outcome(N, n_bos, spiked, cfg=None):
-        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.03, seed=5)
+    def _outcome(N, n_bos, spiked, cfg=None, lam=0.03):
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=5)
         t0, _ = sample_instance(params, spiked=spiked, rng=derived_rng(5, "exact-range", spiked))
         return projection_statistic(t0, params, cfg or DetectionConfig(), seed=5)
 
@@ -584,7 +706,7 @@ class TestExactRange:
         basis = build_basis(2, cap - 1)
         amps = derived_rng(5, "exact-range-state").standard_normal(basis.dim)
         state = StateVector(basis, amps / np.linalg.norm(amps))
-        out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig(), 5)
+        out = pipeline._project_step(pair, state, 1.0, params, DetectionConfig())
         eigs = np.linalg.eigvalsh(HamiltonianOperator(pair.t_plus, basis).materialize_dense())
         assert basis.dim == cap
         assert self._range(out) == pytest.approx(1.2 * (eigs[-1] - eigs[0]), rel=1e-12, abs=0.0)
@@ -592,7 +714,8 @@ class TestExactRange:
         # D = cap + 1 takes the probe's estimate
         out = projection_statistic(t0, params, DetectionConfig(), seed=5)
         h = HamiltonianOperator(out.pair.t_plus, build_basis(2, cap))
-        assert self._range(out) == pytest.approx(pipeline._spectral_range(h, 5), rel=1e-12, abs=0.0)
+        span, _ = pipeline._spectral_range(h, out.input_state)
+        assert self._range(out) == pytest.approx(span, rel=1e-12, abs=0.0)
         assert out.range_probe_matvecs == h.matvec_count > 0
 
     @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
@@ -605,6 +728,15 @@ class TestExactRange:
             # cost the dense operator's D applications
             assert (dense.range_probe_matvecs, dense.matvec_count) == (0, dim)
             assert ritz.range_probe_matvecs == dim < ritz.matvec_count
+        # above the cap (D=1365) both routes take the window of one range
+        # probe; the dense projector runs after it, the Ritz one continues it.
+        # At lambda_bar 0.06 no draw is certified and no cut lies in the bulk
+        dense = self._outcome(12, 4, spiked, DetectionConfig(dense_limit=4000), lam=0.06)
+        ritz = self._outcome(12, 4, spiked, DetectionConfig(dense_limit=1000), lam=0.06)
+        assert (ritz.cutoff, ritz.e_lower) == (dense.cutoff, dense.e_lower)
+        assert ritz.range_probe_matvecs == dense.range_probe_matvecs > 0
+        assert dense.matvec_count == dense.range_probe_matvecs + 1365
+        assert ritz.matvec_count > ritz.range_probe_matvecs
 
     @pytest.mark.parametrize(
         "N, n_bos, lam",
@@ -630,7 +762,7 @@ class TestExactRange:
                 else:
                     amps = derived_rng(5, "cap-oracle-state", t).standard_normal(basis.dim)
                     state = StateVector(basis, amps / np.linalg.norm(amps))
-                out = pipeline._project_step(pair, state, 1.0, params, cfg, t)
+                out = pipeline._project_step(pair, state, 1.0, params, cfg)
                 values, vectors = np.linalg.eigh(
                     HamiltonianOperator(pair.t_plus, basis).materialize_dense()
                 )

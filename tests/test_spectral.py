@@ -141,6 +141,35 @@ class TestLanczos:
         short = lanczos(a, np.ones(50), max_iters=3, tol=1e-10)
         assert not short.converged and short.iterations == 3
 
+    def test_a_continued_sweep_equals_one_run(self):
+        # a second run continues the Krylov sequence bit for bit, keeps the
+        # first run's reserved block up to its size, and only then grows it
+        a = np.diag(np.linspace(0.0, 10.0, 200))
+        x = rng(51).standard_normal(200)
+        whole = _lanczos_sweep(a.dot, x, 90, None)
+        sweep = spectral._Sweep(a.dot, x, 60)
+        part = sweep.run(30, None)
+        assert part.iterations == 30 and sweep.block.shape[0] == 60
+        rest = sweep.run(60, None)
+        assert rest.iterations == 60 and sweep.block.shape[0] == 60
+        rest = sweep.run(90, None)
+        assert rest.iterations == 90 and sweep.block.shape[0] == 90
+        assert np.array_equal(rest.ritz_values, whole.ritz_values)
+        assert np.array_equal(rest.start_coeffs, whole.start_coeffs)
+        assert np.array_equal(rest.ritz_vectors, whole.ritz_vectors)
+        # the first run's decomposition still reads its own 30 steps
+        assert np.array_equal(
+            part.ritz_vectors, _lanczos_sweep(a.dot, x, 30, None).ritz_vectors
+        )
+
+    def test_a_broken_down_sweep_takes_no_more_steps(self):
+        a = np.diag([3.0, 1.0, 0.0, 2.0])
+        sweep = spectral._Sweep(a.dot, np.array([0.6, 0.8, 0.0, 0.0]), 4)
+        first = sweep.run(4, None)
+        assert first.invariant_subspace and first.iterations == 2
+        again = sweep.run(4, lambda tridiag, beta: False)
+        assert again.converged and again.iterations == 2
+
     def test_operator_types(self):
         # scipy matrices pass through the duck-typed (shape, dot, toarray) view
         m = rng(7).standard_normal((30, 30))
@@ -188,6 +217,74 @@ def _assert_matches_full_decomposition(tridiag, beta):
     assert abs(top - values[0]) <= 1e-12 * full_scale
     assert abs(bottom - values[-1]) <= 1e-12 * full_scale
     assert abs(residual - full_residuals[0]) <= 1e-12 * full_scale
+
+
+class TestProbe:
+    """project_above(probe=...) continues the last run of a sweep of op
+    started at x on the Ritz route, and refuses any other sweep."""
+
+    @staticmethod
+    def _setup():
+        h = _symmetric_with_top(7.0, dim=80, seed=66)
+        x = rng(67).standard_normal(80)
+        return h, x / np.linalg.norm(x)
+
+    def test_continued_weight_matches_a_fresh_sweep(self):
+        h, x = self._setup()
+        probe = lanczos(h, x, max_iters=60, tol=1e-3)
+        fresh = project_above(h, x, 3.0, 5.0, method="ritz")
+        continued = project_above(h, x, 3.0, 5.0, method="ritz", probe=probe)
+        assert fresh[2].degree_or_iters >= probe.iterations + 2
+        assert continued[1] == fresh[1]
+        assert np.array_equal(continued[0], fresh[0])
+        assert continued[2].degree_or_iters == fresh[2].degree_or_iters
+
+    def test_the_dense_route_leaves_the_probe(self):
+        h, x = self._setup()
+        probe = lanczos(h, x, max_iters=60, tol=1e-3)
+        steps = probe.iterations
+        _, weight, proj = project_above(h, x, 3.0, 5.0, method="dense", probe=probe)
+        assert proj.method == "dense" and probe._sweep.k == steps
+        assert weight == project_above(h, x, 3.0, 5.0, method="dense")[1]
+
+    def test_a_continued_projection_builds_no_ritz_vectors(self):
+        # the Ritz route combines the Krylov rows into the projected vector
+        # alone, in the probe's reserved block: the continuation held 2.0
+        # D-vectors, and building the D x k Ritz vectors of its 13 steps
+        # read 18.0
+        dim = 20_000
+        diag = np.linspace(0.0, 1.0, dim)
+        diag[:3] = [3.0, 4.0, 5.0]
+        op = sp.diags(diag)
+        x = rng(52).standard_normal(dim)
+        x /= np.linalg.norm(x)
+        probe = lanczos(op, x, max_iters=60, tol=1e-3)
+        tracemalloc.start()
+        try:
+            _, weight, proj = project_above(op, x, 1.5, 2.5, method="ritz", probe=probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weight > 0.0 and proj.degree_or_iters > probe.iterations + 2
+        assert probe._sweep.block.shape[0] == 60
+        assert peak <= 4 * dim * 8
+
+    def test_foreign_or_spent_probes_are_refused(self):
+        h, x = self._setup()
+        y = np.roll(x, 1)
+        probes = {
+            "another start": lanczos(h, y, max_iters=60, tol=1e-3),
+            "another operator": lanczos(h.copy(), x, max_iters=60, tol=1e-3),
+        }
+        spent = lanczos(h, x, max_iters=60, tol=1e-3)
+        project_above(h, x, 3.0, 5.0, method="ritz", probe=spent)
+        probes["a sweep that moved on"] = spent
+        read = lanczos(h, x, max_iters=60, tol=1e-3)
+        read.ritz_vectors
+        probes["Ritz vectors read"] = read
+        for name, probe in probes.items():
+            with pytest.raises(InvalidParameterError, match="probe must be"):
+                project_above(h, x, 3.0, 5.0, method="ritz", probe=probe)
 
 
 class TestStopCheck:
@@ -884,7 +981,7 @@ class TestKeepAbove:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(pipeline, "project_above", counted_project)
-        out = pipeline._project_step(pair, state, 1.0, params, cfg, 64)
+        out = pipeline._project_step(pair, state, 1.0, params, cfg)
         return state, out, calls
 
     def test_a_small_step_projects_with_its_own_eigensystem(self, monkeypatch):
