@@ -246,10 +246,11 @@ class ProjectionOutcome:
     window's midpoint.
 
     range_probe_matvecs counts the matvecs that went to the window's range
-    (see _project_step).  Above _EXACT_RANGE_CAP these are the steps of the
-    range probe, a Lanczos sweep from input_state; a Ritz projector
+    alone (see _project_step).  Above _EXACT_RANGE_CAP these are the steps
+    of the range probe, a Lanczos sweep from input_state; a Ritz projector
     continues that sweep, so matvec_count adds only the steps it took
-    beyond the probe's.
+    beyond the probe's, and a dense projection adds D, whether its
+    eigensolve ran or a proof at the window's midpoint made it needless.
     """
 
     statistic: float
@@ -293,13 +294,9 @@ def _spectral_range(h: HamiltonianOperator, state: StateVector) -> tuple:
     the step's state, and the probe's RitzDecomposition, whose sweep the
     Ritz projector continues from where the probe stopped.
 
-    _project_step runs it on operators larger than _EXACT_RANGE_CAP that
-    it cannot prove empty, and takes 1.2 * (lambda_max - lambda_min) of
-    the exact spectrum on the others.  Which of the two a step takes
-    depends on D alone, not on the projector method, and the probe's stop
-    rule does not look at the window, so the realized filter window (and
-    hence its midpoint cut) is identical whether the filter itself runs
-    densely or iteratively.
+    _project_step runs it above _EXACT_RANGE_CAP, on steps it cannot
+    prove empty.  Its stop rule does not look at the window, so the window
+    does not depend on how the filter then runs.
 
     The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
     (or at _RANGE_PROBE_STEPS steps).  That is enough for a window width:
@@ -344,30 +341,30 @@ def _project_step(
     under H(t_plus) on its own basis, and fold in its symmetric-projection
     weight when configured.
 
-    The routes, by the dimension D:
-    - D <= _RANGE_PROBE_STEPS: one eigensolve of the
-      dense operator gives the window's range, and the step projects with
-      that eigensystem (spectral._keep_above) unless cfg.dense_limit sends
-      it to the Ritz projector.
-    - Wider, the step first tries to prove itself empty from the pair
-      weights W (_norm_below, two P x P Cholesky factorizations and no
-      matvec).
-    - Unproven and D <= _EXACT_RANGE_CAP, it materializes H once and tries
-      again on H (_two_sided_below, two D x D factorizations).  Still
-      unproven, it takes the range and the projection from one eigensolve,
-      as the first route does.
-    - Unproven and wider, the range probe (_spectral_range), a Lanczos
-      sweep from the state, sizes the window and project_above projects.
-      Above cfg.dense_limit the Ritz projector continues the probe's sweep
-      instead of starting its own, so the step runs one sweep; below it
-      the probe stops where it stopped and the dense projector runs.
-    range_probe_matvecs counts the matvecs spent on the range: none when
-    the step projects with its own eigensystem, D when the dense
-    operator's range goes to the Ritz projector, and the probe's steps,
-    which a continuing Ritz projector does not repeat.
+    This is the one place that picks how the filter is realized, in two
+    stages by the dimension D:
+    1. The range: up to _EXACT_RANGE_CAP exactly, from one eigensolve of
+       the dense operator; above, from the range probe (_spectral_range).
+       So the window, and its midpoint cut, does not depend on
+       cfg.dense_limit.
+    2. The projection:
+       - D > cfg.dense_limit: the Ritz projector (project_above), which
+         continues the probe's sweep, or starts one if the range was exact.
+       - a range from an eigensystem: that eigensystem (spectral._keep_above).
+       - otherwise the dense H, whose eigensolve runs only if
+         spectral._spectrum_below cannot prove that no eigenvalue reaches
+         the cut; a proven step keeps nothing (a zero vector, weight 0.0).
+    range_probe_matvecs counts the matvecs spent on the range alone: none
+    when the range's eigensystem projects too, D when the dense
+    operator's range goes to the Ritz projector, and otherwise the
+    probe's steps, which a continuing Ritz projector does not repeat.
 
-    A proof of emptiness shows that no window any range could set keeps
-    anything, and then skips the eigensolve, the probe and the projector:
+    Above _RANGE_PROBE_STEPS the step first tries to prove itself empty:
+    from the pair weights W (_norm_below, two P x P Cholesky
+    factorizations and no matvec), then, up to _EXACT_RANGE_CAP, on the
+    dense H it materializes for its range (_two_sided_below, two D x D
+    factorizations).  Such a proof shows that no window any range could
+    set keeps anything, and the step then skips both stages:
     - A range, exact or the probe's (whose Ritz values lie between
       lambda_min(H) and lambda_max(H)), is at most 2 _RANGE_PAD ||H||.
       The gap is that over N or its floor, so the window's midpoint,
@@ -398,32 +395,39 @@ def _project_step(
     if not empty and h.dim <= _EXACT_RANGE_CAP:
         dense = h.materialize_dense()
         empty = certify and _two_sided_below(dense, bound)
+    projected, weight = None, 0.0  # None: the step keeps nothing
     if empty:
         # proven empty: no eigensolve, no probe and no projector
         gap = max(2.0 * _RANGE_PAD * bound / params.N, floor)
-        amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
-        projected, weight, range_probe_matvecs = StateVector(state.basis, amps), 0.0, 0
-    elif dense is not None:
-        values, vectors = np.linalg.eigh(dense)  # eigenvalues ascending
-        gap = max(_RANGE_PAD * float(values[-1] - values[0]) / params.N, floor)
-        if h.dim <= cfg.dense_limit:
-            # cut where project_above would; no matvec went to the range alone
-            mid = 0.5 * ((cutoff - gap) + cutoff)
-            amps, weight = _keep_above(values, vectors, state.amps, mid)
-            projected, range_probe_matvecs = StateVector(state.basis, amps), 0
-        else:
-            # the dense matrix's D matvecs went to the range alone
-            range_probe_matvecs = h.matvec_count
-            projected, weight, _ = project_above(
-                h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit
-            )
+        range_probe_matvecs = 0
     else:
-        span, probe = _spectral_range(h, state)
+        # stage 1, the range: the step's own eigensystem, or the probe
+        eigensystem = probe = None
+        if dense is not None:
+            eigensystem = np.linalg.eigh(dense)  # eigenvalues ascending
+            span = _RANGE_PAD * float(eigensystem[0][-1] - eigensystem[0][0])
+        else:
+            span, probe = _spectral_range(h, state)
         gap = max(span / params.N, floor)
-        range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the probe
-        projected, weight, _ = project_above(
-            h, state, cutoff - gap, cutoff, tol=cfg.tol, dense_limit=cfg.dense_limit, probe=probe
-        )
+        mid = 0.5 * ((cutoff - gap) + cutoff)  # where every route cuts
+        range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the range
+        # stage 2, the projection
+        if h.dim > cfg.dense_limit:
+            projected, weight, _ = project_above(
+                h, state, cutoff - gap, cutoff, method="ritz", tol=cfg.tol, probe=probe
+            )
+        else:
+            if eigensystem is not None:
+                range_probe_matvecs = 0  # the range's eigensystem projects too
+            else:
+                dense = h.materialize_dense(dense_limit=cfg.dense_limit)
+                eigensystem = None if _spectrum_below(dense, mid) else np.linalg.eigh(dense)
+            if eigensystem is not None:
+                amps, weight = _keep_above(*eigensystem, state.amps, mid)
+                projected = StateVector(state.basis, amps)
+    if projected is None:
+        amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
+        projected = StateVector(state.basis, amps)
     statistic = weight * sym_weight**2 if cfg.use_symmetrize else weight
     return ProjectionOutcome(
         statistic=float(statistic),

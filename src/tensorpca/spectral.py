@@ -37,10 +37,12 @@ def _as_operator(op):
     return op.dot, op.shape[0], None
 
 
-def _as_vector(x):
-    if isinstance(x, StateVector):
-        return np.asarray(x.amps), x.basis
-    return np.asarray(x, dtype=float if not np.iscomplexobj(x) else complex), None
+def _as_vector(x, op):
+    """The amplitudes and basis of x, complex where x or a matrix op is, so
+    that a Krylov block started from them can hold op's products."""
+    amps, basis = (x.amps, x.basis) if isinstance(x, StateVector) else (x, None)
+    complex_op = not isinstance(op, HamiltonianOperator) and np.iscomplexobj(op)
+    return np.asarray(amps, dtype=complex if complex_op or np.iscomplexobj(amps) else float), basis
 
 
 def _wrap_vector(amps, basis):
@@ -296,7 +298,7 @@ def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10):
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
     matvec, dim, _ = _as_operator(op)
-    v0, _ = _as_vector(start)
+    v0, _ = _as_vector(start, op)
     if max_iters is None:
         max_iters = dim
     bound = None  # (a_lo, a_hi, b_lo, b_hi, rho) since the last exact check
@@ -361,9 +363,9 @@ def project_above(
     x,
     e_lower: float,
     e_upper: float,
+    *,
+    method: str,
     tol: float = 1e-8,
-    method: str = "auto",
-    dense_limit: int = DENSE_LIMIT,
     max_iters: int | None = None,
     chebyshev_degree: int | None = None,
     probe: RitzDecomposition | None = None,
@@ -374,19 +376,17 @@ def project_above(
     e_upper survive with weight >= 1 - tol, those below e_lower with
     weight <= tol; between the cutoffs the filter is monotone but
     otherwise unspecified.  The realized filter cuts at the window
-    midpoint: exactly (dense), via Ritz pairs from a Lanczos sweep
-    started at x (ritz), or by the Chebyshev series of an erf smooth step
-    whose steepness and degree follow from tol and the window (chebyshev).
+    midpoint: exactly, from one eigensolve of the dense matrix (dense, the
+    reference the others are tested against), via Ritz pairs from a
+    Lanczos sweep started at x (ritz), or by the Chebyshev series of an
+    erf smooth step whose steepness and degree follow from tol and the
+    window (chebyshev).  Every caller names its method; the projection
+    step of a detector picks its own route (pipeline._project_step).
 
     probe, the last result of a lanczos sweep of op started at x, is a
     sweep the Ritz route continues instead of starting its own, with the
     same result as a fresh sweep wherever that one stops at least two steps
     after the probe; the other routes leave it where it stopped.
-
-    The dense route first tries to prove that no eigenvalue of H reaches
-    the midpoint (_spectrum_below, which gives the argument), and then
-    returns what its eigensolve would return with nothing kept (a zero
-    vector and weight 0.0) without running it.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
@@ -395,7 +395,7 @@ def project_above(
     if chebyshev_degree is not None and chebyshev_degree < 1:
         raise InvalidParameterError(f"chebyshev_degree must be at least 1, got {chebyshev_degree}")
     matvec, dim, op_basis = _as_operator(op)
-    vec, vec_basis = _as_vector(x)
+    vec, vec_basis = _as_vector(x, op)
     basis = op_basis if op_basis is not None else vec_basis
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
         raise InvalidParameterError("project_above expects a normalized state")
@@ -407,18 +407,11 @@ def project_above(
         and np.array_equal(sweep.block[0], vec / np.linalg.norm(vec))
     ):
         raise InvalidParameterError("probe must be the last run of a sweep of op started at x")
-    if method == "auto":
-        method = "dense" if dim <= dense_limit else "ritz"
     mid = 0.5 * (e_lower + e_upper)
 
     if method == "dense":
-        proj = ApproxProjector("dense", dim, achieved_error=1e-14)
-        dense = _dense_matrix(op, dense_limit)
-        if _spectrum_below(dense, mid):
-            projected = np.zeros(dim, dtype=np.result_type(dense, vec))
-            return _wrap_vector(projected, basis), 0.0, proj
-        projected, norm_sq = _keep_above(*np.linalg.eigh(dense), vec, mid)
-        return _wrap_vector(projected, basis), norm_sq, proj
+        projected, norm_sq = _keep_above(*np.linalg.eigh(_dense_matrix(op, DENSE_LIMIT)), vec, mid)
+        return _wrap_vector(projected, basis), norm_sq, ApproxProjector("dense", dim, 1e-14)
 
     if method == "ritz":
         return _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep)

@@ -71,6 +71,10 @@ COMMANDS = {
     "detect-projection-3-4-ritz.json": ["detect", "--method", "projection", "--N", "3",
                                         "--nbos", "4", "--lambda", "0.5", "--trials", "2",
                                         "--dense-limit", "10"],
+    # a step above the exact range at the default dense limit: the probe, then
+    # a dense projection, or an empty window proven at its midpoint
+    "detect-projection-7-4.json": ["detect", "--method", "projection", "--N", "7", "--nbos", "4",
+                                   "--lambda", "0.2", "--trials", "2", "--seed", "7"],
     # the recovery operating point: a probed spiked row and a proven-empty null row
     "detect-projection-16-4.json": ["detect", "--method", "projection", "--N", "16", "--nbos", "4",
                                     "--lambda", "0.12", "--dense-limit", "1500", "--trials", "1",

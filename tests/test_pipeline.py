@@ -426,7 +426,7 @@ class TestSharedSweep:
         try:
             span, probe = pipeline._spectral_range(h, state)
             _, weight, proj = project_above(
-                h, state, cutoff - span / 16, cutoff, dense_limit=1500, probe=probe
+                h, state, cutoff - span / 16, cutoff, method="ritz", probe=probe
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -492,7 +492,7 @@ class TestNormCertificate:
         span, probe = pipeline._spectral_range(h, out.input_state)
         gap = max(span / 16, 1e-9 * max(out.cutoff, 1.0))
         projected, weight, proj = project_above(
-            h, out.input_state, out.cutoff - gap, out.cutoff, tol=cfg.tol, dense_limit=1500,
+            h, out.input_state, out.cutoff - gap, out.cutoff, method="ritz", tol=cfg.tol,
             probe=probe,
         )
         assert proj.method == "ritz"

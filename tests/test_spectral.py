@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from tensorpca.spectral import (
     _lanczos_sweep,
     _ritz_from_tridiag,
     _solve_nbos_eq,
+    _spectrum_below,
     _top_residual,
 )
 from tensorpca.symtensor import rank_one
@@ -75,6 +77,26 @@ class TestLanczos:
         dense_top = full_spectrum(h)[0]
         out = lanczos(h, derived_rng(3, "start").standard_normal(h.dim), tol=1e-10)
         assert out.ritz_values[0] == pytest.approx(dense_top, abs=1e-8 * max(1, abs(dense_top)))
+
+    def test_complex_operator_from_a_real_start(self):
+        # the Krylov block is complex when the operator is, whatever the
+        # start: a real start on a complex Hermitian matrix finds its top
+        # eigenvalue, and the Ritz filter its dense weight, with no
+        # ComplexWarning
+        g = rng(68)
+        z = g.standard_normal((6, 6)) + 1j * g.standard_normal((6, 6))
+        h = 0.5 * (z + z.conj().T)
+        x = g.standard_normal(6)
+        x /= np.linalg.norm(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lanczos(h, x)
+            projected, weight, _ = project_above(h, x, 0.0, 1.0, method="ritz")
+        assert out.ritz_values[0] == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-10)
+        expected, dense_weight, _ = project_above(h, x, 0.0, 1.0, method="dense")
+        assert 0.0 < weight == pytest.approx(dense_weight, abs=1e-10)
+        assert projected.dtype == expected.dtype == np.complex128
+        assert np.abs(projected - expected).max() < 1e-10
 
     def test_krylov_storage_follows_iterations_run(self):
         # a default call may run up to D iterations; its Krylov storage must
@@ -717,9 +739,10 @@ class TestProjectAbove:
     @pytest.mark.parametrize(
         "scale, e_lower, e_upper, options",
         [
-            (1.0, 6.0, 4.0, {}),
+            (1.0, 6.0, 4.0, {"method": "dense"}),
             (1.0, 4.0, 6.0, {"method": "bogus"}),
-            (1.5, 4.0, 6.0, {}),
+            (1.0, 4.0, 6.0, {"method": "auto"}),
+            (1.5, 4.0, 6.0, {"method": "dense"}),
             (1.0, 4.0, 6.0, {"method": "chebyshev", "chebyshev_degree": 0}),
             (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 0.0}),
             (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 1.0}),
@@ -727,6 +750,7 @@ class TestProjectAbove:
         ids=[
             "reversed-window",
             "unknown-method",
+            "auto-method",
             "unnormalized-state",
             "degree-below-one",
             "tol-zero",
@@ -736,6 +760,10 @@ class TestProjectAbove:
     def test_window_validation(self, scale, e_lower, e_upper, options):
         with pytest.raises(InvalidParameterError):
             project_above(self.a, scale * np.eye(16)[0], e_lower, e_upper, **options)
+
+    def test_every_call_names_its_method(self):
+        with pytest.raises(TypeError, match="method"):
+            project_above(self.a, np.eye(16)[0], 4.0, 6.0)
 
     def test_sandwich_with_eigenvalues_inside_the_window(self):
         # the filter is unspecified inside the window but must stay between
@@ -789,8 +817,11 @@ def _certificate_delta(h: np.ndarray, mid: float) -> float:
 
 
 class TestDenseCertificate:
-    """The dense projector skips its eigensolve where a Cholesky factor of
-    (mid - delta) I - H proves that no eigenvalue reaches the cut."""
+    """spectral._spectrum_below proves that no eigenvalue of a dense H
+    reaches the cut from a Cholesky factor of (cut - delta) I - H.  The
+    projection step runs it (pipeline._project_step): on W and on H
+    against its emptiness bound, and at the window's midpoint before a
+    dense eigensolve above _EXACT_RANGE_CAP."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -809,12 +840,6 @@ class TestDenseCertificate:
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         return calls
 
-    @staticmethod
-    def _eigh_route(monkeypatch, *args, **kwargs):
-        with monkeypatch.context() as m:
-            m.setattr(spectral, "_spectrum_below", lambda dense, cut: False)
-            return project_above(*args, **kwargs)
-
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize(
         "place, skips",
@@ -831,20 +856,10 @@ class TestDenseCertificate:
             c = 10.0 if place == "ten-delta-below" else 0.1
             mid = (top + c * 1e-6 * norm_inf) / (1.0 - c * 1e-6)
             assert top == pytest.approx(mid - c * _certificate_delta(h, mid), abs=1e-12)
-        x = rng(61).standard_normal(h.shape[0])
-        x /= np.linalg.norm(x)
+        assert (np.linalg.eigvalsh(h)[-1] < mid) == (place != "just-above")
         calls = self._spy(monkeypatch)
-        projected, w, proj = project_above(h, x, mid - 1.0, mid + 1.0, method="dense")
-        assert calls["cholesky"] == 1  # no diagonal entry reaches the shift
-        assert calls["eigh"] == (0 if skips else 1)
-        expected, w_eigh, proj_eigh = self._eigh_route(
-            monkeypatch, h, x, mid - 1.0, mid + 1.0, method="dense"
-        )
-        assert w == w_eigh
-        assert projected.dtype == expected.dtype
-        assert np.array_equal(projected, expected)
-        assert proj == proj_eigh
-        assert (w == 0.0) == (place != "just-above")
+        assert _spectrum_below(h, mid) is skips
+        assert calls == {"eigh": 0, "cholesky": 1}  # no diagonal entry reaches the shift
 
     @pytest.mark.parametrize(
         "top, mid",
@@ -857,78 +872,108 @@ class TestDenseCertificate:
         a = np.diag(np.concatenate([[top], np.zeros(15)]))
         assert top >= mid - _certificate_delta(a, mid)
         calls = self._spy(monkeypatch)
-        _, w, _ = project_above(a, np.eye(16)[8], mid - 1.0, mid + 1.0, method="dense")
-        assert w == 0.0
-        assert calls == {"eigh": 1, "cholesky": 0}
-
-    def test_complex_state_on_a_certified_operator(self, monkeypatch):
-        h = _symmetric_with_top(2.0, seed=62)
-        g = rng(63)
-        x = g.standard_normal(40) + 1j * g.standard_normal(40)
-        x /= np.linalg.norm(x)
-        calls = self._spy(monkeypatch)
-        projected, w, proj = project_above(h, x, 4.0, 6.0, method="dense")
-        assert calls["eigh"] == 0
-        expected, w_eigh, proj_eigh = self._eigh_route(monkeypatch, h, x, 4.0, 6.0, method="dense")
-        assert projected.dtype == expected.dtype == np.complex128
-        assert np.array_equal(projected, expected)
-        assert w == w_eigh == 0.0
-        assert proj == proj_eigh == spectral.ApproxProjector("dense", 40, 1e-14)
+        assert _spectrum_below(a, mid) is False
+        assert calls == {"eigh": 0, "cholesky": 0}
 
     def test_single_precision_is_never_certified(self, monkeypatch):
-        h = _symmetric_with_top(2.0, seed=64).astype(np.float32)
+        h = _symmetric_with_top(2.0, seed=64)
+        assert _spectrum_below(h, 5.0)
         calls = self._spy(monkeypatch)
-        _, w, _ = project_above(h, np.eye(40)[0], 4.0, 6.0, method="dense")
-        assert w == 0.0
-        assert calls == {"eigh": 1, "cholesky": 0}
+        assert _spectrum_below(h.astype(np.float32), 5.0) is False
+        assert calls == {"eigh": 0, "cholesky": 0}
 
     def test_certificate_holds_the_shifted_matrix_and_its_factor_only(self):
         # at most two D x D buffers at once, (mid - delta) I - H and its
-        # factor, on top of H; the eigh route holds more (measured at
+        # factor, on top of H; an eigensolve holds more (measured at
         # D = 4000: 379 MB above H for the certificate, 500 MB for eigh)
         dim = 400
         h = _symmetric_with_top(2.0, dim=dim, seed=65)
-        x = np.eye(dim)[0]
         tracemalloc.start()
         try:
-            _, w, _ = project_above(h, x, 4.0, 6.0, method="dense")
+            proven = _spectrum_below(h, 5.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert w == 0.0
+        assert proven
         assert peak < 2.5 * dim * dim * 8
 
-    def test_roc_draws_match_the_eigh_route_bit_for_bit(self, monkeypatch):
-        # the ROC operating point (projection at N=6, n_bos=4, D=126): every
-        # unspiked draw is certified and every spiked one runs eigh
-        params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
-        cfg = DetectionConfig(c_prime=0.2, slack=10.0)
-        dim = build_basis(6, 4).dim
+    @staticmethod
+    def _steps(monkeypatch, params, cfg, tag, draws):
+        """Run the projection step on the spiked and the unspiked draw of
+        `draws` pairs from derived_rng(params.seed, tag, pair), each once as
+        the pipeline runs it and once as a reference that tries no proof on
+        the size-D operator H; yield (spiked, outcome, reference, the
+        outcome's size-D eighs)."""
+        dim = build_basis(params.N, params.n_bos).dim
+        eigh, below = np.linalg.eigh, pipeline._spectrum_below
         dense_eighs = []
-        eigh = np.linalg.eigh
 
         def counted_eigh(a, *args, **kwargs):
             dense_eighs[-1] += a.shape[0] == dim
             return eigh(a, *args, **kwargs)
 
+        def no_proof_on_h(dense, cut):
+            return dense.shape[0] != dim and below(dense, cut)
+
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        for pair in range(12):
-            rng_pair = derived_rng(1000, "roc", pair)
+        for pair in range(draws):
+            rng_pair = derived_rng(params.seed, tag, pair)
             for spiked in (True, False):
                 tensor, _ = sample_instance(params, spiked=spiked, rng=rng_pair)
                 dense_eighs.append(0)
                 out = projection_statistic(tensor, params, cfg, seed=pair)
-                assert dense_eighs[-1] == (1 if spiked else 0)
+                eighs = dense_eighs[-1]
                 with monkeypatch.context() as m:
-                    m.setattr(spectral, "_spectrum_below", lambda dense, cut: False)
+                    m.setattr(pipeline, "_spectrum_below", no_proof_on_h)
                     ref = projection_statistic(tensor, params, cfg, seed=pair)
-                assert (out.statistic == 0.0) == (not spiked)
-                assert out.statistic == ref.statistic
-                assert out.proj_weight == ref.proj_weight
-                assert out.projected.amps.dtype == ref.projected.amps.dtype
-                assert np.array_equal(out.projected.amps, ref.projected.amps)
-                assert out.matvec_count == ref.matvec_count
-                assert out.range_probe_matvecs == ref.range_probe_matvecs
+                yield spiked, out, ref, eighs
+
+    @staticmethod
+    def _assert_same_step(out, ref):
+        assert out.statistic == ref.statistic
+        assert out.proj_weight == ref.proj_weight
+        assert out.projected.amps.dtype == ref.projected.amps.dtype
+        assert np.array_equal(out.projected.amps, ref.projected.amps)
+        assert out.matvec_count == ref.matvec_count
+        assert out.range_probe_matvecs == ref.range_probe_matvecs
+
+    def test_roc_draws_match_the_eigh_route_bit_for_bit(self, monkeypatch):
+        # the ROC operating point (projection at N=6, n_bos=4, D=126): every
+        # unspiked draw is proven empty on H and every spiked one runs eigh
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.2732336812165897, seed=1000)
+        cfg = DetectionConfig(c_prime=0.2, slack=10.0)
+        for spiked, out, ref, eighs in self._steps(monkeypatch, params, cfg, "roc", 12):
+            assert eighs == (1 if spiked else 0)
+            assert (out.statistic == 0.0) == (not spiked)
+            self._assert_same_step(out, ref)
+
+    def test_midpoint_proof_matches_the_eigh_route_bit_for_bit(self, monkeypatch):
+        # above the exact-range cap (N=7, n_bos=4, D=210) at the default
+        # dense limit: the range probe sizes the window, and every unspiked
+        # step (10 of 10) is proven empty at the window's midpoint with no
+        # size-D eigh, while every spiked one (0 of 10 proven) runs one
+        params = ModelParams(N=7, n_bos=4, lambda_bar=0.2, seed=7)
+        for spiked, out, ref, eighs in self._steps(
+            monkeypatch, params, DetectionConfig(), "midpoint", 10
+        ):
+            assert eighs == (1 if spiked else 0)
+            assert (out.statistic == 0.0) == (not spiked)
+            assert 0 < out.range_probe_matvecs <= 60
+            assert out.matvec_count == out.range_probe_matvecs + 210
+            self._assert_same_step(out, ref)
+
+    def test_complex_state_on_a_certified_operator(self, monkeypatch):
+        # with imaginary noise on t_minus the state is complex and H real: a
+        # step proven empty at its midpoint returns the complex zero vector
+        # that the eigh route returns
+        params = ModelParams(N=7, n_bos=4, lambda_bar=0.2, seed=7)
+        cfg = DetectionConfig(add_imaginary=True)
+        for spiked, out, ref, eighs in self._steps(monkeypatch, params, cfg, "midpoint", 3):
+            assert out.projected.amps.dtype == np.complex128
+            if not spiked:
+                assert eighs == 0 and out.proj_weight == 0.0
+                assert not out.projected.amps.any()
+            self._assert_same_step(out, ref)
 
 
 class TestKeepAbove:
@@ -951,7 +996,7 @@ class TestKeepAbove:
         assert projected.dtype == expected.dtype
         assert np.array_equal(projected, expected)
 
-    @pytest.mark.parametrize("method", ["auto", "dense", "ritz", "chebyshev"])
+    @pytest.mark.parametrize("method", ["dense", "ritz", "chebyshev"])
     def test_an_eigensystem_is_not_an_operator(self, method):
         h = _symmetric_with_top(7.0)
         x = np.ones(h.shape[0]) / np.sqrt(h.shape[0])
@@ -961,22 +1006,24 @@ class TestKeepAbove:
                 project_above(eig, x, 2.0, 4.0, method=method)
 
     @staticmethod
-    def _step(monkeypatch, cfg):
-        """Run one D=15 projection step under a spy on np.linalg.eigh and
-        on the pipeline's project_above; return the outcome and the calls."""
-        params = ModelParams(N=3, n_bos=4, lambda_bar=0.5, seed=64)
+    def _step(monkeypatch, cfg, N=3, lambda_bar=0.5):
+        """Run one spiked projection step (D=15 by default) under a spy on
+        np.linalg.eigh of the size-D operator and on the pipeline's
+        project_above; return the outcome and the calls, project_above's
+        as the list of methods it was called with."""
+        params = ModelParams(N=N, n_bos=4, lambda_bar=lambda_bar, seed=64)
         t0, _ = sample_instance(params, spiked=True, rng=derived_rng(64, "keep-above"))
         pair = pipeline._make_pair(t0, params, cfg, derived_rng(64, "decorrelate"))
-        state, _ = tensorpca.embed_power_state(build_basis(3, 4), pair.t_minus)
-        calls = {"eigh": 0, "project_above": 0}
+        state, _ = tensorpca.embed_power_state(build_basis(N, 4), pair.t_minus)
+        calls = {"eigh": 0, "project_above": []}
         eigh, project = np.linalg.eigh, pipeline.project_above
 
         def counted_eigh(a, *args, **kwargs):
-            calls["eigh"] += 1
+            calls["eigh"] += a.shape[0] == state.basis.dim
             return eigh(a, *args, **kwargs)
 
         def counted_project(*args, **kwargs):
-            calls["project_above"] += 1
+            calls["project_above"].append(kwargs["method"])
             return project(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -986,16 +1033,36 @@ class TestKeepAbove:
 
     def test_a_small_step_projects_with_its_own_eigensystem(self, monkeypatch):
         state, out, calls = self._step(monkeypatch, DetectionConfig())
-        assert calls == {"eigh": 1, "project_above": 0}
+        assert calls == {"eigh": 1, "project_above": []}
         assert out.projected.basis is state.basis
         assert (out.matvec_count, out.range_probe_matvecs) == (15, 0)
         assert 0.0 < out.proj_weight <= 1.0
 
     def test_a_low_dense_limit_sends_the_step_to_ritz(self, monkeypatch):
         state, out, calls = self._step(monkeypatch, DetectionConfig(dense_limit=10))
-        assert calls["project_above"] == 1
+        assert calls["project_above"] == ["ritz"]
         assert out.projected.basis is state.basis
         assert out.range_probe_matvecs == 15 < out.matvec_count
+
+    @pytest.mark.parametrize(
+        "dense_limit, eighs, methods",
+        [(DetectionConfig.dense_limit, 1, []), (100, 0, ["ritz"])],
+        ids=["default-limit", "dense-limit-100"],
+    )
+    def test_a_probed_step(self, monkeypatch, dense_limit, eighs, methods):
+        # above the exact-range cap (N=7, n_bos=4, D=210) the probe sizes the
+        # window; below the dense limit the step projects densely itself,
+        # above it the Ritz projector continues the probe's sweep
+        cfg = DetectionConfig(dense_limit=dense_limit)
+        state, out, calls = self._step(monkeypatch, cfg, N=7, lambda_bar=0.2)
+        assert calls == {"eigh": eighs, "project_above": methods}
+        assert out.projected.basis is state.basis
+        assert 0.0 < out.proj_weight <= 1.0
+        assert 0 < out.range_probe_matvecs <= 60
+        if methods:
+            assert out.range_probe_matvecs < out.matvec_count < out.range_probe_matvecs + 210
+        else:
+            assert out.matvec_count == out.range_probe_matvecs + 210
 
 
 class TestFullSpectrum:
