@@ -52,9 +52,10 @@ class DetectionConfig:
         itself a projective step).
     add_imaginary: add pure-imaginary noise to t_minus (analysis setting;
         off by default); the threshold then counts twice the noise power.
-    dense_limit: largest basis dimension the filter projects densely;
-        larger ones use the Ritz projector.  It picks the projector only:
-        the filter window, hence the cut, does not depend on it.
+    dense_limit: largest basis dimension the filter projects densely (any
+        value up to 128 acts as 128: such steps project with their own
+        eigensystem); larger ones use the Ritz projector.  It picks the
+        projector only: the window, hence the cut, does not depend on it.
     """
 
     c_prime: float = 0.2
@@ -246,8 +247,9 @@ class ProjectionOutcome:
     window's midpoint.
 
     range_probe_matvecs counts the matvecs that went to the window's range
-    alone (see _project_step).  Above _EXACT_RANGE_CAP these are the steps
-    of the range probe, a Lanczos sweep from input_state; a Ritz projector
+    alone (see _project_step): none up to _EXACT_RANGE_CAP, where one
+    eigensystem gives the range and the projection; above it the steps of
+    the range probe, a Lanczos sweep from input_state.  A Ritz projector
     continues that sweep, so matvec_count adds only the steps it took
     beyond the probe's, and a dense projection adds D, whether its
     eigensolve ran or a proof at the window's midpoint made it needless.
@@ -348,16 +350,15 @@ def _project_step(
        So the window, and its midpoint cut, does not depend on
        cfg.dense_limit.
     2. The projection:
-       - D > cfg.dense_limit: the Ritz projector (project_above), which
-         continues the probe's sweep, or starts one if the range was exact.
        - a range from an eigensystem: that eigensystem (spectral._keep_above).
+       - a probe above cfg.dense_limit: the Ritz projector (project_above),
+         which continues the probe's sweep.
        - otherwise the dense H, whose eigensolve runs only if
          spectral._spectrum_below cannot prove that no eigenvalue reaches
          the cut; a proven step keeps nothing (a zero vector, weight 0.0).
     range_probe_matvecs counts the matvecs spent on the range alone: none
-    when the range's eigensystem projects too, D when the dense
-    operator's range goes to the Ritz projector, and otherwise the
-    probe's steps, which a continuing Ritz projector does not repeat.
+    when the range's eigensystem projects too, and otherwise the probe's
+    steps, which a continuing Ritz projector does not repeat.
 
     Above _RANGE_PROBE_STEPS the step first tries to prove itself empty:
     from the pair weights W (_norm_below, two P x P Cholesky
@@ -406,25 +407,23 @@ def _project_step(
         if dense is not None:
             eigensystem = np.linalg.eigh(dense)  # eigenvalues ascending
             span = _RANGE_PAD * float(eigensystem[0][-1] - eigensystem[0][0])
+            range_probe_matvecs = 0  # the range's eigensystem projects too
         else:
             span, probe = _spectral_range(h, state)
+            range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the range
         gap = max(span / params.N, floor)
         mid = 0.5 * ((cutoff - gap) + cutoff)  # where every route cuts
-        range_probe_matvecs = h.matvec_count  # h is fresh: all of them went to the range
-        # stage 2, the projection
-        if h.dim > cfg.dense_limit:
+        # stage 2, the projection: a probed step by Ritz above the dense limit
+        if probe is not None and h.dim > cfg.dense_limit:
             projected, weight, _ = project_above(
                 h, state, cutoff - gap, cutoff, method="ritz", tol=cfg.tol, probe=probe
             )
-        else:
-            if eigensystem is not None:
-                range_probe_matvecs = 0  # the range's eigensystem projects too
-            else:
-                dense = h.materialize_dense(dense_limit=cfg.dense_limit)
-                eigensystem = None if _spectrum_below(dense, mid) else np.linalg.eigh(dense)
-            if eigensystem is not None:
-                amps, weight = _keep_above(*eigensystem, state.amps, mid)
-                projected = StateVector(state.basis, amps)
+        elif probe is not None:
+            dense = h.materialize_dense(dense_limit=cfg.dense_limit)
+            eigensystem = None if _spectrum_below(dense, mid) else np.linalg.eigh(dense)
+        if eigensystem is not None:
+            amps, weight = _keep_above(*eigensystem, state.amps, mid)
+            projected = StateVector(state.basis, amps)
     if projected is None:
         amps = np.zeros(h.dim, dtype=np.result_type(h.pair_weights, state.amps))
         projected = StateVector(state.basis, amps)

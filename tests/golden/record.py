@@ -65,7 +65,8 @@ COMMANDS = {
                             "--nbos", "8", "--lambda", "0.03", "--trials", "2"],
     "cascade-k2-2-16.json": ["detect", "--method", "projection", "--k", "2", "--N", "2",
                              "--nbos", "16", "--lambda", "0.03", "--trials", "2"],
-    # the two routes of a step at most 60 states wide: dense, and Ritz by dense limit
+    # a step at most 60 states wide projects with its own eigensystem, also
+    # with a dense limit below its dimension
     "detect-projection-3-4.json": ["detect", "--method", "projection", "--N", "3", "--nbos", "4",
                                    "--lambda", "0.5", "--trials", "2"],
     "detect-projection-3-4-ritz.json": ["detect", "--method", "projection", "--N", "3",
@@ -75,6 +76,11 @@ COMMANDS = {
     # a dense projection, or an empty window proven at its midpoint
     "detect-projection-7-4.json": ["detect", "--method", "projection", "--N", "7", "--nbos", "4",
                                    "--lambda", "0.2", "--trials", "2", "--seed", "7"],
+    # a step above the exact range, below the dense limit: the probe, then Ritz
+    # continuing its sweep
+    "detect-projection-7-4-ritz.json": ["detect", "--method", "projection", "--N", "7",
+                                        "--nbos", "4", "--lambda", "0.2", "--trials", "2",
+                                        "--seed", "7", "--dense-limit", "150"],
     # the recovery operating point: a probed spiked row and a proven-empty null row
     "detect-projection-16-4.json": ["detect", "--method", "projection", "--N", "16", "--nbos", "4",
                                     "--lambda", "0.12", "--dense-limit", "1500", "--trials", "1",

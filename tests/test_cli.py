@@ -734,14 +734,16 @@ _ACTS = {
     ("detect", "--seed"): ([], ["--seed", "2"]),
     ("detect", "--trials"): ([], ["--trials", "2"]),
     ("detect", "--format"): ([], ["--format", "csv"]),
-    ("detect", "--dense-limit"): ([], ["--dense-limit", "0"]),
+    # steps of at most 128 states project with their own eigensystem, so
+    # the dense limit, and tol with it, act only above: at N=7 (D=210)
+    ("detect", "--dense-limit"): (["--N", "7"], ["--dense-limit", "0"]),
     ("detect", "--method"): ([], ["--method", "spectral"]),
     ("detect", "--cprime"): ([], ["--cprime", "0.5"]),
     ("detect", "--slack"): ([], ["--slack", "1"]),
     # the retry budget exists only in the unamplified simulator, and tol
-    # only off the dense path
+    # only on the Ritz path
     ("detect", "--cdoubleprime"): (["--method", "q-unamp"], ["--cdoubleprime", "2"]),
-    ("detect", "--tol"): (["--dense-limit", "0"], ["--tol", "1e-3"]),
+    ("detect", "--tol"): (["--N", "7", "--dense-limit", "0"], ["--tol", "1e-3"]),
     ("detect", "--k"): (["--nbos", "8"], ["--k", "1"]),
     ("dos", "--N"): ([], ["--N", "4"]),
     ("dos", "--nbos"): ([], ["--nbos", "8"]),
@@ -756,7 +758,7 @@ _ACTS = {
     ("recover", "--zeta"): ([], ["--zeta", "0.3"]),
     ("recover", "--seed"): ([], ["--seed", "2"]),
     ("recover", "--trials"): ([], ["--trials", "2"]),
-    ("recover", "--dense-limit"): ([], ["--dense-limit", "0"]),
+    ("recover", "--dense-limit"): (["--N", "7"], ["--dense-limit", "0"]),
     ("recover", "--method"): ([], ["--method", "spectral"]),
     ("recover", "--cprime"): ([], ["--cprime", "0.5"]),
     # draws near the threshold, some of whose verdicts the slack flips

@@ -3,8 +3,8 @@
 Each demo runs in its own interpreter, as a user would start it; together
 01-07 take about 3 s.  08_reduced_boson_budget.py is left out: it takes
 about 21 s, nearly all of it in 40 dense `eigh` calls at D=1287 (N=6,
-n_bos=8), because the `auto` projector picks the dense route up to
-D=4000.
+n_bos=8), because a projection step above 128 states projects densely up
+to its dense limit, 4000 by default.
 """
 
 import os

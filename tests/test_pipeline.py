@@ -720,14 +720,17 @@ class TestExactRange:
 
     @pytest.mark.parametrize("spiked", [True, False], ids=["spiked", "unspiked"])
     def test_window_does_not_depend_on_the_projector(self, spiked):
+        # up to the cap a dense limit below D changes nothing: the step
+        # projects with the eigensystem it took its range from
         for N, n_bos, dim, dense_limit in [(3, 8, 45, 10), (6, 4, 126, 100)]:
             dense = self._outcome(N, n_bos, spiked)
-            ritz = self._outcome(N, n_bos, spiked, DetectionConfig(dense_limit=dense_limit))
-            assert (ritz.cutoff, ritz.e_lower) == (dense.cutoff, dense.e_lower)
-            # the Ritz projector cannot reuse the eigensystem: the range alone
-            # cost the dense operator's D applications
+            low = self._outcome(N, n_bos, spiked, DetectionConfig(dense_limit=dense_limit))
             assert (dense.range_probe_matvecs, dense.matvec_count) == (0, dim)
-            assert ritz.range_probe_matvecs == dim < ritz.matvec_count
+            assert (low.cutoff, low.e_lower, low.statistic, low.proj_weight) == (
+                dense.cutoff, dense.e_lower, dense.statistic, dense.proj_weight
+            )
+            assert (low.range_probe_matvecs, low.matvec_count) == (0, dim)
+            assert np.array_equal(low.projected.amps, dense.projected.amps)
         # above the cap (D=1365) both routes take the window of one range
         # probe; the dense projector runs after it, the Ritz one continues it.
         # At lambda_bar 0.06 no draw is certified and no cut lies in the bulk
@@ -822,6 +825,17 @@ class TestPinnedCascade:
         assert ms.chain_product == pytest.approx(chain_product, rel=1e-12, abs=0.0)
         assert ms.q_j == pytest.approx(q_j, rel=1e-12, abs=0.0)
         assert ms.cost_estimate == pytest.approx(cost_estimate, rel=1e-12, abs=0.0)
+
+    def test_a_dense_limit_below_every_step_changes_nothing(self):
+        # every step here is at most 45 states wide and projects with its
+        # own eigensystem whatever the dense limit; on these draws a fresh
+        # Ritz sweep's rule stop is off by up to 6.1e-3 (ROADMAP item 1)
+        for t in range(40):
+            t0, _ = sample_instance(self.PARAMS, spiked=False, rng=derived_rng(55, "chain", t))
+            runs = [multistep_run(t0, self.PARAMS, cfg=cfg, seed=t, k=1)
+                    for cfg in (DetectionConfig(), DetectionConfig(dense_limit=10))]
+            default, low = ((ms.p_j, ms.q_j, ms.statistic, ms.chain_product) for ms in runs)
+            assert low == default
 
 
 class TestDetectorTable:
@@ -929,14 +943,17 @@ class TestQuantumSimulators:
 
     def test_imaginary_noise_path_matches_dense_oracle(self):
         # complex input state through the Krylov filter agrees with the
-        # exact projector
-        params = ModelParams(N=3, n_bos=4, lambda_bar=0.3, seed=18)
+        # exact projector, above the exact-range cap (D=210), where the
+        # dense limit picks the projector
+        params = ModelParams(N=7, n_bos=4, lambda_bar=0.3, seed=18)
         t0, _ = sample_instance(params, spiked=True)
         cfg_dense = DetectionConfig(add_imaginary=True)
         cfg_ritz = DetectionConfig(add_imaginary=True, dense_limit=0)
         a = projection_statistic(t0, params, cfg_dense, seed=18)
         b = projection_statistic(t0, params, cfg_ritz, seed=18)
         assert np.iscomplexobj(a.input_state.amps)
+        assert a.matvec_count == a.range_probe_matvecs + 210
+        assert b.range_probe_matvecs == a.range_probe_matvecs < b.matvec_count < 210
         assert a.statistic == pytest.approx(b.statistic, abs=1e-8)
 
     def test_amplification_round_count(self):

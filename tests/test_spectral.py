@@ -1010,7 +1010,7 @@ class TestKeepAbove:
         """Run one spiked projection step (D=15 by default) under a spy on
         np.linalg.eigh of the size-D operator and on the pipeline's
         project_above; return the outcome and the calls, project_above's
-        as the list of methods it was called with."""
+        as a list of (method, whether a probe was passed)."""
         params = ModelParams(N=N, n_bos=4, lambda_bar=lambda_bar, seed=64)
         t0, _ = sample_instance(params, spiked=True, rng=derived_rng(64, "keep-above"))
         pair = pipeline._make_pair(t0, params, cfg, derived_rng(64, "decorrelate"))
@@ -1023,7 +1023,7 @@ class TestKeepAbove:
             return eigh(a, *args, **kwargs)
 
         def counted_project(*args, **kwargs):
-            calls["project_above"].append(kwargs["method"])
+            calls["project_above"].append((kwargs["method"], kwargs.get("probe") is not None))
             return project(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -1038,21 +1038,33 @@ class TestKeepAbove:
         assert (out.matvec_count, out.range_probe_matvecs) == (15, 0)
         assert 0.0 < out.proj_weight <= 1.0
 
-    def test_a_low_dense_limit_sends_the_step_to_ritz(self, monkeypatch):
-        state, out, calls = self._step(monkeypatch, DetectionConfig(dense_limit=10))
-        assert calls["project_above"] == ["ritz"]
-        assert out.projected.basis is state.basis
-        assert out.range_probe_matvecs == 15 < out.matvec_count
+    @pytest.mark.parametrize(
+        "N, dense_limit", [(3, 10), (3, 0), (6, 100)], ids=["D15-10", "D15-0", "D126-100"]
+    )
+    def test_a_low_dense_limit_keeps_the_step_on_its_eigensystem(
+        self, monkeypatch, N, dense_limit
+    ):
+        # a dense limit below D does not reach a step of at most
+        # _EXACT_RANGE_CAP states: it projects as at the default limit
+        cfg = DetectionConfig(dense_limit=dense_limit)
+        state, out, calls = self._step(monkeypatch, cfg, N=N)
+        dim = state.basis.dim
+        assert calls == {"eigh": 1, "project_above": []}
+        assert (out.matvec_count, out.range_probe_matvecs) == (dim, 0)
+        _, ref, _ = self._step(monkeypatch, DetectionConfig(), N=N)
+        assert out.proj_weight == ref.proj_weight > 0.0
+        assert np.array_equal(out.projected.amps, ref.projected.amps)
 
     @pytest.mark.parametrize(
         "dense_limit, eighs, methods",
-        [(DetectionConfig.dense_limit, 1, []), (100, 0, ["ritz"])],
+        [(DetectionConfig.dense_limit, 1, []), (100, 0, [("ritz", True)])],
         ids=["default-limit", "dense-limit-100"],
     )
     def test_a_probed_step(self, monkeypatch, dense_limit, eighs, methods):
         # above the exact-range cap (N=7, n_bos=4, D=210) the probe sizes the
         # window; below the dense limit the step projects densely itself,
-        # above it the Ritz projector continues the probe's sweep
+        # above it the Ritz projector continues the probe's sweep: its one
+        # call is passed the probe
         cfg = DetectionConfig(dense_limit=dense_limit)
         state, out, calls = self._step(monkeypatch, cfg, N=7, lambda_bar=0.2)
         assert calls == {"eigh": eighs, "project_above": methods}
