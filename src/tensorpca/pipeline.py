@@ -30,6 +30,8 @@ from .instance import (
     sample_gaussian_tensor,
 )
 from .spectral import (
+    _RANGE_PROBE_STEPS,
+    _RANGE_PROBE_TOL,
     _keep_above,
     _spectrum_below,
     analytic_bounds,
@@ -272,16 +274,15 @@ def _make_pair(
     return decorrelate(t0, params.effective_zeta, rng, add_imaginary=cfg.add_imaginary)
 
 
-# The range probe's Krylov step cap.  An operator of at most this dimension
-# takes its range from its exact spectrum instead: the probe could span the
-# whole space there, and one dense eigensolve costs less
-_RANGE_PROBE_STEPS = 60
-# The exact-range cap: up to this dimension a step that its pair weights
-# cannot prove empty takes its range from the exact spectrum too, after
-# trying the proof on its dense operator.  Timed per step on seeded draws
-# with one BLAS thread, that route beat the probe by 18-58% at D=70, 91 and
-# 126 (spiked or not, lambda_bar 0.1-1.0), but lost on some unspiked draws
-# at D=165 (9%) and D=330 (28%), where an eigensolve replaced a probe
+# An operator of at most _RANGE_PROBE_STEPS (60) dimensions takes its range
+# from its exact spectrum: the range probe could span the whole space there,
+# and one dense eigensolve costs less.  The exact-range cap: up to this
+# dimension a step that its pair weights cannot prove empty takes its range
+# from the exact spectrum too, after trying the proof on its dense operator.
+# Timed per step on seeded draws with one BLAS thread, that route beat the
+# probe by 18-58% at D=70, 91 and 126 (spiked or not, lambda_bar 0.1-1.0),
+# but lost on some unspiked draws at D=165 (9%) and D=330 (28%), where an
+# eigensolve replaced a probe
 _EXACT_RANGE_CAP = 128
 # The window's range is this multiple of the spread of the spectrum (or of
 # the probe's Ritz values)
@@ -300,8 +301,10 @@ def _spectral_range(h: HamiltonianOperator, state: StateVector) -> tuple:
     prove empty.  Its stop rule does not look at the window, so the window
     does not depend on how the filter then runs.
 
-    The probe stops once its top Ritz pair has residual r <= 1e-3 * scale
-    (or at _RANGE_PROBE_STEPS steps).  That is enough for a window width:
+    The probe stops once its top Ritz pair has residual
+    r <= _RANGE_PROBE_TOL * scale = 1e-3 * scale (or at _RANGE_PROBE_STEPS
+    = 60 steps); a Ritz projection without a probe runs the same one
+    (spectral.project_above).  That is enough for a window width:
     the top Ritz value is then within r of an eigenvalue, and within about
     r^2/gap of it when the gap to the rest of the spectrum is wide
     (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz
@@ -312,15 +315,35 @@ def _spectral_range(h: HamiltonianOperator, state: StateVector) -> tuple:
     the estimate is then 1.2 times the spread of that subspace's
     eigenvalues; the projector takes no further step there.
     """
-    ritz = lanczos(h, state, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=1e-3)
+    ritz = lanczos(h, state, max_iters=min(h.dim, _RANGE_PROBE_STEPS), tol=_RANGE_PROBE_TOL)
     lo, hi = float(ritz.ritz_values.min()), float(ritz.ritz_values.max())
     return _RANGE_PAD * (hi - lo), ritz
 
 
 def _two_sided_below(dense: np.ndarray, bound: float) -> bool:
     """True when spectral._spectrum_below puts the spectra of dense and
-    -dense below bound, which proves ||dense||_2 < bound.  dense goes
-    first: a spiked draw's top eigenvalue fails its first factorization."""
+    -dense below bound, which proves ||dense||_2 < bound.
+
+    Before any factorization, two power steps from dense's column of
+    largest norm try to refute the proof: a vector u with
+    ||dense u|| >= bound ||u|| shows ||dense||_2 >= bound, while a proof
+    would show ||dense||_2 < bound - 0.9 delta, delta >= 1e-6 bound (see
+    _spectrum_below), far beyond the rounding of the two norms.  So the
+    refutation changes no result; it spares a spiked draw the factorization
+    its top eigenvalue would fail.  A vanishing vector ends the refutation
+    and leaves the decision to the proof.
+    """
+    norms_sq = np.einsum("ij,ij->j", dense.conj(), dense).real
+    col = int(np.argmax(norms_sq))
+    u, u_norm = dense[:, col], sqrt(float(norms_sq[col]))
+    for _ in range(2):
+        if u_norm == 0.0:
+            break
+        u = dense @ u
+        mu_norm = float(np.linalg.norm(u))
+        if mu_norm >= bound * u_norm:
+            return False
+        u_norm = mu_norm
     return _spectrum_below(dense, bound) and _spectrum_below(np.negative(dense), bound)
 
 
@@ -364,8 +387,10 @@ def _project_step(
     from the pair weights W (_norm_below, two P x P Cholesky
     factorizations and no matvec), then, up to _EXACT_RANGE_CAP, on the
     dense H it materializes for its range (_two_sided_below, two D x D
-    factorizations).  Such a proof shows that no window any range could
-    set keeps anything, and the step then skips both stages:
+    factorizations).  Two power steps come first, and refute a proof that
+    would fail (as on a spiked draw) before any factorization; they never
+    refute one that would succeed.  Such a proof shows that no window any
+    range could set keeps anything, and the step then skips both stages:
     - A range, exact or the probe's (whose Ritz values lie between
       lambda_min(H) and lambda_max(H)), is at most 2 _RANGE_PAD ||H||.
       The gap is that over N or its floor, so the window's midpoint,

@@ -94,11 +94,30 @@ class ApproxProjector:
 
 # A sweep capped at this many steps reserves its Krylov block up front
 _RESERVED_STEPS = 64
+# A step reorthogonalizes a second time only when the first pass left less
+# than this share of the residual's norm (the DGKS test, 1/sqrt(2) rounded
+# up as ARPACK rounds it)
+_DGKS_KEEP = 0.717
+# The range probe: a lanczos sweep from the state to be filtered, cut at
+# this many steps and stopped once its top Ritz residual is below this tol.
+# pipeline._spectral_range sizes the filter window with it, and a Ritz
+# projection continues it (project_above)
+_RANGE_PROBE_STEPS = 60
+_RANGE_PROBE_TOL = 1e-3
 
 
 class _Sweep:
     """One Krylov tridiagonalization with full reorthogonalization, run in
     stages.
+
+    A step subtracts the three-term recurrence from the new product, then
+    the product's components along every Krylov vector so far (classical
+    Gram-Schmidt).  It repeats that pass only when the first one cancelled,
+    leaving less than _DGKS_KEEP of the norm it started from.  A pass
+    leaves components along the block of a few ulps of that starting norm,
+    so where the norm shrank by less than 1/sqrt(2) they stay a few ulps of
+    the new one (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30:772,
+    1976); ARPACK's dsaitr takes its second pass by the same test.
 
     run(max_iters, stop_check) takes steps until stop_check passes, the
     Krylov space breaks down or max_iters steps are done in all, and
@@ -138,6 +157,7 @@ class _Sweep:
         self.k, self.beta, self.residual = 0, 0.0, None  # residual: the unnormalized next vector
         self.scale = 1.0  # running max of |alpha| and the beta of every completed step
         self.invariant = False
+        self.second_passes = 0  # steps whose first reorthogonalization pass cancelled
 
     def run(self, max_iters, stop_check) -> RitzDecomposition:
         max_iters = max(1, min(max_iters, self.dim))
@@ -166,14 +186,20 @@ class _Sweep:
             if k:
                 tridiag[k, k - 1] = tridiag[k - 1, k] = beta
                 w -= beta * basis_vecs[k - 1]
-            # full reorthogonalization, twice for floating-point hygiene
+            # full reorthogonalization, a second pass only where the first
+            # cancelled (the DGKS test)
             active = basis_vecs[: k + 1]
-            for _ in range(2):
+            beta = float(np.linalg.norm(w))
+            for second in (False, True):
+                kept = _DGKS_KEEP * beta
                 if complex_vec:
                     w -= np.conj(active @ np.conj(w)) @ active
                 else:
                     w -= (active @ w) @ active
-            beta = float(np.linalg.norm(w))
+                beta = float(np.linalg.norm(w))
+                if beta >= kept:
+                    break
+            self.second_passes += second
             k += 1
             scale = max(scale, abs(alpha))
             if beta <= 1e-13 * scale:
@@ -263,7 +289,9 @@ def _interlace(bound, tridiag, beta):
 
 
 def lanczos(op, start, max_iters: int | None = None, tol: float = 1e-10):
-    """Lanczos with full reorthogonalization from a given start vector.
+    """Lanczos with full reorthogonalization from a given start vector: one
+    Gram-Schmidt pass against every Krylov vector per step, and a second
+    where the first cancels (_Sweep).
 
     Stops once the top Ritz pair has residual below tol * scale, where
     scale = max(1, |theta_max|, |theta_min|) over the Ritz values, on
@@ -383,10 +411,12 @@ def project_above(
     window (chebyshev).  Every caller names its method; the projection
     step of a detector picks its own route (pipeline._project_step).
 
-    probe, the last result of a lanczos sweep of op started at x, is a
-    sweep the Ritz route continues instead of starting its own, with the
-    same result as a fresh sweep wherever that one stops at least two steps
-    after the probe; the other routes leave it where it stopped.
+    The Ritz route continues a range probe: probe, the last result of a
+    lanczos sweep of op started at x, or without one a probe of its own,
+    run as pipeline._spectral_range runs it (at most _RANGE_PROBE_STEPS
+    steps, and max_iters, at tol _RANGE_PROBE_TOL).  Its stop rule first
+    sees the probe's last step, so a continued probe and one of its own
+    give the same result.  The other routes leave a probe where it stopped.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
@@ -414,7 +444,10 @@ def project_above(
         return _wrap_vector(projected, basis), norm_sq, ApproxProjector("dense", dim, 1e-14)
 
     if method == "ritz":
-        return _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep)
+        if sweep is None:
+            steps = _RANGE_PROBE_STEPS if max_iters is None else min(max_iters, _RANGE_PROBE_STEPS)
+            sweep = lanczos(op, vec, max_iters=steps, tol=_RANGE_PROBE_TOL)._sweep
+        return _project_ritz(sweep, basis, mid, tol, max_iters)
 
     if method == "chebyshev":
         return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
@@ -473,20 +506,21 @@ def _spectrum_below(dense, cut: float) -> bool:
     return True
 
 
-def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep):
-    """Ritz projection from a Lanczos sweep started at vec: a new one, or
-    the given sweep continued.  The stop rule sees every step from the first it is
-    applied at; a continued sweep applies it first to the step it stopped
-    at, so it can stop two steps after that at the earliest."""
+def _project_ritz(sweep, basis, mid, tol, max_iters):
+    """Ritz projection from a Lanczos sweep started at the state, continued
+    from where it stopped.  The stop rule sees every step from that one, so
+    it can stop two steps after it at the earliest."""
     if max_iters is None:
-        max_iters = dim
+        max_iters = sweep.dim
     prev, stable = None, 0  # the last weight, and how many steps it has held
 
     def stop(tridiag, beta):
         nonlocal prev, stable
-        values, residuals, first_row, _ = _ritz_from_tridiag(tridiag, beta)
+        values, vectors = np.linalg.eigh(tridiag)  # ascending
         keep = values >= mid
-        weight = float(np.sum(np.abs(first_row[keep]) ** 2))
+        # summed by descending value, as the final decomposition lists them
+        weight = float(np.sum(np.abs(vectors[0, keep][::-1]) ** 2))
+        residuals = abs(beta) * np.abs(vectors[-1])
         scale = max(1.0, float(np.abs(values).max()))
         # every pair near the cut must be resolved to its side of the cut
         boundary_ok = np.all(
@@ -499,10 +533,7 @@ def _project_ritz(matvec, dim, basis, vec, mid, tol, max_iters, sweep):
         prev = weight
         return bool(boundary_ok and stable >= 2)
 
-    if sweep is None:
-        ritz = _lanczos_sweep(matvec, vec, max_iters, stop)
-    else:
-        ritz = sweep.run(max_iters, stop)
+    ritz = sweep.run(max_iters, stop)
     values, residuals, start_coeffs, iters = (
         ritz.ritz_values, ritz.residuals, ritz.start_coeffs, ritz.iterations
     )

@@ -46,7 +46,7 @@ from tensorpca.fock import StateVector, embed_power_state
 from tensorpca.hamiltonian import HamiltonianOperator
 from tensorpca.instance import DecorrelatedPair
 from tensorpca.pipeline import repeated_measurement
-from tensorpca.spectral import _keep_above
+from tensorpca.spectral import _keep_above, _spectrum_below
 from tensorpca.symtensor import SymmetricTensor4
 
 
@@ -358,6 +358,30 @@ class TestSharedSweep:
         assert len(sweeps) == 1
         assert 0 < out.range_probe_matvecs < out.matvec_count <= 16
 
+    def test_pinned_ritz_stops(self, monkeypatch):
+        # the first 8 spiked recovery draws: the probe's steps, the step's
+        # matvecs and the Ritz projector's Krylov steps, recorded before a
+        # step reorthogonalized a second time only where its first pass
+        # cancelled and before the stop check read one unsorted eigensolve
+        projectors = []
+        project = pipeline.project_above
+
+        def spy(*args, **kwargs):
+            out = project(*args, **kwargs)
+            projectors.append(out[2])
+            return out
+
+        monkeypatch.setattr(pipeline, "project_above", spy)
+        counts = []
+        for t in range(8):
+            out = self._outcome("recov16", t)
+            (proj,) = projectors
+            projectors.clear()
+            assert proj.method == "ritz"
+            counts.append((out.range_probe_matvecs, out.matvec_count, proj.degree_or_iters))
+        assert counts == [(7, 13, 13), (7, 12, 12), (7, 13, 13), (7, 13, 13),
+                          (7, 12, 12), (7, 13, 13), (7, 13, 13), (7, 13, 13)]
+
     @pytest.mark.parametrize("tag, draws", [("recov16", 4), ("ritz-6-8", 3)])
     def test_continued_sweep_equals_a_fresh_projection(self, tag, draws):
         # a fresh Ritz projection from the state on the same window runs the
@@ -637,6 +661,86 @@ class TestNormCertificate:
         assert {"lanczos", "sweep"} <= set(calls)
 
 
+class TestRefutation:
+    """pipeline._two_sided_below first takes two power steps, from the
+    column of largest norm, and refutes the proof where they reach the
+    bound.  A refuted proof could not have succeeded, so the decision is
+    the one of the two Cholesky factorizations alone."""
+
+    @staticmethod
+    def _factorized(matrix, bound):
+        return _spectrum_below(matrix, bound) and _spectrum_below(np.negative(matrix), bound)
+
+    @staticmethod
+    def _matrices(N, n_bos, lam, seed, tag):
+        """(W, bound on W) of seeded draws built as the pipeline builds
+        them, and (dense H, bound) up to the exact-range cap."""
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=seed)
+        cfg = DetectionConfig()
+        bound = _norm_bound(params)
+        sigma = bound / (n_bos * (n_bos - 1) * (1.0 + pipeline._GRAM_SLACK))
+        for spiked in (True, False):
+            for t in range(3):
+                t0, _ = sample_instance(
+                    params, spiked=spiked, rng=derived_rng(seed, f"{tag}-{spiked}", t)
+                )
+                pair = pipeline._make_pair(t0, params, cfg, derived_rng(t, "decorrelate"))
+                h = HamiltonianOperator(pair.t_plus, build_basis(N, n_bos))
+                yield spiked, h.pair_weights, sigma
+                if h.dim <= pipeline._EXACT_RANGE_CAP:
+                    yield spiked, h.materialize_dense(), bound
+
+    @pytest.mark.parametrize(
+        "N, n_bos, lam", [(16, 4, 0.12), (6, 4, 0.2732336812165897)], ids=["16-4", "6-4"]
+    )
+    def test_agrees_with_the_factorizations(self, N, n_bos, lam):
+        # at the pipeline's bound and at bounds just above and below the
+        # norm, so that both decisions occur
+        decisions = set()
+        for spiked, matrix, bound in self._matrices(N, n_bos, lam, 99, "refute"):
+            norm = float(np.abs(np.linalg.eigvalsh(matrix)).max())
+            for b in (bound, norm * (1.0 - 1e-4), norm * (1.0 + 1e-4), 2.0 * norm):
+                proven = pipeline._two_sided_below(matrix, b)
+                assert proven == self._factorized(matrix, b)
+                decisions.add(proven)
+        assert decisions == {True, False}
+
+    def test_a_spiked_recovery_step_factorizes_nothing(self, monkeypatch):
+        # the power steps refute the pair-weight proof of every spiked draw
+        # here; an unspiked draw still reaches both factorizations, and its
+        # proof still holds
+        params = ModelParams(N=16, n_bos=4, lambda_bar=0.12, seed=99)
+        cfg = DetectionConfig(dense_limit=1500)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        for t in range(4):
+            t0, _ = sample_instance(params, spiked=True, rng=derived_rng(99, "recov16", t))
+            out = projection_statistic(t0, params, cfg, seed=t)
+            assert out.proj_weight > 0.0 and calls == []
+        t0, _ = sample_instance(params, spiked=False, rng=derived_rng(99, "recov16-null", 0))
+        out = projection_statistic(t0, params, cfg, seed=0)
+        assert out.matvec_count == 0 and len(calls) == 2
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_vanishing_vectors_refute_nothing(self, dtype):
+        # the zero matrix's largest column is zero, and the nilpotent one
+        # maps its largest column to zero: neither ratio is formed, nothing
+        # divides by zero, and the factorizations decide
+        zero = np.zeros((5, 5), dtype=dtype)
+        nilpotent = np.zeros((5, 5), dtype=dtype)
+        nilpotent[0, 4] = 1.0
+        with np.errstate(all="raise"):
+            for matrix in (zero, nilpotent):
+                assert pipeline._two_sided_below(matrix, 2.0) == self._factorized(matrix, 2.0)
+            assert pipeline._two_sided_below(zero, 1e-300)
+
+
 class TestReportEcho:
     """The report's params and config echoes equal dataclasses.asdict."""
 
@@ -828,14 +932,40 @@ class TestPinnedCascade:
 
     def test_a_dense_limit_below_every_step_changes_nothing(self):
         # every step here is at most 45 states wide and projects with its
-        # own eigensystem whatever the dense limit; on these draws a fresh
-        # Ritz sweep's rule stop is off by up to 6.1e-3 (ROADMAP item 1)
+        # own eigensystem whatever the dense limit
         for t in range(40):
             t0, _ = sample_instance(self.PARAMS, spiked=False, rng=derived_rng(55, "chain", t))
             runs = [multistep_run(t0, self.PARAMS, cfg=cfg, seed=t, k=1)
                     for cfg in (DetectionConfig(), DetectionConfig(dense_limit=10))]
             default, low = ((ms.p_j, ms.q_j, ms.statistic, ms.chain_product) for ms in runs)
             assert low == default
+
+
+    def test_a_ritz_projection_without_a_probe_matches_every_step(self, monkeypatch):
+        # the 200 projection steps of the 40 draws, each filtered again by
+        # project_above(method="ritz") without a probe.  That call runs its
+        # own range probe and continues it, so its stop rule cannot stop at
+        # step 3 on a one-sided Ritz set; a sweep of its own stopped there
+        # on 18 steps, off by up to 6.1e-3 while reporting 1e-14
+        steps = []
+        step = pipeline._project_step
+
+        def recording(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(pipeline, "_project_step", recording)
+        for t in range(40):
+            t0, _ = sample_instance(self.PARAMS, spiked=False, rng=derived_rng(55, "chain", t))
+            multistep_run(t0, self.PARAMS, cfg=DetectionConfig(), seed=t, k=1)
+        assert len(steps) == 200
+        for out in steps:
+            h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+            _, weight, proj = project_above(
+                h, out.input_state, out.e_lower, out.cutoff, method="ritz"
+            )
+            assert proj.method == "ritz"
+            assert abs(weight - out.proj_weight) <= 1e-9
 
 
 class TestDetectorTable:

@@ -24,6 +24,7 @@ from tensorpca import (
     build_basis,
     density_of_states,
     detect_spectral,
+    embed_power_state,
     full_spectrum,
     lanczos,
     leading_eigenvalue,
@@ -214,6 +215,48 @@ class TestLanczos:
         out = lanczos(m, rng(6).standard_normal(40))
         gram = out.ritz_vectors.T @ out.ritz_vectors
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+
+
+class TestReorthogonalization:
+    """A Lanczos step runs one Gram-Schmidt pass against every Krylov
+    vector, and a second only where the first cancels (spectral._Sweep,
+    the DGKS test)."""
+
+    @pytest.mark.parametrize("N, n_bos, steps", [(6, 8, 300), (16, 4, 200)])
+    def test_long_sweeps_stay_orthonormal(self, N, n_bos, steps):
+        # spiked H(T) from the pipeline's input state, far past the steps
+        # any projection takes, with the top Ritz pairs long converged
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.2, seed=N)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(N, "orthogonality"))
+        basis = build_basis(N, n_bos)
+        state, _ = embed_power_state(basis, t0.tensor)
+        ritz = _lanczos_sweep(HamiltonianOperator(t0.tensor, basis).matvec, state.amps, steps, None)
+        assert ritz.iterations == steps and not ritz.invariant_subspace
+        krylov = ritz._sweep.block[:steps]
+        assert np.abs(krylov @ krylov.T - np.eye(steps)).max() <= 1e-13
+
+    def test_a_cancelling_step_takes_the_second_pass(self):
+        # a start in a three-dimensional invariant subspace of a diagonal
+        # operator: at the third step the residual is rounding inside the
+        # Krylov space, the first pass cancels it, and the sweep takes the
+        # second before it ends at the breakdown
+        a = np.diag(np.linspace(-5.0, 10.0, 200))
+        x = np.zeros(200)
+        x[[0, 100, 199]] = [0.6, 0.48, 0.64]
+        sweep = spectral._Sweep(a.dot, x, 10)
+        ritz = sweep.run(10, None)
+        assert ritz.invariant_subspace and ritz.iterations == 3
+        assert sweep.second_passes == 1
+        krylov = sweep.block[:3]
+        assert np.abs(krylov @ krylov.T - np.eye(3)).max() <= 1e-15
+        # 1e-10 away from that subspace the residual at the third step is
+        # a true direction, far above the pass's rounding: one pass a step
+        x[1:100] = 1e-10 * rng(69).standard_normal(99)
+        sweep = spectral._Sweep(a.dot, x, 10)
+        ritz = sweep.run(10, None)
+        assert ritz.iterations == 10 and sweep.second_passes == 0
+        krylov = sweep.block[:10]
+        assert np.abs(krylov @ krylov.T - np.eye(10)).max() <= 1e-13
 
 
 def _tridiag(alphas, betas):
