@@ -30,6 +30,7 @@ from .instance import (
     sample_gaussian_tensor,
 )
 from .spectral import (
+    _RANGE_PAD,
     _RANGE_PROBE_STEPS,
     _RANGE_PROBE_TOL,
     _keep_above,
@@ -284,9 +285,6 @@ def _make_pair(
 # but lost on some unspiked draws at D=165 (9%) and D=330 (28%), where an
 # eigensolve replaced a probe
 _EXACT_RANGE_CAP = 128
-# The window's range is this multiple of the spread of the spectrum (or of
-# the probe's Ritz values)
-_RANGE_PAD = 1.2
 # The computed largest diagonal entry of A^T A exceeds n(n-1) by a few ulps
 # (56.000000000000014 at n = 4); the norm certificate allows this much more
 _GRAM_SLACK = 1e-12
@@ -303,8 +301,8 @@ def _spectral_range(h: HamiltonianOperator, state: StateVector) -> tuple:
 
     The probe stops once its top Ritz pair has residual
     r <= _RANGE_PROBE_TOL * scale = 1e-3 * scale (or at _RANGE_PROBE_STEPS
-    = 60 steps); a Ritz projection without a probe runs the same one
-    (spectral.project_above).  That is enough for a window width:
+    = 60 steps); a Ritz or Chebyshev projection without a probe runs the
+    same one (spectral.project_above).  That is enough for a window width:
     the top Ritz value is then within r of an eigenvalue, and within about
     r^2/gap of it when the gap to the rest of the spectrum is wide
     (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  The bottom Ritz

@@ -60,8 +60,8 @@ class RitzDecomposition:
     product of the Krylov block and the tridiagonal's eigenvectors, and the
     decomposition then lets go of its sweep.  A caller that reads only
     values, such as a spectral-range probe, never builds the D x k product.
-    Until then, and while it is its sweep's latest result, project_above
-    can continue that sweep (its probe argument).
+    Until then, and while it is its sweep's latest result, it can be the
+    probe that serves both Krylov routes of project_above.
     """
 
     ritz_values: np.ndarray
@@ -100,10 +100,12 @@ _RESERVED_STEPS = 64
 _DGKS_KEEP = 0.717
 # The range probe: a lanczos sweep from the state to be filtered, cut at
 # this many steps and stopped once its top Ritz residual is below this tol.
-# pipeline._spectral_range sizes the filter window with it, and a Ritz
-# projection continues it (project_above)
+# pipeline._spectral_range sizes the filter window with it, and both
+# Krylov routes of project_above read it
 _RANGE_PROBE_STEPS = 60
 _RANGE_PROBE_TOL = 1e-3
+# A padded range is this multiple of the spread of the Ritz values (or spectrum)
+_RANGE_PAD = 1.2
 
 
 class _Sweep:
@@ -395,7 +397,6 @@ def project_above(
     method: str,
     tol: float = 1e-8,
     max_iters: int | None = None,
-    chebyshev_degree: int | None = None,
     probe: RitzDecomposition | None = None,
 ):
     """Filtered weight of x on the eigenspace above the cutoff window.
@@ -411,19 +412,19 @@ def project_above(
     window (chebyshev).  Every caller names its method; the projection
     step of a detector picks its own route (pipeline._project_step).
 
-    The Ritz route continues a range probe: probe, the last result of a
+    Both Krylov routes read one range probe: probe, the last result of a
     lanczos sweep of op started at x, or without one a probe of its own,
     run as pipeline._spectral_range runs it (at most _RANGE_PROBE_STEPS
-    steps, and max_iters, at tol _RANGE_PROBE_TOL).  Its stop rule first
-    sees the probe's last step, so a continued probe and one of its own
-    give the same result.  The other routes leave a probe where it stopped.
+    steps, and max_iters, at tol _RANGE_PROBE_TOL).  Ritz continues its
+    sweep, with a stop rule that first sees the probe's last step, so a
+    continued probe and one of its own give the same result; a later call
+    refuses a probe that Ritz moved on.  Chebyshev takes its interval from
+    the probe's Ritz values and, as dense does, leaves the probe as it was.
     """
     if not e_lower < e_upper:
         raise InvalidParameterError(f"need e_lower < e_upper, got [{e_lower}, {e_upper}]")
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
-    if chebyshev_degree is not None and chebyshev_degree < 1:
-        raise InvalidParameterError(f"chebyshev_degree must be at least 1, got {chebyshev_degree}")
     matvec, dim, op_basis = _as_operator(op)
     vec, vec_basis = _as_vector(x, op)
     basis = op_basis if op_basis is not None else vec_basis
@@ -443,16 +444,14 @@ def project_above(
         projected, norm_sq = _keep_above(*np.linalg.eigh(_dense_matrix(op, DENSE_LIMIT)), vec, mid)
         return _wrap_vector(projected, basis), norm_sq, ApproxProjector("dense", dim, 1e-14)
 
+    if method not in ("ritz", "chebyshev"):
+        raise InvalidParameterError(f"unknown projector method {method!r}")
+    if probe is None:
+        steps = _RANGE_PROBE_STEPS if max_iters is None else min(max_iters, _RANGE_PROBE_STEPS)
+        probe = lanczos(op, vec, max_iters=steps, tol=_RANGE_PROBE_TOL)
     if method == "ritz":
-        if sweep is None:
-            steps = _RANGE_PROBE_STEPS if max_iters is None else min(max_iters, _RANGE_PROBE_STEPS)
-            sweep = lanczos(op, vec, max_iters=steps, tol=_RANGE_PROBE_TOL)._sweep
-        return _project_ritz(sweep, basis, mid, tol, max_iters)
-
-    if method == "chebyshev":
-        return _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, chebyshev_degree)
-
-    raise InvalidParameterError(f"unknown projector method {method!r}")
+        return _project_ritz(probe._sweep, basis, mid, tol, max_iters)
+    return _project_chebyshev(matvec, basis, vec, probe.ritz_values, e_lower, e_upper, tol)
 
 
 def _keep_above(values, vectors, vec, mid: float) -> tuple[np.ndarray, float]:
@@ -567,24 +566,25 @@ def _project_ritz(sweep, basis, mid, tol, max_iters):
     return _wrap_vector(projected, basis), norm_sq, proj
 
 
-def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
+def _project_chebyshev(matvec, basis, vec, ritz_values, e_lower, e_upper, tol):
     """Filter by the Chebyshev series of the smooth step
     1/2 (1 + erf(kappa (t - c))), in unit coordinates t where c is the window
     midpoint and h its half-width.
 
+    The unit interval is the probe's Ritz range padded to _RANGE_PAD times
+    its spread (a zero spread, x an eigenvector, widened to 1e-12 of the
+    scale).  The band error assumes that the spectrum lies in it, which
+    the probe does not prove.
+
     kappa = sqrt(ln(1/tol)) / h puts the step within tol/2 of 0 at e_lower
-    and of 1 at e_upper, because erfc(x) <= exp(-x^2).  Without a given
-    degree the series is cut where the dropped |coefficients| sum to at
-    most tol/2, so the band error is at most tol.
+    and of 1 at e_upper, because erfc(x) <= exp(-x^2).  The series is cut
+    where the dropped |coefficients| sum to at most tol/2, so the band
+    error is at most tol.
     """
-    matvec, dim, _ = _as_operator(op)
-    # spectral interval estimate with safety margin from a short sweep
-    probe = lanczos(op, vec, max_iters=min(dim, 60), tol=1e-6)
-    lo = float(probe.ritz_values.min())
-    hi = float(probe.ritz_values.max())
-    pad = 0.1 * max(hi - lo, 1e-12) + 1e-12
-    lo, hi = lo - pad, hi + pad
-    u_lower, u_upper = ((2.0 * e - (hi + lo)) / (hi - lo) for e in (e_lower, e_upper))
+    lo, hi = float(ritz_values.min()), float(ritz_values.max())
+    center = 0.5 * (lo + hi)
+    half = 0.5 * _RANGE_PAD * max(hi - lo, 1e-12 * max(1.0, abs(lo), abs(hi)))
+    u_lower, u_upper = ((e - center) / half for e in (e_lower, e_upper))
     log_inv_tol = log(1.0 / tol)
     kappa = sqrt(log_inv_tol) / (0.5 * (u_upper - u_lower))
     mid = 0.5 * (u_lower + u_upper)
@@ -592,15 +592,14 @@ def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
     # the coefficients fall below tol near degree 2 kappa sqrt(ln(1/tol));
     # interpolate at twice that many Chebyshev extrema, by a DCT-I through
     # the FFT of the even extension (O(fit) memory, no Vandermonde matrix)
-    fit = max(min(6000, 16 + int(4.0 * kappa * sqrt(log_inv_tol))), degree or 0)
+    fit = min(6000, 16 + int(4.0 * kappa * sqrt(log_inv_tol)))
     nodes = np.cos(np.pi * np.arange(fit + 1) / fit).tolist()
     step = np.array([0.5 * (1.0 + erf(kappa * (t - mid))) for t in nodes])
     coeffs = np.fft.rfft(np.concatenate([step, step[-2:0:-1]])).real / fit
     coeffs[[0, fit]] *= 0.5
-    if degree is None:
-        # dropped[d]: sum of |coeffs[k]| over k > d
-        dropped = np.append(np.cumsum(np.abs(coeffs[:0:-1]))[::-1], 0.0)
-        degree = max(1, int(np.argmax(dropped <= 0.5 * tol)))
+    # dropped[d]: sum of |coeffs[k]| over k > d
+    dropped = np.append(np.cumsum(np.abs(coeffs[:0:-1]))[::-1], 0.0)
+    degree = max(1, int(np.argmax(dropped <= 0.5 * tol)))
     coeffs = coeffs[: degree + 1]
 
     # measured band error on a grid that includes both band edges
@@ -618,8 +617,7 @@ def _project_chebyshev(op, basis, vec, e_lower, e_upper, tol, degree):
         )
 
     # Clenshaw-style three-term recurrence applied to the state
-    a = 2.0 / (hi - lo)
-    b = (hi + lo) / (hi - lo)
+    a, b = 1.0 / half, center / half
     tkm1 = vec
     tk = a * matvec(vec) - b * vec
     acc = coeffs[0] * tkm1 + coeffs[1] * tk

@@ -23,6 +23,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+# one BLAS thread, as in the test session (conftest.py): some corpus files
+# move in their last bits with the thread count.  Set before numpy loads;
+# an explicit setting in the environment wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from tensorpca import (
     DetectionConfig,
     ModelParams,

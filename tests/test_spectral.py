@@ -285,8 +285,9 @@ def _assert_matches_full_decomposition(tridiag, beta):
 
 
 class TestProbe:
-    """project_above(probe=...) continues the last run of a sweep of op
-    started at x on the Ritz route, and refuses any other sweep."""
+    """project_above(probe=...) takes the last run of a sweep of op started
+    at x on both Krylov routes, and refuses any other sweep: the Ritz route
+    continues it, and the Chebyshev route reads its Ritz values."""
 
     @staticmethod
     def _setup():
@@ -294,23 +295,45 @@ class TestProbe:
         x = rng(67).standard_normal(80)
         return h, x / np.linalg.norm(x)
 
-    def test_continued_weight_matches_a_fresh_sweep(self):
+    @pytest.mark.parametrize("method", ["ritz", "chebyshev"])
+    def test_continued_weight_matches_a_fresh_sweep(self, method):
         h, x = self._setup()
         probe = lanczos(h, x, max_iters=60, tol=1e-3)
-        fresh = project_above(h, x, 3.0, 5.0, method="ritz")
-        continued = project_above(h, x, 3.0, 5.0, method="ritz", probe=probe)
-        assert fresh[2].degree_or_iters >= probe.iterations + 2
+        fresh = project_above(h, x, 3.0, 5.0, method=method)
+        continued = project_above(h, x, 3.0, 5.0, method=method, probe=probe)
+        if method == "ritz":
+            assert fresh[2].degree_or_iters >= probe.iterations + 2
         assert continued[1] == fresh[1]
         assert np.array_equal(continued[0], fresh[0])
         assert continued[2].degree_or_iters == fresh[2].degree_or_iters
 
-    def test_the_dense_route_leaves_the_probe(self):
+    @pytest.mark.parametrize("method", ["ritz", "chebyshev"])
+    def test_the_dense_route_leaves_the_probe(self, method):
         h, x = self._setup()
         probe = lanczos(h, x, max_iters=60, tol=1e-3)
         steps = probe.iterations
         _, weight, proj = project_above(h, x, 3.0, 5.0, method="dense", probe=probe)
         assert proj.method == "dense" and probe._sweep.k == steps
         assert weight == project_above(h, x, 3.0, 5.0, method="dense")[1]
+        after = project_above(h, x, 3.0, 5.0, method=method, probe=probe)
+        assert after[1] == project_above(h, x, 3.0, 5.0, method=method)[1]
+
+    def test_chebyshev_applies_h_only_for_its_series(self):
+        # given a probe, the Chebyshev route runs no sweep of its own: it
+        # applies H once per degree of its series (316 here, after the
+        # probe's 23 steps), and a later Ritz call still continues the probe
+        h = HamiltonianOperator(sample_gaussian_tensor(6, rng(68)), build_basis(6, 4))
+        x = rng(69).standard_normal(h.dim)
+        x /= np.linalg.norm(x)
+        probe = lanczos(h, x, max_iters=60, tol=1e-3)
+        e_lower, e_upper = 20.0, 28.0  # eigenvalues 26.5 and 27.1 inside
+        before = h.matvec_count
+        _, _, proj = project_above(h, x, e_lower, e_upper, method="chebyshev", probe=probe)
+        assert h.matvec_count - before == proj.degree_or_iters > 0
+        continued = project_above(h, x, e_lower, e_upper, method="ritz", probe=probe)
+        fresh = project_above(h, x, e_lower, e_upper, method="ritz")
+        assert continued[1] == fresh[1]
+        assert continued[2].degree_or_iters == fresh[2].degree_or_iters > probe.iterations
 
     def test_a_continued_projection_builds_no_ritz_vectors(self):
         # the Ritz route combines the Krylov rows into the projected vector
@@ -334,7 +357,8 @@ class TestProbe:
         assert probe._sweep.block.shape[0] == 60
         assert peak <= 4 * dim * 8
 
-    def test_foreign_or_spent_probes_are_refused(self):
+    @pytest.mark.parametrize("method", ["ritz", "chebyshev"])
+    def test_foreign_or_spent_probes_are_refused(self, method):
         h, x = self._setup()
         y = np.roll(x, 1)
         probes = {
@@ -349,7 +373,7 @@ class TestProbe:
         probes["Ritz vectors read"] = read
         for name, probe in probes.items():
             with pytest.raises(InvalidParameterError, match="probe must be"):
-                project_above(h, x, 3.0, 5.0, method="ritz", probe=probe)
+                project_above(h, x, 3.0, 5.0, method=method, probe=probe)
 
 
 class TestStopCheck:
@@ -731,25 +755,25 @@ class TestProjectAbove:
         assert w == pytest.approx(exact, abs=0.05)
 
     def test_chebyshev_unreachable_tolerance_raises(self):
+        # a window of width 0.02 at tol=1e-10 needs a series beyond the fit's
+        # cap of 6000 nodes
         x = rng(13).standard_normal(16)
         x /= np.linalg.norm(x)
         with pytest.raises(ConvergenceError):
-            project_above(
-                self.a, x, 4.0, 4.2, method="chebyshev", tol=1e-10, chebyshev_degree=8
-            )
+            project_above(self.a, x, 4.0, 4.02, method="chebyshev", tol=1e-10)
 
     @pytest.mark.parametrize(
         "method, options, iterations, stated",
         [
-            ("chebyshev", {"chebyshev_degree": 8}, 8, "at degree 8"),
-            ("ritz", {"max_iters": 1}, 1, "after 1 Krylov steps"),
+            ("chebyshev", {"e_upper": 4.02}, 6000, "at degree 6000"),
+            ("ritz", {"e_upper": 4.2, "max_iters": 1}, 1, "after 1 Krylov steps"),
         ],
     )
     def test_unreachable_tolerance_reports_its_iterations(self, method, options, iterations, stated):
         x = rng(13).standard_normal(16)
         x /= np.linalg.norm(x)
         with pytest.raises(ConvergenceError) as exc:
-            project_above(self.a, x, 4.0, 4.2, method=method, tol=1e-10, **options)
+            project_above(self.a, x, 4.0, method=method, tol=1e-10, **options)
         assert exc.value.iterations == iterations
         assert stated in str(exc.value)
 
@@ -786,7 +810,6 @@ class TestProjectAbove:
             (1.0, 4.0, 6.0, {"method": "bogus"}),
             (1.0, 4.0, 6.0, {"method": "auto"}),
             (1.5, 4.0, 6.0, {"method": "dense"}),
-            (1.0, 4.0, 6.0, {"method": "chebyshev", "chebyshev_degree": 0}),
             (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 0.0}),
             (1.0, 4.0, 6.0, {"method": "chebyshev", "tol": 1.0}),
         ],
@@ -795,7 +818,6 @@ class TestProjectAbove:
             "unknown-method",
             "auto-method",
             "unnormalized-state",
-            "degree-below-one",
             "tol-zero",
             "tol-one",
         ],
@@ -840,6 +862,24 @@ class TestProjectAbove:
         assert upper_weight - 1e-8 <= w <= lower_weight + 1e-8
         assert proj.achieved_error <= 1e-8
         assert proj.degree_or_iters <= 1000
+
+    @pytest.mark.parametrize("N, n_bos", [(6, 4), (8, 4), (12, 4), (6, 8)])
+    def test_the_padded_probe_range_holds_the_spectrum(self, N, n_bos):
+        # the Chebyshev band error assumes that the spectrum lies in the
+        # range probe's Ritz range padded by _RANGE_PAD, which interlacing
+        # does not prove; on these draws and four more per point, the padded
+        # top sat at 1.13-1.21 lambda_max, the bottom at 1.19-1.32 lambda_min
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=0.1, seed=N + n_bos)
+        t0, _ = sample_instance(params, spiked=True)
+        out = projection_statistic(t0, params, DetectionConfig(dense_limit=0), seed=params.seed)
+        h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+        probe = lanczos(
+            h, out.input_state, max_iters=spectral._RANGE_PROBE_STEPS, tol=spectral._RANGE_PROBE_TOL
+        )
+        lo, hi = probe.ritz_values.min(), probe.ritz_values.max()
+        center, half = 0.5 * (lo + hi), 0.5 * spectral._RANGE_PAD * (hi - lo)
+        vals = np.linalg.eigvalsh(h.materialize_dense())
+        assert center - half <= vals[0] and vals[-1] <= center + half
 
 
 def _symmetric_with_top(top: float, dim: int = 40, seed: int = 60, dtype=float) -> np.ndarray:
