@@ -136,7 +136,7 @@ def sample_gaussian_tensor(
         vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(0.5)
     else:
         raise InvalidParameterError(f"unknown ensemble {ensemble!r}")
-    return SymmetricTensor4(N, vals / np.sqrt(lay.orbit_sizes))
+    return SymmetricTensor4(N, vals / lay.orbit_roots)
 
 
 def noise_power_per_entry(N: int) -> float:

@@ -137,6 +137,18 @@ class _Sweep:
     uninterrupted run would, under its own stop check, which it applies
     first to the tridiagonal the last run ended on.  A sweep that broke
     down takes no more steps.
+
+    eigh(tridiag) solves the k x k tridiagonal once per k: a stop check
+    that reads the full eigensystem and the decomposition a run returns
+    share one np.linalg.eigh, and so do a run's last step and the next
+    run's first check.  Keying the memo on k is safe because a step only
+    writes row and column k of the tridiagonal, outside the leading k x k
+    block, and a regrown block copies that block unchanged.
+
+    On a real sweep a step takes alpha as q.dot(w) and a norm as
+    sqrt(w.dot(w)): the ddot that np.vdot runs on float64, and
+    np.linalg.norm's own formula for a real vector, without their
+    dispatch.  A complex sweep keeps np.vdot and np.linalg.norm.
     """
 
     def __init__(self, matvec, v0, max_iters):
@@ -160,11 +172,21 @@ class _Sweep:
         self.scale = 1.0  # running max of |alpha| and the beta of every completed step
         self.invariant = False
         self.second_passes = 0  # steps whose first reorthogonalization pass cancelled
+        self._eigh_k, self._eigh = 0, None  # the last k solved, and its eigensystem
+
+    def eigh(self, tridiag):
+        """np.linalg.eigh of tridiag, this sweep's leading k x k
+        tridiagonal: eigenvalues ascending, solved once per k."""
+        k = tridiag.shape[0]
+        if k != self._eigh_k:
+            self._eigh_k, self._eigh = k, np.linalg.eigh(tridiag)
+        return self._eigh
 
     def run(self, max_iters, stop_check) -> RitzDecomposition:
         max_iters = max(1, min(max_iters, self.dim))
         k, beta, w, scale = self.k, self.beta, self.residual, self.scale
         basis_vecs, tridiag, complex_vec = self.block, self.tridiag, self.block.dtype.kind == "c"
+        norm = _complex_norm if complex_vec else _real_norm
         stopped = self.invariant or (
             k > 0 and stop_check is not None and stop_check(tridiag[:k, :k], beta)
         )
@@ -182,7 +204,7 @@ class _Sweep:
                 np.divide(w, beta, out=basis_vecs[k])
             q = basis_vecs[k]
             w = self.matvec(q)
-            alpha = float(np.real(np.vdot(q, w)))
+            alpha = float(np.real(np.vdot(q, w))) if complex_vec else float(q.dot(w))
             tridiag[k, k] = alpha
             w -= alpha * q
             if k:
@@ -191,14 +213,14 @@ class _Sweep:
             # full reorthogonalization, a second pass only where the first
             # cancelled (the DGKS test)
             active = basis_vecs[: k + 1]
-            beta = float(np.linalg.norm(w))
+            beta = norm(w)
             for second in (False, True):
                 kept = _DGKS_KEEP * beta
                 if complex_vec:
                     w -= np.conj(active @ np.conj(w)) @ active
                 else:
                     w -= (active @ w) @ active
-                beta = float(np.linalg.norm(w))
+                beta = norm(w)
                 if beta >= kept:
                     break
             self.second_passes += second
@@ -210,7 +232,9 @@ class _Sweep:
             stopped = stop_check is not None and stop_check(tridiag[:k, :k], beta)
         self.k, self.beta, self.residual, self.scale = k, beta, w, scale
         self.block, self.tridiag = basis_vecs, tridiag
-        values, residuals, first_row, eigvecs = _ritz_from_tridiag(tridiag[:k, :k], beta)
+        values, residuals, first_row, eigvecs = _ritz_from_tridiag(
+            tridiag[:k, :k], beta, self.eigh(tridiag[:k, :k])
+        )
         return RitzDecomposition(
             ritz_values=values,
             residuals=residuals,
@@ -223,16 +247,25 @@ class _Sweep:
         )
 
 
+def _real_norm(w) -> float:
+    return sqrt(w.dot(w))
+
+
+def _complex_norm(w) -> float:
+    return float(np.linalg.norm(w))
+
+
 def _lanczos_sweep(matvec, v0, max_iters, stop_check):
     """A new _Sweep from v0, run once: the Krylov tridiagonalization of
     matvec from v0 as a RitzDecomposition, ended as _Sweep.run ends it."""
     return _Sweep(matvec, v0, max_iters).run(max_iters, stop_check)
 
 
-def _ritz_from_tridiag(tridiag, beta_last):
+def _ritz_from_tridiag(tridiag, beta_last, eigensystem=None):
     """All Ritz pairs of a Lanczos tridiagonal, by descending value: values,
-    residuals, first eigenvector components and eigenvectors."""
-    vals, vecs = np.linalg.eigh(tridiag)
+    residuals, first eigenvector components and eigenvectors.  eigensystem
+    is tridiag's np.linalg.eigh, when the caller has solved it already."""
+    vals, vecs = np.linalg.eigh(tridiag) if eigensystem is None else eigensystem
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.abs(beta_last) * np.abs(vecs[-1, :])
@@ -508,29 +541,35 @@ def _spectrum_below(dense, cut: float) -> bool:
 def _project_ritz(sweep, basis, mid, tol, max_iters):
     """Ritz projection from a Lanczos sweep started at the state, continued
     from where it stopped.  The stop rule sees every step from that one, so
-    it can stop two steps after it at the earliest."""
+    it can stop two steps after it at the earliest.
+
+    The rule stops once the kept weight has held for two steps and every
+    Ritz pair near the cut is resolved to its side of it.  It reads the
+    sweep's eigensystem of each tridiagonal (_Sweep.eigh), which the final
+    decomposition then reorders, and tracks the weight at every step; the
+    boundary residuals are only built once the weight has held, so it
+    decides exactly as a rule that builds them at every step."""
     if max_iters is None:
         max_iters = sweep.dim
     prev, stable = None, 0  # the last weight, and how many steps it has held
 
     def stop(tridiag, beta):
         nonlocal prev, stable
-        values, vectors = np.linalg.eigh(tridiag)  # ascending
+        values, vectors = sweep.eigh(tridiag)  # ascending
         keep = values >= mid
         # summed by descending value, as the final decomposition lists them
         weight = float(np.sum(np.abs(vectors[0, keep][::-1]) ** 2))
-        residuals = abs(beta) * np.abs(vectors[-1])
-        scale = max(1.0, float(np.abs(values).max()))
-        # every pair near the cut must be resolved to its side of the cut
-        boundary_ok = np.all(
-            (residuals <= tol * scale) | (np.abs(values - mid) > residuals)
-        )
         if prev is not None and abs(weight - prev) <= 0.1 * tol * max(weight, 1e-3):
             stable += 1
         else:
             stable = 0
         prev = weight
-        return bool(boundary_ok and stable >= 2)
+        if stable < 2:
+            return False
+        residuals = abs(beta) * np.abs(vectors[-1])
+        scale = max(1.0, float(np.abs(values).max()))
+        # every pair near the cut must be resolved to its side of the cut
+        return bool(np.all((residuals <= tol * scale) | (np.abs(values - mid) > residuals)))
 
     ritz = sweep.run(max_iters, stop)
     values, residuals, start_coeffs, iters = (

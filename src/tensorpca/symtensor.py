@@ -57,6 +57,11 @@ class _IndexLayout:
         self.orbit_sizes = factorial(_ORDER) // denom
 
     @cached_property
+    def orbit_roots(self) -> np.ndarray:
+        """sqrt(orbit_sizes), the per-entry scale of a noise draw."""
+        return np.sqrt(self.orbit_sizes)
+
+    @cached_property
     def tuples(self) -> list[tuple[int, ...]]:
         return [tuple(t) for t in self.tuples_array.tolist()]
 
@@ -197,6 +202,7 @@ def symmetrize_dense(dense: np.ndarray) -> np.ndarray:
 def rank_one(v: np.ndarray) -> SymmetricTensor4:
     """The tensor with entries v_i v_j v_k v_l."""
     v = np.asarray(v, dtype=float)
-    lay = layout(v.shape[0])
-    vals = np.prod(v[lay.tuples_array], axis=1)
-    return SymmetricTensor4(v.shape[0], vals)
+    i, j, k, l = layout(v.shape[0]).tuples_array.T
+    # left to right, the order of np.prod(v[tuples_array], axis=1), so the
+    # entries are the same to the bit
+    return SymmetricTensor4(v.shape[0], v[i] * v[j] * v[k] * v[l])

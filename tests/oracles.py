@@ -1,6 +1,7 @@
 """Oracles that only the tests use: basis rotations of a symmetric tensor,
 both sides of the spike-energy bound, the einsum tensor power iteration,
-and brute-force full-space vectors with their permutation symmetrizer."""
+brute-force full-space vectors with their permutation symmetrizer, and a
+plainly written Lanczos sweep with the Ritz projector's stop rule."""
 
 from dataclasses import dataclass
 from itertools import permutations
@@ -20,6 +21,7 @@ from tensorpca import (
 from tensorpca._util import MAX_FULL_DIM
 from tensorpca.fock import _bincount, _full_space_ranks
 from tensorpca.recovery import DegenerateIterationError
+from tensorpca.spectral import _DGKS_KEEP
 from tensorpca.symtensor import SymmetricTensor4, rank_one
 
 
@@ -149,3 +151,100 @@ def occupation_to_full(state: StateVector) -> FullSpaceVector:
     ranks = _full_space_ranks(basis)
     amps = state.amps[ranks] * np.exp(-0.5 * basis.log_seq_count[ranks])
     return FullSpaceVector(basis.n_modes, basis.n_bos, amps)
+
+
+def reference_sweep(matvec, v0, stages):
+    """spectral._Sweep's Krylov tridiagonalization written plainly, as the
+    reference for its arithmetic: np.vdot for alpha, np.linalg.norm for
+    every norm, allocating products, storage sized once, and a fresh
+    np.linalg.eigh for every decomposition.
+
+    stages lists (max_iters, stop_check) pairs run on one Krylov sequence,
+    as successive _Sweep.run calls: each takes steps until its check passes,
+    the space breaks down or max_iters steps are done in all, and a later
+    stage applies its check first to the tridiagonal the last one ended on.
+
+    Returns the k x k tridiagonal, the k Krylov rows and, per stage, the
+    decomposition it ended on: (values, residuals, start_coeffs, vectors),
+    by descending value, vectors being the tridiagonal's eigenvectors (the
+    Ritz vectors are the Krylov rows' transpose times them).
+    """
+    dim = v0.shape[0]
+    start_norm = np.linalg.norm(v0)
+    size = max(1, min(max(m for m, _ in stages), dim))
+    krylov = np.empty((size, dim), dtype=np.complex128 if np.iscomplexobj(v0) else np.float64)
+    krylov[0] = v0 / start_norm
+    tridiag = np.zeros((size, size))
+    k, beta, w, scale, invariant = 0, 0.0, None, 1.0, False
+    decompositions = []
+    for max_iters, stop_check in stages:
+        max_iters = max(1, min(max_iters, dim))
+        stopped = invariant or (
+            k > 0 and stop_check is not None and stop_check(tridiag[:k, :k], beta)
+        )
+        while not stopped and k < max_iters:
+            if k:
+                scale = max(scale, beta)
+                krylov[k] = w / beta
+            q = krylov[k]
+            w = matvec(q)
+            alpha = float(np.real(np.vdot(q, w)))
+            tridiag[k, k] = alpha
+            w = w - alpha * q
+            if k:
+                tridiag[k, k - 1] = tridiag[k - 1, k] = beta
+                w = w - beta * krylov[k - 1]
+            active = krylov[: k + 1]
+            beta = float(np.linalg.norm(w))
+            for _ in range(2):
+                kept = _DGKS_KEEP * beta
+                if np.iscomplexobj(w):
+                    w = w - np.conj(active @ np.conj(w)) @ active
+                else:
+                    w = w - (active @ w) @ active
+                beta = float(np.linalg.norm(w))
+                if beta >= kept:
+                    break
+            k += 1
+            scale = max(scale, abs(alpha))
+            if beta <= 1e-13 * scale:
+                invariant, beta = True, 0.0
+                break
+            stopped = stop_check is not None and stop_check(tridiag[:k, :k], beta)
+        values, vectors = np.linalg.eigh(tridiag[:k, :k])
+        order = np.argsort(values)[::-1]
+        values, vectors = values[order], vectors[:, order]
+        decompositions.append(
+            (
+                values,
+                abs(beta) * np.abs(vectors[-1, :]),
+                vectors[0, :] * start_norm,
+                vectors,
+            )
+        )
+    return tridiag[:k, :k].copy(), krylov[:k].copy(), decompositions
+
+
+def reference_ritz_stop(mid, tol):
+    """The Ritz projector's stop rule (spectral._project_ritz) with a fresh
+    np.linalg.eigh and every boundary residual at each check: it passes once
+    the weight above mid has held for two steps and every Ritz pair near mid
+    is resolved to its side."""
+    prev, stable = None, 0
+
+    def stop(tridiag, beta):
+        nonlocal prev, stable
+        values, vectors = np.linalg.eigh(tridiag)
+        keep = values >= mid
+        weight = float(np.sum(np.abs(vectors[0, keep][::-1]) ** 2))
+        residuals = abs(beta) * np.abs(vectors[-1])
+        scale = max(1.0, float(np.abs(values).max()))
+        boundary_ok = np.all((residuals <= tol * scale) | (np.abs(values - mid) > residuals))
+        if prev is not None and abs(weight - prev) <= 0.1 * tol * max(weight, 1e-3):
+            stable += 1
+        else:
+            stable = 0
+        prev = weight
+        return bool(boundary_ok and stable >= 2)
+
+    return stop

@@ -382,6 +382,37 @@ class TestSharedSweep:
         assert counts == [(7, 13, 13), (7, 12, 12), (7, 13, 13), (7, 13, 13),
                           (7, 12, 12), (7, 13, 13), (7, 13, 13), (7, 13, 13)]
 
+    def test_one_eigensolve_per_tridiagonal(self, monkeypatch):
+        # the probe solves its last tridiagonal for its decomposition, and
+        # the Ritz projector's first check reads that solve; every later
+        # check solves its own, which the final decomposition reads
+        solved, checked = [], []
+        eigh, run = np.linalg.eigh, spectral._Sweep.run
+
+        def counted_eigh(a, *args, **kwargs):
+            solved.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        def recorded_run(sweep, max_iters, stop_check):
+            if stop_check is None or sweep.k == 0:  # not a continued sweep
+                return run(sweep, max_iters, stop_check)
+
+            def check(tridiag, beta):
+                checked.append(tridiag.shape[0])
+                return stop_check(tridiag, beta)
+
+            return run(sweep, max_iters, check)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(spectral._Sweep, "run", recorded_run)
+        for t in range(3):
+            out = self._outcome("recov16", t)
+            probe_steps = out.range_probe_matvecs
+            assert checked == list(range(probe_steps, out.matvec_count + 1))
+            assert solved == checked
+            solved.clear()
+            checked.clear()
+
     @pytest.mark.parametrize("tag, draws", [("recov16", 4), ("ritz-6-8", 3)])
     def test_continued_sweep_equals_a_fresh_projection(self, tag, draws):
         # a fresh Ritz projection from the state on the same window runs the

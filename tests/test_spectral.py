@@ -50,6 +50,8 @@ from tensorpca.spectral import (
 )
 from tensorpca.symtensor import rank_one
 
+from oracles import reference_ritz_stop, reference_sweep
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -257,6 +259,91 @@ class TestReorthogonalization:
         assert ritz.iterations == 10 and sweep.second_passes == 0
         krylov = sweep.block[:10]
         assert np.abs(krylov @ krylov.T - np.eye(10)).max() <= 1e-13
+
+
+# the recovery and ROC operating points (N=16, D=3876 and N=6, D=126)
+_REFERENCE_POINTS = [(16, 4, 0.12, 99), (6, 4, 0.2732336812165897, 1000)]
+
+
+class TestReferenceSweep:
+    """The sweep and the Ritz projector against oracles.reference_sweep,
+    which keeps the plain formulas (np.vdot, np.linalg.norm, allocating
+    products, one eigh per decomposition and per Ritz check): every float
+    of the tridiagonal, the Krylov rows and the decompositions is equal,
+    not only close."""
+
+    @staticmethod
+    def _step(N, n_bos, lam, seed):
+        """The spiked projection step of (N, n_bos): its operator, state and
+        window, drawn as the pipeline draws them."""
+        params = ModelParams(N=N, n_bos=n_bos, lambda_bar=lam, seed=seed)
+        t0, _ = sample_instance(params, spiked=True, rng=derived_rng(seed, "reference", N))
+        # the recovery workload's dense limit: at N=16 the step probes and projects by Ritz
+        out = projection_statistic(t0, params, DetectionConfig(dense_limit=1500), seed=seed)
+        h = HamiltonianOperator(out.pair.t_plus, out.input_state.basis)
+        return h, out.input_state, out.e_lower, out.cutoff
+
+    @staticmethod
+    def _assert_equal(ritz, sweep, reference):
+        tridiag, krylov, decompositions = reference
+        values, residuals, start_coeffs, vectors = decompositions[-1]
+        k = ritz.iterations
+        assert k == krylov.shape[0]
+        assert np.array_equal(sweep.tridiag[:k, :k], tridiag)
+        assert np.array_equal(sweep.block[:k], krylov)
+        assert np.array_equal(ritz.ritz_values, values)
+        assert np.array_equal(ritz.residuals, residuals)
+        assert np.array_equal(ritz.start_coeffs, start_coeffs)
+        assert np.array_equal(ritz.ritz_vectors, krylov.T @ vectors)
+
+    @pytest.mark.parametrize("N, n_bos, lam, seed", _REFERENCE_POINTS)
+    def test_fixed_length_sweep(self, N, n_bos, lam, seed):
+        h, state, _, _ = self._step(N, n_bos, lam, seed)
+        sweep = spectral._Sweep(h.matvec, state.amps, 40)
+        ritz = sweep.run(40, None)
+        self._assert_equal(ritz, sweep, reference_sweep(h.matvec, state.amps, [(40, None)]))
+
+    def test_a_second_gram_schmidt_pass(self):
+        # the matrix of TestReorthogonalization, whose third step cancels
+        a = np.diag(np.linspace(-5.0, 10.0, 200))
+        x = np.zeros(200)
+        x[[0, 100, 199]] = [0.6, 0.48, 0.64]
+        sweep = spectral._Sweep(a.dot, x, 10)
+        ritz = sweep.run(10, None)
+        assert sweep.second_passes == 1 and ritz.invariant_subspace
+        self._assert_equal(ritz, sweep, reference_sweep(a.dot, x, [(10, None)]))
+
+    @pytest.mark.parametrize("N, n_bos, lam, seed", _REFERENCE_POINTS)
+    def test_probe_and_its_ritz_continuation(self, N, n_bos, lam, seed):
+        h, state, e_lower, cutoff = self._step(N, n_bos, lam, seed)
+        _, probe = pipeline._spectral_range(h, state)
+        sweep = probe._sweep
+        projected, weight, proj = project_above(
+            h, state, e_lower, cutoff, method="ritz", probe=probe
+        )
+        mid = 0.5 * (e_lower + cutoff)
+        tridiag, krylov, (probed, continued) = reference_sweep(
+            h.matvec,
+            state.amps,
+            [
+                (min(h.dim, spectral._RANGE_PROBE_STEPS), _exact_stop(spectral._RANGE_PROBE_TOL)),
+                (h.dim, reference_ritz_stop(mid, 1e-8)),
+            ],
+        )
+        # the probe's decomposition, its Krylov rows untouched by the continuation
+        values, residuals, start_coeffs, vectors = probed
+        assert np.array_equal(probe.ritz_values, values)
+        assert np.array_equal(probe.residuals, residuals)
+        assert np.array_equal(probe.start_coeffs, start_coeffs)
+        assert np.array_equal(probe.ritz_vectors, krylov[: probe.iterations].T @ vectors)
+        # the continuation, and the decomposition the projector read
+        k = proj.degree_or_iters
+        self._assert_equal(sweep.run(k, None), sweep, (tridiag, krylov, [continued]))
+        values, _, start_coeffs, vectors = continued
+        keep = values >= mid
+        coefs = start_coeffs[keep]
+        assert weight == float(np.sum(np.abs(coefs) ** 2))
+        assert np.array_equal(projected.amps, krylov.T @ (vectors[:, keep] @ coefs))
 
 
 def _tridiag(alphas, betas):

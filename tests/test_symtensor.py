@@ -10,7 +10,7 @@ import pytest
 
 from tensorpca import InvalidParameterError, sample_gaussian_tensor
 from tensorpca._util import DENSE_TENSOR_LIMIT
-from tensorpca.symtensor import SymmetricTensor4, _IndexLayout, layout, symmetrize_dense
+from tensorpca.symtensor import SymmetricTensor4, _IndexLayout, layout, rank_one, symmetrize_dense
 
 
 def _dense_index_by_dict(n):
@@ -49,6 +49,39 @@ def test_tuples_and_orbits_match_itertools(n):
     assert np.array_equal(lay.orbit_sizes, orbits)
     assert lay.tuples == tuples
     assert lay.index == {t: i for i, t in enumerate(tuples)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_rank_one_matches_the_row_product(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    t = rank_one(v)
+    assert t.values.dtype == np.float64
+    # the same left-to-right product, so the same bits
+    assert np.array_equal(t.values, np.prod(v[layout(n).tuples_array], axis=1))
+    dense = np.einsum("i,j,k,l->ijkl", v, v, v, v)
+    assert np.allclose(t.to_dense(), dense, rtol=1e-15, atol=0)
+
+
+def test_rank_one_reads_integers_as_float():
+    t = rank_one(np.array([1, -2, 3]))
+    assert t.values.dtype == np.float64
+    expected = np.prod(np.array([1.0, -2.0, 3.0])[layout(3).tuples_array], axis=1)
+    assert np.array_equal(t.values, expected)
+    assert t[2, 2, 2, 2] == 81.0 and t[0, 1, 1, 2] == 12.0
+
+
+@pytest.mark.parametrize("ensemble", ["real", "complex"])
+def test_noise_draw_scales_by_the_orbit_roots(ensemble):
+    lay = layout(7)
+    assert lay.orbit_roots is lay.orbit_roots
+    assert np.array_equal(lay.orbit_roots, np.sqrt(lay.orbit_sizes))
+    g = np.random.default_rng(3)
+    if ensemble == "real":
+        vals = g.standard_normal(lay.size)
+    else:
+        vals = (g.standard_normal(lay.size) + 1j * g.standard_normal(lay.size)) * np.sqrt(0.5)
+    t = sample_gaussian_tensor(7, np.random.default_rng(3), ensemble=ensemble)
+    assert np.array_equal(t.values, vals / np.sqrt(lay.orbit_sizes))
 
 
 def test_orbits_count_every_index_tuple():
