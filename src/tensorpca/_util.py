@@ -45,28 +45,11 @@ def derived_rng(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Deterministic per-purpose RNG stream.
 
     Streams are derived from (seed, tag, index) so independent trials and
-    independent operations never share state, regardless of execution order
-    or thread scheduling.
+    independent operations never share state, regardless of execution order.
     """
     return np.random.default_rng(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(tag.encode()), int(index)])
     )
-
-
-def run_trials(fn, n_trials: int, threads: int = 1) -> list:
-    """Evaluate fn(i) for i in range(n_trials), optionally on a thread pool.
-
-    Results are returned in trial order, so output is independent of the
-    thread count as long as each trial derives its own RNG stream.
-    """
-    if threads <= 1 or n_trials <= 1:
-        return [fn(i) for i in range(n_trials)]
-    # imported here: concurrent.futures loads logging and queue, which a
-    # single-threaded run never needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 def binom_table(n_modes: int, n_bos: int) -> np.ndarray:

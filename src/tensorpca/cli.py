@@ -39,7 +39,6 @@ from ._util import (
     ConvergenceError,
     InvalidParameterError,
     derived_rng,
-    run_trials,
 )
 from .fock import load_state
 from .instance import ModelParams, load_tensor, sample_instance, save_tensor
@@ -69,7 +68,6 @@ class RunConfig:
     out: str = "report.json"
     fmt: str = "json"
     dense_limit: int = DetectionConfig.dense_limit
-    threads: int = 1
     ensemble: str = "real"
     unspiked: bool = False
     x_grid: list = field(default_factory=lambda: [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
@@ -80,11 +78,10 @@ class RunConfig:
     logs: list = field(default_factory=list)
 
     def __post_init__(self):
-        """The checks that need no other option: the counts, and that --out
-        names a file in a writable directory."""
-        for flag, count in (("--trials", self.trials), ("--threads", self.threads)):
-            if count < 1:
-                raise InvalidParameterError(f"{flag} must be at least 1, got {count}")
+        """The checks that need no other option: the trial count, and that
+        --out names a file in a writable directory."""
+        if self.trials < 1:
+            raise InvalidParameterError(f"--trials must be at least 1, got {self.trials}")
         folder = os.path.dirname(os.path.abspath(self.out))
         if os.path.isdir(self.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise InvalidParameterError(f"--out {self.out}: not a file in a writable directory")
@@ -212,9 +209,8 @@ def cmd_detect(config: RunConfig) -> dict:
         for n_bos in config.nbos_list:
             for lam in config.lambda_list:
                 params = config.model_params(N, n_bos, lam)
-
-                def one(trial: int, params=params):
-                    out, shared = [], {}
+                for trial in range(config.trials):
+                    shared = {}
                     for spiked in (True, False):
                         try:
                             row = _run_one_detection(config, cfg, params, spiked, trial, shared)
@@ -225,14 +221,7 @@ def cmd_detect(config: RunConfig) -> dict:
                                 "lambda": params.lambda_bar if spiked else 0.0,
                                 "seed": _trial_seed(params.seed, trial),
                             }
-                        row["N"] = N
-                        row["n_bos"] = n_bos
-                        row["trial"] = trial
-                        out.append(row)
-                    return out
-
-                for chunk in run_trials(one, config.trials, threads=config.threads):
-                    rows.extend(chunk)
+                        rows.append({**row, "N": N, "n_bos": n_bos, "trial": trial})
     ok = [r for r in rows if "error" not in r]
     columns = ["seed", "lambda", "verdict", "statistic", "threshold"]
     return _emit(
@@ -267,7 +256,6 @@ def cmd_dos(config: RunConfig) -> dict:
                 x_grid=config.x_grid,
                 trials=config.trials,
                 dense_limit=config.dense_limit,
-                threads=config.threads,
             )
             tables.append(
                 {
@@ -317,6 +305,7 @@ def _recover_one(config: RunConfig, cfg: DetectionConfig, params: ModelParams, t
         "corr_initial": rep.corr_initial,
         "corr_boosted": rep.corr_boosted,
         "iterations": rep.iterations_used,
+        "converged": rep.converged,
         "mode": config.mode,
         "seed": trial_seed,
     }
@@ -363,6 +352,7 @@ def cmd_recover(config: RunConfig) -> dict:
                 "detected": True,
                 "source": "snapshot",
                 "iterations": rep.iterations_used,
+                "converged": rep.converged,
                 "mode": config.mode,
                 "seed": config.seed,
                 "candidate": rep.candidate.tolist(),
@@ -442,7 +432,6 @@ _OPTIONS = {
     "--trials": dict(type=int),
     "--out": dict(type=str),
     "--dense-limit": dict(type=int),
-    "--threads": dict(type=int),
     "--ensemble": dict(choices=("real", "complex")),
     "--unspiked": dict(action="store_true"),
     "--method": dict(choices=tuple(DETECTORS)),
@@ -474,10 +463,10 @@ _SUBCOMMANDS = {
     "gen": (cmd_gen, "write an instance tensor file", ("json", "binary"),
             "--N --nbos --lambda --seed --out --ensemble --unspiked"),
     "detect": (cmd_detect, "detection sweep with ROC aggregates", ("json", "csv"),
-               "--N --nbos --lambda --zeta --seed --trials --out --dense-limit --threads "
-               "--method --cprime --slack --cdoubleprime --tol --k"),
+               "--N --nbos --lambda --zeta --seed --trials --out --dense-limit --method "
+               "--cprime --slack --cdoubleprime --tol --k"),
     "dos": (cmd_dos, "density-of-states tables", ("json", "csv"),
-            "--N --nbos --seed --trials --out --dense-limit --threads --xgrid"),
+            "--N --nbos --seed --trials --out --dense-limit --xgrid"),
     "recover": (cmd_recover, "detect/project/recover/boost chain", ("json",),
                 "--N --nbos --lambda --zeta --seed --trials --out --dense-limit "
                 "--method --cprime --slack --mode --unspiked --boost-with --state --tensor"),

@@ -34,7 +34,6 @@ rows of x at a time and keeps nothing.
 
 from __future__ import annotations
 
-import threading
 from functools import cache, cached_property
 
 import numpy as np
@@ -313,7 +312,6 @@ _CONVOLVE_ROWS = 64
 _MERGE_TABLE_PAIRS = 1 << 18
 _MERGE_CACHE_PAIRS = 1 << 20
 _merge_tables: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-_merge_lock = threading.Lock()
 
 
 def _merge_rows(ba: OccupationBasis, bb: OccupationBasis, out_basis: OccupationBasis):
@@ -347,10 +345,9 @@ def _merge_blocks(ba: OccupationBasis, bb: OccupationBasis, out_basis: Occupatio
         for rows, ranks, weights in _merge_rows(ba, bb, out_basis):
             block = slice(rows.start * bb.dim, rows.stop * bb.dim)
             table[0][block], table[1][block] = ranks, weights
-        with _merge_lock:
-            while sum(r.size for r, _ in _merge_tables.values()) + pairs > _MERGE_CACHE_PAIRS:
-                del _merge_tables[next(iter(_merge_tables))]
-            _merge_tables[key] = table
+        while sum(r.size for r, _ in _merge_tables.values()) + pairs > _MERGE_CACHE_PAIRS:
+            del _merge_tables[next(iter(_merge_tables))]
+        _merge_tables[key] = table
     return [(slice(0, ba.dim), *table)]
 
 

@@ -280,7 +280,7 @@ def _make_pair(
 # and one dense eigensolve costs less.  The exact-range cap: up to this
 # dimension a step that its pair weights cannot prove empty takes its range
 # from the exact spectrum too, after trying the proof on its dense operator.
-# Timed per step on seeded draws with one BLAS thread, that route beat the
+# Timed per step on seeded draws with serial BLAS, that route beat the
 # probe by 18-58% at D=70, 91 and 126 (spiked or not, lambda_bar 0.1-1.0),
 # but lost on some unspiked draws at D=165 (9%) and D=330 (28%), where an
 # eigensolve replaced a probe

@@ -88,10 +88,15 @@ def randomized_recover(
     return _sign_fix(cand)
 
 
+# boost's iteration cap: recovery_chain reads a run that reaches it as not
+# converged
+_BOOST_MAX_ITERS = 50
+
+
 def boost(
     t0: SpikedTensor | SymmetricTensor4,
     u0: np.ndarray,
-    max_iters: int = 50,
+    max_iters: int = _BOOST_MAX_ITERS,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, int]:
     """Tensor power iteration u <- normalize(T(u, u, u, .)).
@@ -131,13 +136,16 @@ def boost(
 
 @dataclass
 class RecoveryReport:
-    """Candidate extraction and boosting outcome."""
+    """Candidate extraction and boosting outcome.  converged is True when
+    boosting stopped on alignment before its iteration cap; a run that
+    aligns only at the cap reads False, as does one that never aligns."""
 
     candidate: np.ndarray
     corr_initial: float | None
     boosted: np.ndarray
     corr_boosted: float | None
     iterations_used: int
+    converged: bool
 
 
 def recovery_chain(
@@ -159,4 +167,5 @@ def recovery_chain(
         boosted=boosted,
         corr_boosted=cb,
         iterations_used=iters,
+        converged=iters < _BOOST_MAX_ITERS,
     )

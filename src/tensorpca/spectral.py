@@ -17,7 +17,6 @@ from ._util import (
     ConvergenceError,
     InvalidParameterError,
     derived_rng,
-    run_trials,
 )
 from .fock import StateVector, build_basis
 from .hamiltonian import HamiltonianOperator
@@ -776,7 +775,6 @@ def density_of_states(
     trials: int,
     dense_limit: int = DENSE_LIMIT,
     emax_reference: str = "theorem",
-    threads: int = 1,
 ) -> DosEstimate:
     """Monte-Carlo estimate of the high-eigenvalue fraction of unspiked
     operators, with the per-boson base-N decay exponent.
@@ -796,13 +794,13 @@ def density_of_states(
     if basis.dim > dense_limit:
         raise CapacityError(f"density of states needs dim <= {dense_limit}, got {basis.dim}")
 
-    def one_trial(t: int) -> np.ndarray:
-        rng = derived_rng(params.seed, "dos-trial", t)
-        g = sample_gaussian_tensor(params.N, rng, ensemble=params.ensemble)
-        h = HamiltonianOperator(g, basis)
-        return full_spectrum(h, dense_limit=dense_limit)
-
-    spectra = np.array(run_trials(one_trial, trials, threads=threads))
+    spectra = []
+    for t in range(trials):
+        g = sample_gaussian_tensor(
+            params.N, derived_rng(params.seed, "dos-trial", t), ensemble=params.ensemble
+        )
+        spectra.append(full_spectrum(HamiltonianOperator(g, basis), dense_limit=dense_limit))
+    spectra = np.array(spectra)
     bounds = analytic_bounds(params)
     mean_lambda1 = float(spectra[:, 0].mean())
     e_ref = bounds.e_max if emax_reference == "theorem" else mean_lambda1

@@ -351,7 +351,7 @@ def test_11_recovery():
     params = tp.ModelParams(N=REC_N, n_bos=REC_NBOS, lambda_bar=REC_LAMBDA, seed=REC_SEED)
     cfg = tp.DetectionConfig(dense_limit=REC_DENSE_LIMIT)
     thr = tp.p_threshold(params, cfg)
-    wins = detected = 0
+    wins = detected = settled = 0
     for trial in range(REC_TRIALS):
         tensor, v_ref = tp.sample_instance(
             params, spiked=True, rng=derived_rng(REC_SEED, "recov16", trial)
@@ -364,7 +364,9 @@ def test_11_recovery():
             outcome.projected.normalized(), tensor, v_reference=v_ref, seed=trial
         )
         wins += abs(rep.corr_boosted) >= 0.9
-    boost_ok = wins >= int(0.7 * REC_TRIALS)
+        settled += rep.converged
+    # every boosted row stopped on alignment, not at the iteration cap
+    boost_ok = wins >= int(0.7 * REC_TRIALS) and settled == detected
 
     # unspiked chains never reach the recovery stage
     false_recoveries = 0
@@ -381,7 +383,8 @@ def test_11_recovery():
         11,
         "recovery",
         ok,
-        f"(noiseless exact; boosted>=0.9 in {wins}/{REC_TRIALS} detected {detected}; "
+        f"(noiseless exact; boosted>=0.9 in {wins}/{REC_TRIALS} detected {detected}, "
+        f"converged {settled}; "
         f"false recoveries {false_recoveries}/{REC_UNSPIKED_TRIALS}, {elapsed:.0f}s)",
     )
 

@@ -77,8 +77,9 @@ _BASE = {
 _REMOVED = [
     ("gen", "--trials", "9"), ("gen", "--dense-limit", "5"), ("gen", "--threads", "2"),
     ("gen", "--zeta", "0.3"),
-    ("detect", "--ensemble", "complex"),
+    ("detect", "--ensemble", "complex"), ("detect", "--threads", "2"),
     ("dos", "--lambda", "0.7"), ("dos", "--zeta", "0.3"), ("dos", "--ensemble", "complex"),
+    ("dos", "--threads", "2"),
     ("recover", "--threads", "2"), ("recover", "--ensemble", "complex"),
     ("exponents", "--seed", "3"), ("exponents", "--zeta", "0.2"), ("exponents", "--trials", "5"),
     ("exponents", "--threads", "2"), ("exponents", "--dense-limit", "7"),
@@ -630,14 +631,6 @@ class TestFileErrors:
         self._refused(capsys, _BASE["detect"], tmp_path / "nonexistent" / "dir" / "r.json")
 
 
-class TestThreads:
-    @pytest.mark.parametrize("name, threads", [("detect", "-3"), ("dos", "0")])
-    def test_threads_below_one_fail_before_any_trial(self, tmp_path, no_trial, name, threads):
-        out = tmp_path / "o.json"
-        assert run([*_BASE[name], "--threads", threads, "--out", out]) == 2
-        assert not out.exists()
-
-
 class TestPayload:
     @pytest.mark.parametrize(
         "args",
@@ -704,16 +697,6 @@ class TestDeterminism:
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        base = ["detect", "--method", "spectral", "--N", "4", "--nbos", "3",
-                "--lambda", "0.7", "--trials", "4", "--seed", "34"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(base + ["--threads", "1", "--out", a]) == 0
-        assert run(base + ["--threads", "2", "--out", b]) == 0
-        ja = json.loads(a.read_text())
-        jb = json.loads(b.read_text())
-        assert ja["trials"] == jb["trials"]
 
 
 # (subcommand, option) -> (context, option args): the option must change the
@@ -783,8 +766,6 @@ _START = {("recover", flag): ["recover", "--seed", "1"] for flag in ("--state", 
 _EXEMPT = {
     **{(name, "--out"): "names the report file, which the config echo leaves out"
        for name in _BASE},
-    **{(name, "--threads"): "changes only wall time; test_threads_do_not_change_results"
-       for name in ("detect", "dos")},
     **{(name, "--nbos"): "no output depends on n_bos, but test_12_determinism passes it"
        for name in ("gen", "exponents")},
     **{(name, "--format"): "json is the one format it writes, which --format json names"
@@ -838,7 +819,7 @@ class TestEveryOptionActs:
                    for action in parser._actions if not isinstance(action, argparse._HelpAction)}
         assert not set(_ACTS) & set(_EXEMPT)
         assert set(_ACTS) | set(_EXEMPT) == offered
-        assert len(offered) == 57
+        assert len(offered) == 55
 
     @pytest.mark.parametrize("name, flag", sorted(_ACTS), ids=lambda v: v)
     def test_option_changes_the_output(self, written, name, flag):

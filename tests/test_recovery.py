@@ -317,3 +317,15 @@ class TestChain:
         assert abs(rep.corr_initial) <= 1.0 + 1e-12
         assert abs(rep.corr_boosted) <= 1.0 + 1e-12
         assert rep.iterations_used >= 1
+        assert rep.converged
+
+    def test_boost_cut_at_its_cap_is_not_converged(self):
+        # the unspiked N=6 draw 0 of TestBoost::test_matches_einsum_reference:
+        # boosting its spectral-route candidate runs all 50 iterations
+        params = ModelParams(N=6, n_bos=4, lambda_bar=0.12, seed=26)
+        g = derived_rng(26, "boost-oracle-6-False", 0)
+        t0, _ = sample_instance(params, spiked=False, rng=g)
+        state = detect_spectral(t0, params, seed=0).state
+        rep = recovery_chain(state.normalized(), t0, seed=0)
+        assert rep.iterations_used == 50
+        assert rep.converged is False

@@ -707,16 +707,14 @@ def test_import_leaves_scipy_out():
 
 
 def test_import_leaves_rarely_used_modules_out():
-    # concurrent.futures (with logging and queue) serves only threaded
-    # sweeps and fractions (with decimal) only the exponent table, so both
-    # load on first use, and give the same results there
+    # the package never loads concurrent.futures (with logging and queue),
+    # and loads fractions (with decimal) only for the exponent table, on
+    # first use, with the same results there
     code = """
 import sys, tensorpca
 print(sorted(m for m in ("concurrent.futures", "fractions", "decimal") if m in sys.modules))
 from fractions import Fraction
 from tensorpca import ModelParams, cost_exponents
-from tensorpca._util import run_trials
-assert run_trials(lambda i: i * i, 5, threads=2) == [0, 1, 4, 9, 16]
 ratios = cost_exponents(ModelParams(N=6, n_bos=4, lambda_bar=0.05)).ratios
 assert ratios == {"original_classical": Fraction(1), "accelerated_classical": Fraction(1, 2),
                   "quantum_amplified": Fraction(1, 8), "quantum_multistep": Fraction(1, 12)}
@@ -1354,8 +1352,6 @@ class TestDensityOfStates:
         b = density_of_states(params, x_grid=[0.0, 0.4], trials=6)
         assert np.array_equal(a.p_greater, b.p_greater)
         assert np.array_equal(a.stderr, b.stderr)
-        c = density_of_states(params, x_grid=[0.0, 0.4], trials=6, threads=2)
-        assert np.array_equal(a.p_greater, c.p_greater)
 
     def test_empirical_reference(self):
         params = ModelParams(N=4, n_bos=4, seed=14)
